@@ -8,10 +8,15 @@ bytes 126 plus six 6-bit bytes up to 2^36 - 1.
 
 from __future__ import annotations
 
+import re
+from math import isqrt
+
 from .graphs import SimpleGraph
 
 _HEADER = b">>graph6<<"
 _MAX_N = (1 << 36) - 1
+_OFFSET = bytes((b + 63) & 255 for b in range(256))  # 6-bit value -> byte
+_SET_BYTE = re.compile(rb"[^?]")  # a body byte with at least one set bit
 
 
 class Graph6Error(ValueError):
@@ -37,17 +42,12 @@ def encode_graph6(g: SimpleGraph) -> bytes:
         out.extend((126, 126))
         for shift in (30, 24, 18, 12, 6, 0):
             out.append(((n >> shift) & 63) + 63)
-    bits = 0
-    nbits = 0
-    for j in range(1, n):
-        for i in range(j):
-            bits = (bits << 1) | (1 if g.has_edge(i, j) else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(bits + 63)
-                bits = nbits = 0
-    if nbits:
-        out.append((bits << (6 - nbits)) + 63)
+    # Column-major upper triangle: pair i < j is body bit j(j-1)/2 + i.
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for i, j in g.edges():
+        t = j * (j - 1) // 2 + i
+        body[t // 6] |= 32 >> (t % 6)
+    out += body.translate(_OFFSET)
     return bytes(out)
 
 
@@ -104,19 +104,22 @@ def decode_graph6(blob) -> SimpleGraph:
         raise Graph6Error(
             f"body length {len(body)} does not match n={n}"
         )
-    edges = []
-    for byte in body:
-        if not 63 <= byte <= 126:
-            raise Graph6Error("invalid byte in graph6 body")
-    # Column-major upper triangle: bit index t covers pair (i, j).
-    pairs = ((i, j) for j in range(1, n) for i in range(j))
-    for t, (i, j) in enumerate(pairs):
-        byte = body[t // 6] - 63
-        if (byte >> (5 - t % 6)) & 1:
-            edges.append((i, j))
+    if body and not (63 <= min(body) and max(body) <= 126):
+        raise Graph6Error("invalid byte in graph6 body")
     if nbits:
         pad = body[-1] - 63
         extra = expected * 6 - nbits
         if extra and pad & ((1 << extra) - 1):
             raise Graph6Error("nonzero padding bits")
+    # Column-major upper triangle: bit t = j(j-1)/2 + i covers pair (i, j).
+    # Only bytes other than 63 ("?") carry set bits.
+    edges = []
+    for match in _SET_BYTE.finditer(body):
+        k = match.start()
+        byte = body[k] - 63
+        for b in range(6):
+            if byte & (32 >> b):
+                t = 6 * k + b
+                j = (1 + isqrt(8 * t + 1)) // 2
+                edges.append((t - j * (j - 1) // 2, j))
     return SimpleGraph(n, edges)

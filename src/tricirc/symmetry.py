@@ -5,6 +5,15 @@ over equitable partitions, seeded with a degree/distance vertex invariant.
 It returns both a canonical labeling (for isomorphism testing) and a
 generating set of the automorphism group (for transitivity and orbit work).
 Deterministic for a fixed vertex ordering.
+
+The search keeps its work near what changes (McKay & Piperno, Practical
+graph isomorphism II, 2014). Refinement re-keys only the cells that can
+split: after the root, those next to the individualized vertex, then those
+next to a cell that split. Each search node keeps one union-find of the
+orbits of the generators that fix its prefix, fed as generators arrive.
+Leaf certificates set one bit per edge. Each of these returns exactly what
+the plain version (re-key every vertex, rebuild the orbits for each cell
+vertex, test every pair) returns, so the tree and its output are the same.
 """
 
 from __future__ import annotations
@@ -171,21 +180,71 @@ def _initial_colors(adj: tuple[tuple[int, ...], ...]) -> list[int]:
     return [code[k] for k in keys]
 
 
-def _wl_refine(adj, colors: list[int]) -> list[int]:
+def _wl_refine(
+    adj, colors: list[int], individualized: Optional[Sequence[int]] = None
+) -> list[int]:
     """Equitable refinement: recolor by (color, sorted neighbor colors) to a
     fixpoint. Color codes are assigned in invariant (lexicographic key)
-    order, so equal inputs on isomorphic graphs produce matching codes."""
+    order, so equal inputs on isomorphic graphs produce matching codes.
+
+    The input colors must be dense (0..m-1), as `_initial_colors` and
+    `_individualize` produce them. Rounds are synchronous. A cell is named
+    by its start in the ordered partition, which orders cells as their dense
+    codes do, and only the first part of a split cell keeps its name. After
+    a split, a cell can split next round only if it has a neighbor in a
+    part other than the largest, so a round re-keys just those cells; the
+    fixpoint and its numbering are those of re-keying every vertex in every
+    round. If `individualized` is given, `colors` is an equitable coloring
+    in which these vertices were just split off into singleton cells, and
+    the first round re-keys only the cells around them."""
     n = len(adj)
-    while True:
-        keys = [
-            (colors[v], tuple(sorted(colors[w] for w in adj[v])))
-            for v in range(n)
-        ]
-        code = {key: i for i, key in enumerate(sorted(set(keys)))}
-        new = [code[keys[v]] for v in range(n)]
-        if new == colors:
-            return colors
-        colors = new
+    sizes = [0] * n
+    for c in colors:
+        sizes[c] += 1
+    starts = [0] * n
+    acc = 0
+    for c in range(n):
+        starts[c] = acc
+        acc += sizes[c]
+    name = [starts[c] for c in colors]
+    cells: dict[int, list[int]] = {}
+    for v in range(n):
+        cells.setdefault(name[v], []).append(v)
+    if individualized is None:
+        dirty = [s for s, members in cells.items() if len(members) > 1]
+    else:
+        dirty = {
+            name[w] for v in individualized for w in adj[v]
+            if len(cells[name[w]]) > 1
+        }
+    while dirty:
+        splits = []
+        for s in dirty:
+            by_key: dict[tuple, list[int]] = {}
+            for v in cells[s]:
+                key = tuple(sorted([name[w] for w in adj[v]]))
+                by_key.setdefault(key, []).append(v)
+            if len(by_key) > 1:
+                splits.append((s, [by_key[k] for k in sorted(by_key)]))
+        touched = []
+        for s, parts in splits:
+            start = s
+            for part in parts:
+                cells[start] = part
+                if start != s:
+                    for v in part:
+                        name[v] = start
+                start += len(part)
+            largest = max(parts, key=len)
+            for part in parts:
+                if part is not largest:
+                    touched.extend(part)
+        dirty = {
+            name[w] for v in touched for w in adj[v]
+            if len(cells[name[w]]) > 1
+        }
+    code = {s: i for i, s in enumerate(sorted(cells))}
+    return [code[s] for s in name]
 
 
 def _individualize(colors: list[int], v: int) -> list[int]:
@@ -195,31 +254,27 @@ def _individualize(colors: list[int], v: int) -> list[int]:
 
 
 def _leaf_certificate(adj, colors: list[int]) -> bytes:
-    """Adjacency bitmap bytes under the discrete coloring's labeling."""
+    """Adjacency bitmap bytes under the discrete coloring's labeling.
+
+    The labelled pair i < j sits at bit j(j-1)/2 + i, most significant bit
+    first, in ceil(n(n-1)/16) bytes. Only the edges set bits, so this is
+    linear in the edge count."""
     n = len(adj)
-    pos = colors  # discrete: colors are exactly 0..n-1
-    vert_at = [0] * n
-    for v in range(n):
-        vert_at[pos[v]] = v
-    bits = bytearray()
-    acc = 0
-    nacc = 0
-    for j in range(1, n):
-        vj = vert_at[j]
-        nbrs = set(adj[vj])
-        for i in range(j):
-            acc = (acc << 1) | (1 if vert_at[i] in nbrs else 0)
-            nacc += 1
-            if nacc == 8:
-                bits.append(acc)
-                acc = nacc = 0
-    if nacc:
-        bits.append(acc << (8 - nacc))
+    bits = bytearray((n * (n - 1) // 2 + 7) // 8)
+    for v, nbrs in enumerate(adj):
+        j = colors[v]
+        row = j * (j - 1) // 2
+        for w in nbrs:
+            i = colors[w]
+            if i < j:
+                t = row + i
+                bits[t >> 3] |= 0x80 >> (t & 7)
     return bytes(bits)
 
 
-def _node_invariant(colors: list[int]) -> tuple:
-    return tuple(sorted(Counter(colors).items()))
+def _node_invariant(counts: Counter) -> tuple:
+    """(color, cell size) pairs in color order, from the node's Counter."""
+    return tuple(sorted(counts.items()))
 
 
 class _UnionFind:
@@ -239,6 +294,15 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[ra] = rb
+
+    def union_perm(self, img: Sequence[int]):
+        """Merge every point with its image under a permutation."""
+        find, parent = self.find, self.parent
+        for x, y in enumerate(img):
+            if x != y:
+                rx, ry = find(x), find(y)
+                if rx != ry:
+                    parent[rx] = ry
 
 
 def _search(adj: tuple[tuple[int, ...], ...]):
@@ -269,8 +333,11 @@ def _search(adj: tuple[tuple[int, ...], ...]):
         state["gens"].append(g)
 
     def explore(colors: list[int], path: tuple, prefix: tuple):
-        colors = _wl_refine(adj, colors)
-        inv = _node_invariant(colors)
+        # Below the root, colors individualizes prefix[-1] in an
+        # equitable coloring.
+        colors = _wl_refine(adj, colors, prefix[-1:] or None)
+        counts = Counter(colors)
+        inv = _node_invariant(counts)
         path = path + (inv,)
         depth = len(path) - 1
 
@@ -295,7 +362,7 @@ def _search(adj: tuple[tuple[int, ...], ...]):
                 state["best_lab"] = None
                 state["best_path"] = None
 
-        if max(Counter(colors).values()) == 1:
+        if len(counts) == n:
             lab = list(colors)
             cert = _leaf_certificate(adj, lab)
             if state["ref_cert"] is None:
@@ -317,19 +384,24 @@ def _search(adj: tuple[tuple[int, ...], ...]):
             return
 
         # Target cell: the smallest color class with more than one vertex.
-        counts = Counter(colors)
         target_color = min(c for c, cnt in counts.items() if cnt > 1)
         cell = [v for v in range(n) if colors[v] == target_color]
 
+        # Orbit pruning under the generators that fix the prefix. The node's
+        # union-find is made at the second cell vertex and is fed only the
+        # generators found since the previous vertex.
+        gens = state["gens"]
+        uf = None
+        fed = 0
         explored: list[int] = []
         for v in cell:
             if explored:
-                # Orbit pruning under generators that fix the prefix.
-                uf = _UnionFind(n)
-                for g in state["gens"]:
+                if uf is None:
+                    uf = _UnionFind(n)
+                for g in gens[fed:]:
                     if all(g[x] == x for x in prefix):
-                        for x in range(n):
-                            uf.union(x, g[x])
+                        uf.union_perm(g)
+                fed = len(gens)
                 root_v = uf.find(v)
                 if any(uf.find(u) == root_v for u in explored):
                     continue
@@ -461,8 +533,7 @@ def vertex_orbits(g: SimpleGraph, gens: Optional[Sequence[Permutation]] = None) 
         gens = automorphism_group(g)
     uf = _UnionFind(g.n)
     for p in gens:
-        for v in range(g.n):
-            uf.union(v, p.img[v])
+        uf.union_perm(p.img)
     blocks: dict[int, list[int]] = {}
     for v in range(g.n):
         blocks.setdefault(uf.find(v), []).append(v)

@@ -61,3 +61,52 @@ def test_round_trip_covers():
     for g in (t1(9, 6, 1), t2(9, 2, 1)):
         h = decode_graph6(encode_graph6(g))
         assert set(h.edges()) == set(g.edges())
+
+
+def reference_body(g):
+    """graph6 body by testing every pair, column by column, six bits a byte."""
+    out = bytearray()
+    bits = nbits = 0
+    for j in range(1, g.n):
+        for i in range(j):
+            bits = (bits << 1) | (1 if g.has_edge(i, j) else 0)
+            nbits += 1
+            if nbits == 6:
+                out.append(bits + 63)
+                bits = nbits = 0
+    if nbits:
+        out.append((bits << (6 - nbits)) + 63)
+    return bytes(out)
+
+
+def reference_edges(n, body):
+    """Edges read back from every bit of the body, pair by pair."""
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
+    return [
+        (i, j) for t, (i, j) in enumerate(pairs)
+        if (body[t // 6] - 63) >> (5 - t % 6) & 1
+    ]
+
+
+@given(st.sampled_from([0, 1, 2, 7, 13, 62, 63, 64, 90]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_coding_matches_pairwise_reference(n, data):
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    density = data.draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    rng = data.draw(st.randoms(use_true_random=False))
+    g = SimpleGraph(n, [e for e in pairs if rng.random() < density])
+    blob = encode_graph6(g)
+    header = 1 if n <= 62 else 4
+    assert blob[header:] == reference_body(g)
+    h = decode_graph6(blob)
+    assert h == g
+    assert sorted(h.edges()) == sorted(reference_edges(n, blob[header:]))
+
+
+def test_decode_rejects_bad_body_bytes_and_padding():
+    with pytest.raises(Graph6Error, match="body length"):
+        decode_graph6(b"C~\x7f")  # the length is checked before the bytes
+    with pytest.raises(Graph6Error, match="invalid byte"):
+        decode_graph6(b"B>")  # 62 < 63
+    with pytest.raises(Graph6Error, match="padding"):
+        decode_graph6(b"B@")  # n=3 uses 3 of 6 bits; the last one is set
