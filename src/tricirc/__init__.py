@@ -2,7 +2,7 @@
 analysis, and exhaustive classification checks.
 """
 
-from .graphs import CoverVertex, SimpleGraph, cycle_components
+from .graphs import CoverVertex, SimpleGraph
 from .pregraph import (
     LINK,
     LOOP,
@@ -45,9 +45,7 @@ from .symmetry import (
     canonical_labeling,
     cycle_counts,
     cycles_of_length,
-    cycles_through_edge,
     edge_orbits,
-    edge_type_subgraph,
     find_k_circulant,
     girth,
     group_elements,
@@ -64,7 +62,6 @@ from .families import (
     FamilyParams,
     TorusDecomposition,
     family_automorphism,
-    family_connected,
     gp,
     moebius,
     prism,
@@ -95,5 +92,3 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

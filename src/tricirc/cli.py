@@ -2,10 +2,14 @@
 
 Subcommands: gen (construct a graph), analyze (symmetry/cycle report),
 walks (symbolic voltage tables), verify (classification sweep + census),
-iso (isomorphism test), quotient (semiregular quotient pregraph).
+iso (isomorphism test), quotient (semiregular quotient pregraph). Each is a
+thin layer over the library: iso is `are_isomorphic`, quotient finds its
+automorphism with `find_k_circulant`, and analyze reads cycle signatures
+through the same routine as `is_c_cycle_regular`.
 
 Exit codes: 0 success, 1 anomaly (sweep anomalies, non-isomorphic pair,
-no suitable automorphism), 2 usage error, 3 I/O or format error.
+no suitable automorphism), 2 usage error or a group larger than --cap
+(quotient), 3 I/O or format error (including text that is not ASCII).
 
 The quotient output is a line-oriented text format, since semi-edges have
 no graph6 counterpart:
@@ -30,14 +34,16 @@ from .graph6 import Graph6Error, decode_graph6, encode_graph6
 from .graphs import SimpleGraph
 from .symmetry import (
     EnumerationCapExceeded,
+    _signatures,
     arc_orbit_count,
+    are_isomorphic,
     automorphism_group,
     canonical_form,
     cycle_counts,
     edge_orbits,
     find_k_circulant,
     girth,
-    group_elements,
+    group_elements,  # noqa: F401 -- perfbench/tracer.py wraps cli.group_elements
     group_order,
     vertex_orbits,
 )
@@ -150,12 +156,7 @@ def _analyze_one(g: SimpleGraph, extra_cycles: int, cap: int) -> dict:
         for c in range(gi, gi + extra_cycles + 1):
             per_vertex, per_edge, total = cycle_counts(g, c)
             vertex_regular = len(set(per_vertex)) <= 1
-            signatures = set()
-            for v in range(g.n):
-                signatures.add(tuple(sorted(
-                    per_edge[(v, x) if v < x else (x, v)]
-                    for x in g.neighbors(v)
-                )))
+            signatures = set(_signatures(g, per_edge))
             cycle_regular = len(signatures) <= 1
             cycles[str(c)] = {
                 "total": total,
@@ -232,7 +233,7 @@ def _cmd_verify(args) -> int:
 def _cmd_iso(args) -> int:
     a = _read_graphs(args.a)[0]
     b = _read_graphs(args.b)[0]
-    same = canonical_form(a) == canonical_form(b) if a.n == b.n else False
+    same = are_isomorphic(a, b)
     print("isomorphic" if same else "not isomorphic")
     return 0 if same else 1
 
@@ -241,18 +242,7 @@ def _cmd_quotient(args) -> int:
     g = _read_graphs(args.path)[0]
     if args.order < 1 or g.n % args.order:
         raise ValueError("--order must be a positive divisor of |V|")
-    gens = automorphism_group(g)
-    rho = None
-    if args.order == 1:
-        from .symmetry import Permutation
-
-        rho = Permutation.identity(g.n)
-    else:
-        for perm in group_elements(g.n, gens, cap=args.cap):
-            lengths = perm.cycle_lengths()
-            if lengths[0] == args.order and lengths[-1] == args.order:
-                rho = perm
-                break
+    rho = find_k_circulant(g, g.n // args.order, cap=args.cap)
     if rho is None:
         print(f"no semiregular automorphism of order {args.order}",
               file=sys.stderr)
@@ -334,10 +324,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (Graph6Error, OSError) as exc:
+    except (Graph6Error, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, EnumerationCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,23 +3,24 @@
 The four families t1..t4 are derived covers of the three-vertex pregraphs
 delta(1)..delta(4) over Z_{2k}, with the standard voltages (k on semi-edges,
 0 on tree links, r and s elsewhere). Vertices are numbered fibre-major:
-u_i = i, v_i = 2k + i, w_i = 4k + i. Also here: the generalized Petersen
-graphs, prisms and Moebius ladders they get compared against, the explicit
-shift/mixing automorphisms, and the three-cycle torus decomposition of the
-y-family.
+u_i = i, v_i = 2k + i, w_i = 4k + i (`fibre_indexers`, `fibre_map`). Each
+family's parameter symmetries are declared here once, with the vertex maps
+that prove them, and the sweep's orbit representatives come from them.
+Also here: the generalized Petersen graphs, prisms and Moebius ladders they
+get compared against, the explicit shift/mixing automorphisms, and the
+three-cycle torus decomposition of the y-family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .graphs import SimpleGraph
 from .symmetry import Permutation
-from .voltage import NotAutomorphism, cover_connected, derived_cover, zeta_for
-
-THEOREM_MIN_K = 9
+from .voltage import NotAutomorphism, derived_cover, zeta_for
 
 
 @dataclass(frozen=True)
@@ -48,22 +49,6 @@ class FamilyParams:
     @property
     def order(self) -> int:
         return 6 * self.k
-
-    @property
-    def connected(self) -> bool:
-        """gcd criterion: the voltages must generate Z_{2k}."""
-        if self.family_type == 3:
-            return gcd(self.k, self.r) == 1
-        return gcd(gcd(self.k, self.r), self.s) == 1
-
-    @property
-    def theorem_scope(self) -> bool:
-        """True when k >= 9, where the general classification applies.
-
-        Smaller k admits sporadic covers (extra isomorphisms, degenerate
-        parameters) that the family-level statements exclude.
-        """
-        return self.k >= THEOREM_MIN_K
 
     def build(self) -> SimpleGraph:
         if self.family_type == 3:
@@ -94,10 +79,97 @@ def t4(k: int, r: int, s: int) -> SimpleGraph:
     return derived_cover(zeta_for(4, k, r, s))
 
 
-def family_connected(family_type: int, k: int, r: int, s: int = 0) -> bool:
+# -- fibre indexing and parameter symmetries ----------------------------------
+
+def fibre_indexers(k: int):
+    """(2k, u, v, w), where u(i), v(i) and w(i) are the fibre-major indices
+    of u_i, v_i and w_i, with i read mod 2k."""
+    n = 2 * k
+    return (n,) + tuple(lambda i, f=f: f * n + i % n for f in range(3))
+
+
+def fibre_map(
+    k: int, scale: int = 1, shift: int = 0, fibres: tuple = (0, 1, 2)
+) -> Permutation:
+    """The vertex map sending vertex i of fibre f to vertex scale*i + shift
+    of fibre fibres[f]. The deck transformation rho is fibre_map(k, shift=1)
+    and index negation is fibre_map(k, -1)."""
+    n, *at = fibre_indexers(k)
+    return Permutation(
+        [at[fibres[f]](scale * i + shift) for f in range(3) for i in range(n)]
+    )
+
+
+class ParamSymmetry(NamedTuple):
+    """A map on (r, s) with the vertex map that proves it: the cover at
+    (r, s) relabelled by fibre_map(k, scale, fibres=fibres) is exactly the
+    cover at image(r, s)."""
+
+    image: Callable[[int, Optional[int]], tuple]
+    scale: int = 1
+    fibres: tuple = (0, 1, 2)
+
+
+def parameter_symmetries(family_type: int, k: int) -> list[ParamSymmetry]:
+    """The parameter symmetries of one family over Z_{2k}, declared once.
+
+    They are voltage-assignment isomorphisms (Gross & Tucker, Topological
+    Graph Theory, 1987, ch. 2). Multiplying every voltage by a unit a is the
+    index map i -> a*i, and a fixes the semi-edge voltage k because it is
+    odd. A loop lifts to the same edges under s and -s. Swapping the two
+    edges of a double bridge, or two fibres that play the same part,
+    permutes the pregraph. Parameters are residues mod 2k; s is None for
+    type 3."""
+    n = 2 * k
+
+    def neg_r(r, s):
+        return (-r % n, s)
+
+    def neg_s(r, s):
+        return (r, -s % n)
+
+    def swap(r, s):
+        return (s, r)
+
+    if family_type == 1:
+        return [ParamSymmetry(swap)] + [
+            ParamSymmetry(lambda r, s, a=a: (a * r % n, a * s % n), scale=a)
+            for a in range(1, n) if gcd(a, n) == 1
+        ]
+    return {
+        2: [ParamSymmetry(neg_r, scale=-1), ParamSymmetry(neg_s)],
+        3: [ParamSymmetry(neg_r, scale=-1)],
+        4: [ParamSymmetry(neg_r), ParamSymmetry(neg_s),
+            ParamSymmetry(swap, fibres=(0, 2, 1))],
+    }[family_type]
+
+
+def parameter_representatives(family_type: int, k: int) -> list[tuple]:
+    """The sorted orbit minima of the (r, s) grid of one family under its
+    declared symmetries. Every grid point is isomorphic to one of them, so
+    a sweep over these is as exhaustive as one over the grid."""
+    n = 2 * k
     if family_type == 3:
-        return cover_connected(zeta_for(3, k, r))
-    return cover_connected(zeta_for(family_type, k, r, s))
+        grid = [(r, None) for r in range(n)]
+    else:
+        grid = list(product(range(n), repeat=2))
+    images = [sym.image for sym in parameter_symmetries(family_type, k)]
+    seen: set = set()
+    reps = []
+    for p in grid:  # ascending, so each orbit is met first at its minimum
+        if p in seen:
+            continue
+        reps.append(p)
+        seen.add(p)
+        stack = [p]
+        while stack:
+            q = stack.pop()
+            for image in images:
+                x = image(*q)
+                if x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+    return reps
 
 
 def r_star(k: int) -> int:
@@ -180,30 +252,6 @@ def moebius(m: int) -> SimpleGraph:
 
 # -- explicit automorphisms ---------------------------------------------------
 
-def _fibre_indexers(k: int):
-    n = 2 * k
-
-    def u(i):
-        return i % n
-
-    def v(i):
-        return n + i % n
-
-    def w(i):
-        return 2 * n + i % n
-
-    return n, u, v, w
-
-
-def _shift(k: int) -> Permutation:
-    n = 2 * k
-    img = [0] * (6 * k)
-    for f in range(3):
-        for i in range(n):
-            img[f * n + i] = f * n + (i + 1) % n
-    return Permutation(img)
-
-
 def family_automorphism(
     which: str, k: int, r: Optional[int] = None, s: Optional[int] = None
 ) -> Permutation:
@@ -218,9 +266,9 @@ def family_automorphism(
 
     The phi maps are validated against their graph before being returned.
     """
-    n, u, v, w = _fibre_indexers(k)
+    n, u, v, w = fibre_indexers(k)
     if which == "rho":
-        return _shift(k)
+        return fibre_map(k, shift=1)
 
     img = [0] * (6 * k)
     if which == "phi_x":
@@ -282,7 +330,7 @@ def torus_cycle_decomposition(g: SimpleGraph, k: int) -> TorusDecomposition:
     matching. Raises ValueError when the structure is absent, which signals
     a construction bug or a graph that is not y_graph(k).
     """
-    n, u, v, w = _fibre_indexers(k)
+    n, u, v, w = fibre_indexers(k)
     if g.n != 6 * k:
         raise ValueError(f"expected {6 * k} vertices, got {g.n}")
     c1 = []

@@ -92,7 +92,10 @@ def decode_graph6(blob) -> SimpleGraph:
     optional ">>graph6<<" prefix and surrounding whitespace are accepted.
     """
     if isinstance(blob, str):
-        blob = blob.encode("ascii", errors="replace")
+        try:
+            blob = blob.encode("ascii")
+        except UnicodeEncodeError:
+            raise Graph6Error("graph6 text is not ASCII") from None
     data = blob.strip()
     if data.startswith(_HEADER):
         data = data[len(_HEADER):].lstrip()

@@ -142,15 +142,6 @@ class SimpleGraph:
                         return False
         return True
 
-    def subgraph_by_tags(self, tags: Iterable[str]) -> "SimpleGraph":
-        """Spanning subgraph keeping only edges whose tag is in `tags`."""
-        if not self.edge_tags:
-            raise ValueError("graph has no edge tags")
-        keep = set(tags)
-        edges = [e for e in self.edges() if self.edge_tags.get(e) in keep]
-        kept_tags = {e: self.edge_tags[e] for e in edges}
-        return SimpleGraph(self.n, edges, labels=self.labels, edge_tags=kept_tags)
-
     def relabel(self, perm: Sequence[int]) -> "SimpleGraph":
         """Image graph under vertex map v -> perm[v]. Labels and tags follow."""
         if sorted(perm) != list(range(self.n)):
@@ -165,26 +156,3 @@ class SimpleGraph:
             (perm[a], perm[b]): t for (a, b), t in self.edge_tags.items()
         }
         return SimpleGraph(self.n, edges, labels=labels, edge_tags=tags)
-
-    def label_index(self) -> dict:
-        """Map label -> vertex id (labels must be unique)."""
-        if self.labels is None:
-            raise ValueError("graph has no labels")
-        out = {lab: v for v, lab in enumerate(self.labels)}
-        if len(out) != self.n:
-            raise ValueError("labels are not unique")
-        return out
-
-
-def cycle_components(g: SimpleGraph) -> list[int]:
-    """Component cycle lengths of a graph whose components are all cycles.
-
-    Raises ValueError if some component is not a single cycle.
-    """
-    lengths = []
-    for comp in g.components():
-        if any(g.degree(v) != 2 for v in comp):
-            raise ValueError("component is not a cycle")
-        # connected + all degrees 2 => a single cycle
-        lengths.append(len(comp))
-    return sorted(lengths)

@@ -197,17 +197,6 @@ class Walk:
     def is_closed(self) -> bool:
         return self.start == self.end
 
-    def is_reduced(self) -> bool:
-        """No consecutive inverse pair; for closed walks the last and first
-        darts count as consecutive."""
-        p = self.pregraph
-        for x, y in zip(self.darts, self.darts[1:]):
-            if y == p.inv[x]:
-                return False
-        if self.is_closed() and self.darts[0] == p.inv[self.darts[-1]]:
-            return False
-        return True
-
     def inverse(self) -> "Walk":
         p = self.pregraph
         return Walk(p, [p.inv[d] for d in reversed(self.darts)])

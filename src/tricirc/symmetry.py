@@ -598,9 +598,9 @@ def find_k_circulant(
     if m < 1 or g.n % m:
         raise ValueError("orbit count must divide the vertex count")
     target = g.n // m
-    gens = automorphism_group(g)
     if target == 1:
         return Permutation.identity(g.n)
+    gens = automorphism_group(g)
     for p in group_elements(g.n, gens, cap=cap):
         lengths = p.cycle_lengths()
         if lengths[0] == target and lengths[-1] == target:
@@ -680,15 +680,6 @@ def cycle_counts(g: SimpleGraph, c: int):
     return per_vertex, per_edge, len(cycles)
 
 
-def cycles_through_edge(g: SimpleGraph, e: tuple[int, int], c: int) -> int:
-    a, b = e
-    key = (a, b) if a < b else (b, a)
-    _, per_edge, _ = cycle_counts(g, c)
-    if key not in per_edge:
-        raise ValueError(f"no edge {e}")
-    return per_edge[key]
-
-
 @dataclass(frozen=True)
 class CycleSignature:
     """Sorted counts of c-cycles through the edges at one vertex."""
@@ -699,35 +690,28 @@ class CycleSignature:
 
 def c_signature(g: SimpleGraph, v: int, c: int) -> CycleSignature:
     _, per_edge, _ = cycle_counts(g, c)
-    counts = sorted(
-        per_edge[(v, w) if v < w else (w, v)] for w in g.neighbors(v)
-    )
-    return CycleSignature(c, tuple(counts))
+    return CycleSignature(c, _signatures(g, per_edge)[v])
 
 
-def _signatures(g: SimpleGraph, c: int) -> list[tuple[int, ...]]:
-    _, per_edge, _ = cycle_counts(g, c)
-    out = []
-    for v in range(g.n):
-        out.append(tuple(sorted(
+def _signatures(g: SimpleGraph, per_edge: dict) -> list[tuple[int, ...]]:
+    """Per vertex, the sorted counts of cycles through its edges, read from
+    the per-edge table of `cycle_counts`."""
+    return [
+        tuple(sorted(
             per_edge[(v, w) if v < w else (w, v)] for w in g.neighbors(v)
-        )))
-    return out
+        ))
+        for v in range(g.n)
+    ]
 
 
 def is_c_cycle_regular(g: SimpleGraph, c: int) -> bool:
-    sigs = _signatures(g, c)
-    return len(set(sigs)) <= 1
+    _, per_edge, _ = cycle_counts(g, c)
+    return len(set(_signatures(g, per_edge))) <= 1
 
 
 def is_c_vertex_regular(g: SimpleGraph, c: int) -> bool:
     per_vertex, _, _ = cycle_counts(g, c)
     return len(set(per_vertex)) <= 1
-
-
-def edge_type_subgraph(g: SimpleGraph, types: Iterable[str]) -> SimpleGraph:
-    """Spanning subgraph of a family graph keeping the given edge types."""
-    return g.subgraph_by_tags(types)
 
 
 def uniform_local_profile(g: SimpleGraph) -> bool:

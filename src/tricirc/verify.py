@@ -1,7 +1,11 @@
 """Verification harness: voltage walk tables, necessary-condition checks,
-the small-order census, the full classification sweep, and targeted
-structure checks. Everything recomputes from scratch so results are
-independent evidence, not restatements.
+the classification sweep, the small-order census, and targeted structure
+checks. Everything recomputes from scratch so results are independent
+evidence, not restatements.
+
+The sweep and the census share one funnel, `_funnel`: at one k it builds,
+filters, screens, tests and dedups the covers at the parameter
+representatives that `families` derives from the declared symmetries.
 """
 
 from __future__ import annotations
@@ -10,15 +14,17 @@ import json
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .families import (
     FamilyParams,
+    fibre_indexers,
+    fibre_map,
     moebius,
+    parameter_representatives,
     prism,
-    r_star,
     t1,
     t4,
     x_graph,
@@ -168,57 +174,7 @@ def check_t1_conditions(k: int, r: int, s: int) -> T1Conditions:
     )
 
 
-# -- shared sweep helpers -------------------------------------------------------
-
-def _units(n: int) -> list[int]:
-    return [a for a in range(1, n) if gcd(a, n) == 1]
-
-
-def _t1_param_reps(k: int) -> list[tuple[int, int]]:
-    """Orbit representatives of (r,s) under swap and unit scaling."""
-    n = 2 * k
-    units = _units(n)
-    reps = set()
-    for r in range(n):
-        for s in range(r, n):
-            reps.add(min(
-                tuple(sorted(((a * r) % n, (a * s) % n))) for a in units
-            ))
-    return sorted(reps)
-
-
-def _t2_param_reps(k: int) -> list[tuple[int, int]]:
-    """Orbit representatives of (r,s) under independent negation."""
-    n = 2 * k
-    reps = set()
-    for r in range(n):
-        for s in range(n):
-            reps.add(min(
-                ((er * r) % n, (es * s) % n)
-                for er in (1, -1) for es in (1, -1)
-            ))
-    return sorted(reps)
-
-
-def _t4_param_reps(k: int) -> list[tuple[int, int]]:
-    """Orbit representatives under negation of either parameter and swap."""
-    n = 2 * k
-    reps = set()
-    for r in range(n):
-        for s in range(n):
-            images = [
-                ((er * a) % n, (es * b) % n)
-                for a, b in ((r, s), (s, r))
-                for er in (1, -1) for es in (1, -1)
-            ]
-            reps.add(min(images))
-    return sorted(reps)
-
-
-def _t3_param_reps(k: int) -> list[int]:
-    """Orbit representatives of r under negation."""
-    return list(range(k + 1))
-
+# -- the funnel ------------------------------------------------------------------
 
 def _passes_vt_screen(g: SimpleGraph) -> bool:
     """Cheap necessary conditions for vertex-transitivity."""
@@ -234,8 +190,41 @@ def _passes_vt_screen(g: SimpleGraph) -> bool:
     return True
 
 
-def _is_vt(g: SimpleGraph) -> bool:
-    return _passes_vt_screen(g) and is_vertex_transitive(g)
+_STAGES = ("grid", "constructed", "connected", "vt_instances")
+
+
+def _funnel(k: int) -> tuple[dict, dict]:
+    """Build -> filter -> screen -> VT -> dedup at order 6k, over the
+    parameter representatives of all four types.
+
+    Returns the per-type count of each stage in `_STAGES`, and the
+    vertex-transitive classes by canonical form (ascii), each with its
+    types, up to three example parameter tuples and its first graph."""
+    counts = {stage: dict.fromkeys((1, 2, 3, 4), 0) for stage in _STAGES}
+    classes: dict[str, dict] = {}
+    for t in (1, 2, 3, 4):
+        reps = parameter_representatives(t, k)
+        counts["grid"][t] = len(reps)
+        for r, s in reps:
+            try:
+                g = FamilyParams(t, k, r, s).build()
+            except NonSimpleCover:
+                continue
+            counts["constructed"][t] += 1
+            if not g.is_connected():
+                continue
+            counts["connected"][t] += 1
+            if not (_passes_vt_screen(g) and is_vertex_transitive(g)):
+                continue
+            counts["vt_instances"][t] += 1
+            slot = classes.setdefault(
+                canonical_form(g).decode("ascii"),
+                {"types": set(), "params": [], "graph": g},
+            )
+            slot["types"].add(t)
+            if len(slot["params"]) < 3:
+                slot["params"].append((t, k, r, s))
+    return counts, classes
 
 
 # -- small-order census ---------------------------------------------------------
@@ -305,56 +294,29 @@ class CensusTable:
         }
 
 
-def _census_param_grid(k: int):
-    n = 2 * k
-    for r in range(n):
-        for s in range(n):
-            yield FamilyParams(1, k, r, s)
-            yield FamilyParams(2, k, r, s)
-            yield FamilyParams(4, k, r, s)
-    for r in range(n):
-        yield FamilyParams(3, k, r)
-
-
 def small_census(max_order: int = 48) -> CensusTable:
     """All vertex-transitive graphs the four constructors produce at order
-    <= max_order, over the full parameter grids, deduplicated by canonical
-    form with the type sets of coinciding instances merged."""
+    <= max_order: the funnel for k = 1..max_order/6, with the type sets of
+    coinciding instances merged, plus |Aut|, arc-transitivity, girth and
+    name."""
     if max_order % 6:
         raise ValueError("max order must be a multiple of 6")
-    found: dict[bytes, dict] = {}
-    for k in range(1, max_order // 6 + 1):
-        for params in _census_param_grid(k):
-            try:
-                g = params.build()
-            except NonSimpleCover:
-                continue
-            if not g.is_connected():
-                continue
-            if not _is_vt(g):
-                continue
-            canon = canonical_form(g)
-            slot = found.setdefault(
-                canon, {"order": g.n, "types": set(), "graph": g}
-            )
-            slot["types"].add(params.family_type)
-
     entries = []
-    for canon, slot in found.items():
-        g = slot["graph"]
-        gens = automorphism_group(g)
-        at = arc_orbit_count(g, gens) == 1
-        gi = girth(g)
-        name = _NAMED_AT.get((g.n, gi)) if at else None
-        entries.append(CensusEntry(
-            order=g.n,
-            canonical=canon.decode("ascii"),
-            types=tuple(sorted(slot["types"])),
-            girth=gi,
-            aut_order=group_order(g.n, gens),
-            arc_transitive=at,
-            name=name,
-        ))
+    for k in range(1, max_order // 6 + 1):
+        for canon, slot in _funnel(k)[1].items():
+            g = slot["graph"]
+            gens = automorphism_group(g)
+            at = arc_orbit_count(g, gens) == 1
+            gi = girth(g)
+            entries.append(CensusEntry(
+                order=g.n,
+                canonical=canon,
+                types=tuple(sorted(slot["types"])),
+                girth=gi,
+                aut_order=group_order(g.n, gens),
+                arc_transitive=at,
+                name=_NAMED_AT.get((g.n, gi)) if at else None,
+            ))
     entries.sort(key=lambda e: (e.order, e.canonical))
     return CensusTable(max_order, tuple(entries))
 
@@ -423,56 +385,17 @@ def _expected_classes(k: int) -> dict[str, str]:
 
 
 def sweep_one_k(k: int) -> SweepReport:
-    """Exhaust one order 6k: enumerate parameter orbits for all four types,
-    build, filter to simple connected covers, test vertex-transitivity, and
-    compare the surviving isomorphism classes against the expected list."""
-    rep_lists = {
-        1: _t1_param_reps(k),
-        2: _t2_param_reps(k),
-        3: _t3_param_reps(k),
-        4: _t4_param_reps(k),
-    }
-    grid = {t: len(reps) for t, reps in rep_lists.items()}
-    constructed = {t: 0 for t in rep_lists}
-    connected = {t: 0 for t in rep_lists}
-    vt_instances = {t: 0 for t in rep_lists}
-    seen: dict[str, dict] = {}
-
-    for t, reps in rep_lists.items():
-        for rep in reps:
-            if t == 3:
-                params = FamilyParams(3, k, rep)
-            else:
-                params = FamilyParams(t, k, rep[0], rep[1])
-            try:
-                g = params.build()
-            except NonSimpleCover:
-                continue
-            constructed[t] += 1
-            if not g.is_connected():
-                continue
-            connected[t] += 1
-            if not _is_vt(g):
-                continue
-            vt_instances[t] += 1
-            canon = canonical_form(g).decode("ascii")
-            slot = seen.setdefault(
-                canon, {"order": g.n, "types": set(), "params": []}
-            )
-            slot["types"].add(t)
-            if len(slot["params"]) < 3:
-                if t == 3:
-                    slot["params"].append((t, k, rep, None))
-                else:
-                    slot["params"].append((t, k, rep[0], rep[1]))
-
+    """Exhaust one order 6k: run the funnel over the parameter orbits of
+    all four types, and compare the surviving isomorphism classes against
+    the expected list."""
+    counts, seen = _funnel(k)
     expected = _expected_classes(k)
     classes = []
     anomalies = []
     for canon, slot in sorted(seen.items(), key=lambda kv: kv[0]):
         name = expected.get(canon)
         classes.append(VTClass(
-            order=slot["order"],
+            order=6 * k,
             canonical=canon,
             types=tuple(sorted(slot["types"])),
             name=name,
@@ -500,12 +423,9 @@ def sweep_one_k(k: int) -> SweepReport:
     return SweepReport(
         k=k,
         order=6 * k,
-        grid=grid,
-        constructed=constructed,
-        connected=connected,
-        vt_instances=vt_instances,
         classes=tuple(classes),
         anomalies=tuple(anomalies),
+        **counts,
     )
 
 
@@ -536,19 +456,10 @@ def classification_sweep(
 
 # -- targeted structure checks ----------------------------------------------------
 
-def _negation_map(k: int) -> list[int]:
-    n = 2 * k
-    img = [0] * (6 * k)
-    for f in range(3):
-        for i in range(n):
-            img[f * n + i] = f * n + (-i) % n
-    return img
-
-
 def lemma_spot_checks(ks: Iterable[int] = (9,)) -> dict:
     """Constructive checks of the degenerate-parameter and 7-cycle facts
     feeding the classification, plus the t4 inversion symmetry."""
-    from .symmetry import Permutation, is_c_cycle_regular, is_c_vertex_regular
+    from .symmetry import is_c_cycle_regular, is_c_vertex_regular
 
     ks = sorted(set(ks))
     report: dict = {"kind": "lemma_spot_checks", "checks": {}}
@@ -600,7 +511,7 @@ def lemma_spot_checks(ks: Iterable[int] = (9,)) -> dict:
     results = []
     for k in ks:
         g = t4(k, 1, 2)
-        perm = Permutation(_negation_map(k))
+        perm = fibre_map(k, -1)
         results.append({
             "k": k,
             "is_automorphism": perm.is_automorphism(g),
@@ -620,17 +531,7 @@ def lemma_spot_checks(ks: Iterable[int] = (9,)) -> dict:
     results = []
     for k, r, s in ((10, 6, 1), (12, 7, 1)):
         g = t1(k, r, s)
-        n = 2 * k
-
-        def u(i):
-            return i % n
-
-        def v(i):
-            return n + i % n
-
-        def w(i):
-            return 2 * n + i % n
-
+        n, u, v, w = fibre_indexers(k)
         cyc = [u(0), v(0), w(r), v(r - s), w(2 * r - s), v(2 * r - 2 * s),
                u(2 * r - 2 * s)]
         distinct = len(set(cyc)) == 7

@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .graphs import CoverVertex, SimpleGraph
 from .pregraph import LINK, LOOP, SEMI_EDGE, Pregraph, Walk, delta
+from .symmetry import Permutation
 
 
 class NonSimpleCover(ValueError):
@@ -155,9 +156,6 @@ class SymbolicVoltage:
     def evaluate(self, k: int, r: int, s: int) -> int:
         return (self.eps * k + self.a * r + self.b * s) % (2 * k)
 
-    def is_zero(self) -> bool:
-        return self.eps == 0 and self.a == 0 and self.b == 0
-
     def __str__(self) -> str:
         terms = []
         if self.eps:
@@ -278,31 +276,6 @@ def cover_connected(va: VoltageAssignment) -> bool:
 
 # -- quotients by a semiregular cyclic automorphism --------------------------
 
-def _check_automorphism(g: SimpleGraph, perm: Sequence[int]):
-    if sorted(perm) != list(range(g.n)):
-        raise NotAutomorphism("not a permutation of the vertex set")
-    for a in range(g.n):
-        if sorted(perm[b] for b in g.neighbors(a)) != list(g.neighbors(perm[a])):
-            raise NotAutomorphism(f"adjacency not preserved at vertex {a}")
-
-
-def _orbits_of(perm: Sequence[int], n: int) -> list[list[int]]:
-    seen = [False] * n
-    orbits = []
-    for v in range(n):
-        if seen[v]:
-            continue
-        orb = [v]
-        seen[v] = True
-        x = perm[v]
-        while x != v:
-            seen[x] = True
-            orb.append(x)
-            x = perm[x]
-        orbits.append(orb)
-    return orbits
-
-
 def quotient(g: SimpleGraph, rho: Sequence[int]) -> Pregraph:
     """Quotient pregraph of g by the cyclic group generated by rho.
 
@@ -322,25 +295,22 @@ def quotient_with_voltages(
     tree of the quotient so that tree darts carry voltage 0. The derived
     cover of the returned assignment is isomorphic to g.
     """
-    rho = list(rho)
-    _check_automorphism(g, rho)
-    orbits = _orbits_of(rho, g.n)
+    try:
+        perm = Permutation(rho)
+    except ValueError:
+        raise NotAutomorphism("not a permutation of the vertex set") from None
+    if not perm.is_automorphism(g):
+        raise NotAutomorphism("rho does not preserve adjacency")
     if g.n == 0:
         raise ValueError("empty graph")
+    rho = perm.img
+    orbits = perm.orbits()
+    # Semiregular: no nonidentity power fixes a point. With one cycle length
+    # that length is the order of rho, so equal orbit sizes suffice.
     sizes = {len(o) for o in orbits}
     if len(sizes) != 1:
         raise NotSemiregular("vertex orbits are not all of equal size")
     n = sizes.pop()
-    # Semiregular means every nonidentity power is fixed-point free, which
-    # for a single cycle length equals: orbit size == order of rho.
-    order = 1
-    power = rho
-    ident = list(range(g.n))
-    while power != ident:
-        power = [rho[x] for x in power]
-        order += 1
-    if order != n:
-        raise NotSemiregular("orbit size differs from the order of rho")
 
     orbit_of = [0] * g.n
     for oid, orb in enumerate(orbits):

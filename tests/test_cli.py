@@ -1,5 +1,6 @@
 """Command line interface behaviors and exit codes."""
 
+import io
 import json
 
 import pytest
@@ -91,6 +92,16 @@ def test_analyze_bad_graph6_payload(tmp_path, capsys):
     assert code == 3
 
 
+def test_analyze_non_ascii_input_is_format_error(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "bad.g6"
+    p.write_bytes(b"A\xc3\xa9\n")
+    code, out, err = run(capsys, "analyze", str(p))
+    assert code == 3 and out == "" and err.startswith("error:")
+    monkeypatch.setattr("sys.stdin", io.StringIO("A\u00e9\n"))
+    code, out, err = run(capsys, "analyze", "-")
+    assert code == 3 and out == "" and err.startswith("error:")
+
+
 def test_walks_table_output(capsys):
     code, out, _ = run(capsys, "walks", "--delta", "1", "--length", "8")
     assert code == 0
@@ -163,6 +174,15 @@ def test_quotient_without_matching_symmetry(tmp_path, capsys):
     p.write_bytes(encode_graph6(SimpleGraph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])))
     code, out, _ = run(capsys, "quotient", str(p), "--order", "2")
     assert code == 1
+
+
+def test_quotient_group_past_the_cap_is_usage_error(tmp_path, capsys):
+    from tricirc.families import prism
+    p = tmp_path / "p9.g6"
+    p.write_bytes(encode_graph6(prism(9)))
+    code, out, err = run(capsys, "quotient", "--order", "9", "--cap", "3", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_usage_error_for_unknown_type(capsys):

@@ -5,9 +5,10 @@ import pytest
 from tricirc.families import (
     FamilyParams,
     family_automorphism,
-    family_connected,
+    fibre_map,
     gp,
     moebius,
+    parameter_symmetries,
     prism,
     r_star,
     t1,
@@ -25,7 +26,12 @@ from tricirc.symmetry import (
     automorphism_group,
     is_vertex_transitive,
 )
-from tricirc.voltage import NonSimpleCover, NotAutomorphism
+from tricirc.voltage import (
+    NonSimpleCover,
+    NotAutomorphism,
+    cover_connected,
+    zeta_for,
+)
 
 
 def test_family_orders():
@@ -36,10 +42,10 @@ def test_family_orders():
 
 
 def test_family_connectivity_criterion():
-    assert family_connected(1, 9, 6, 1)
-    assert not family_connected(1, 9, 6, 3)
-    assert family_connected(3, 9, 2)
-    assert not family_connected(3, 9, 3)
+    assert cover_connected(zeta_for(1, 9, 6, 1))
+    assert not cover_connected(zeta_for(1, 9, 6, 3))
+    assert cover_connected(zeta_for(3, 9, 2))
+    assert not cover_connected(zeta_for(3, 9, 3))
     assert t1(9, 6, 3).is_connected() is False
     assert t3(9, 3).is_connected() is False
 
@@ -47,7 +53,7 @@ def test_family_connectivity_criterion():
 def test_family_params_object():
     p = FamilyParams(1, 9, 6, 1)
     assert p.n == 18 and p.order == 54
-    assert p.connected
+    assert cover_connected(zeta_for(p.family_type, p.k, p.r, p.s))
     assert p.build().n == 54
     assert FamilyParams(3, 9, 2).build().n == 54
     with pytest.raises(ValueError):
@@ -118,7 +124,7 @@ def test_t3_gives_prisms_and_moebius_ladders():
     """Odd shift twists the ladder, even shift leaves it straight."""
     for k in range(9, 21):
         for r in range(2 * k):
-            if not family_connected(3, k, r):
+            if not cover_connected(zeta_for(3, k, r)):
                 continue
             g = t3(k, r)
             want = moebius(3 * k) if r % 2 else prism(3 * k)
@@ -156,6 +162,49 @@ def test_parameter_isomorphism_identities():
         # loop swap
         assert are_isomorphic(t4(k, 1, 2), t4(k, 2, 1))
         assert are_isomorphic(t3(k, 2), t3(k, n - 2))
+
+
+def _grid(t, k):
+    n = 2 * k
+    if t == 3:
+        return [(r, None) for r in range(n)]
+    return [(r, s) for r in range(n) for s in range(n)]
+
+
+def _cover_or_none(t, k, r, s):
+    try:
+        return FamilyParams(t, k, r, s).build()
+    except NonSimpleCover:
+        return None
+
+
+def test_declared_symmetries_are_cover_isomorphisms():
+    """Every declared map on (r, s) keeps the grid and simplicity, and its
+    vertex map relabels the cover at (r, s) onto the cover at the image."""
+    for k in range(1, 7):
+        for t in (1, 2, 3, 4):
+            grid = _grid(t, k)
+            for sym in parameter_symmetries(t, k):
+                vmap = fibre_map(k, sym.scale, fibres=sym.fibres).img
+                for r, s in grid:
+                    image = sym.image(r, s)
+                    assert image in grid, (t, k, r, s)
+                    g = _cover_or_none(t, k, r, s)
+                    h = _cover_or_none(t, k, *image)
+                    assert (g is None) == (h is None), (t, k, r, s)
+                    if g is not None:
+                        assert g.relabel(vmap) == h, (t, k, r, s, sym)
+
+
+def test_gcd_rule_matches_cover_connectivity():
+    """The gcd rule and a search of the built cover decide one fact."""
+    for k in range(1, 7):
+        for t in (1, 2, 3, 4):
+            for r, s in _grid(t, k):
+                g = _cover_or_none(t, k, r, s)
+                if g is not None:
+                    va = zeta_for(t, k, r, 0 if s is None else s)
+                    assert cover_connected(va) == g.is_connected(), (t, k, r, s)
 
 
 def test_rho_is_the_deck_translation():

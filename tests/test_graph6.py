@@ -43,6 +43,8 @@ def test_decode_rejects_garbage():
         decode_graph6(b"A")  # truncated payload
     with pytest.raises(Graph6Error):
         decode_graph6(b"A_ trailing")
+    with pytest.raises(Graph6Error):
+        decode_graph6("A\u00e9")  # non-ASCII text, not a '?' byte
 
 
 @given(st.integers(0, 20), st.data())

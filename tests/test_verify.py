@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from tricirc.families import prism, t3, x_graph, y_graph
-from tricirc.symmetry import are_isomorphic, canonical_form
+from tricirc.families import FamilyParams, prism, t3, x_graph, y_graph
+from tricirc.symmetry import are_isomorphic, canonical_form, is_vertex_transitive
 from tricirc.verify import (
+    _funnel,
+    _passes_vt_screen,
     check_t1_conditions,
     classification_sweep,
     lemma_spot_checks,
@@ -15,6 +17,7 @@ from tricirc.verify import (
     sweep_one_k,
     walk_table,
 )
+from tricirc.voltage import NonSimpleCover
 
 
 def test_conditions_on_the_x_family():
@@ -98,6 +101,33 @@ def test_sweep_single_k_even():
     rep = sweep_one_k(10)
     assert rep.anomalies == ()
     assert [c.name for c in rep.classes] == ["moebius(30)"]
+
+
+def _full_grid_classes(k):
+    """Reference: the vertex-transitive classes of every (r, s) on the full
+    grid of each type at order 6k, with no parameter symmetry assumed."""
+    classes = {}
+    n = 2 * k
+    for t in (1, 2, 3, 4):
+        for r in range(n):
+            for s in [None] if t == 3 else range(n):
+                try:
+                    g = FamilyParams(t, k, r, s).build()
+                except NonSimpleCover:
+                    continue
+                if not g.is_connected():
+                    continue
+                if not (_passes_vt_screen(g) and is_vertex_transitive(g)):
+                    continue
+                classes.setdefault(canonical_form(g).decode("ascii"), set()).add(t)
+    return classes
+
+
+def test_representatives_give_the_classes_of_the_full_grid():
+    for k in range(1, 11):
+        _, classes = _funnel(k)
+        got = {canon: slot["types"] for canon, slot in classes.items()}
+        assert got == _full_grid_classes(k), k
 
 
 def test_sweep_range_serial_vs_parallel():
