@@ -8,7 +8,7 @@ automorphism with `find_k_circulant`, and analyze reads cycle signatures
 through the same routine as `is_c_cycle_regular`.
 
 Exit codes: 0 success, 1 anomaly (sweep anomalies, non-isomorphic pair,
-no suitable automorphism), 2 usage error or a group larger than --cap
+no suitable automorphism), 2 usage error or |Aut| larger than --cap
 (quotient), 3 I/O or format error (including text that is not ASCII).
 
 The quotient output is a line-oriented text format, since semi-edges have
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycles", type=int, default=2,
                    help="cycle lengths analyzed: girth .. girth+N")
     p.add_argument("--cap", type=int, default=10**7,
-                   help="automorphism enumeration cap")
+                   help="largest |Aut| the semiregular search takes on")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("walks", help="symbolic net-voltage walk table")
@@ -313,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="graph6 file, or - for stdin")
     p.add_argument("--order", type=int, required=True,
                    help="order of the semiregular automorphism to find")
-    p.add_argument("--cap", type=int, default=10**7)
+    p.add_argument("--cap", type=int, default=10**7,
+                   help="largest |Aut| the semiregular search takes on")
     p.set_defaults(func=_cmd_quotient)
 
     return parser

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .graph6 import encode_graph6
@@ -34,7 +35,7 @@ class SizeGuardError(ValueError):
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """Automorphism-group element enumeration exceeded the configured cap."""
+    """|Aut| is above the cap: the largest the semiregular search takes on."""
 
 
 class Permutation:
@@ -51,10 +52,6 @@ class Permutation:
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(range(n))
-
-    @property
-    def degree(self) -> int:
-        return len(self.img)
 
     def __call__(self, v: int) -> int:
         return self.img[v]
@@ -142,15 +139,6 @@ class OrbitSet:
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-    def orbit_of(self, item):
-        for block in self.blocks:
-            if item in block:
-                return block
-        raise KeyError(item)
-
-    def sizes(self) -> list[int]:
-        return sorted(len(b) for b in self.blocks)
 
 
 # -- individualization-refinement search -------------------------------------
@@ -470,62 +458,102 @@ def are_isomorphic(
 
 
 # -- group machinery ---------------------------------------------------------
+#
+# One stabiliser chain on the base 0..n-1 answers every group question (Seress,
+# Permutation Group Algorithms, 2003): level p is the pointwise stabiliser G_p
+# of 0..p-1, with one u_x in G_p mapping p to each x of its orbit under G_p.
+
+def _stabiliser_chain(n: int, gens: Iterable[Sequence[int]]) -> list[dict]:
+    """Schreier-Sims with sifting: per level, {x: image tuple of u_x}."""
+    strong: list[list[tuple]] = [[] for _ in range(n)]  # generators in G_p
+    identity = tuple(range(n))
+    trans = [{p: identity} for p in range(n)]
+    inverse = [{p: identity} for p in range(n)]
+
+    def add(g, lo, hi):
+        """Make g a strong generator of levels lo..hi; extend their orbits."""
+        for p in range(lo, hi + 1):
+            strong[p].append(g)
+            u_of = trans[p]
+            queue = list(u_of)
+            for x in queue:
+                for s in strong[p]:
+                    if s[x] not in u_of:
+                        u_of[s[x]] = u = tuple([s[v] for v in u_of[x]])
+                        inverse[p][s[x]] = tuple(sorted(identity, key=u.__getitem__))
+                        queue.append(s[x])
+
+    def sift(g, p):
+        """g stripped through levels p.., and the level where it leaves."""
+        for q in range(p, n):
+            if g[q] != q:
+                w = inverse[q].get(g[q])
+                if w is None:
+                    return g, q
+                g = tuple([w[v] for v in g])
+        return g, n  # the identity
+
+    def residue(p):
+        """A Schreier generator of level p that leaves the chain below p."""
+        for x, u in trans[p].items():
+            for s in strong[p]:
+                su = tuple([s[v] for v in u])
+                if su != trans[p][s[x]]:  # else it is the identity
+                    w = inverse[p][s[x]]
+                    h, j = sift(tuple([w[v] for v in su]), p + 1)
+                    if j < n:
+                        return h, j
+        return None, n
+
+    for g in gens:
+        h, p = sift(tuple(g), 0)
+        if p < n:
+            add(h, 0, p)
+        while 0 <= p < n:  # levels p+1.. are complete
+            h, j = residue(p)
+            if j == n:
+                p -= 1
+            else:
+                add(h, p + 1, j)
+                p = j
+    return trans
+
+
+def _walk(n: int, gens: Sequence[Permutation], cap: int,
+          keep=lambda img, known: True):
+    """The elements of the group as image tuples, in increasing order; raises
+    EnumerationCapExceeded first if there are more than cap. Below a prefix,
+    the images of the points before the next moved base point are final, and
+    the prefix is dropped if `keep(img, number of final images)` is False."""
+    trans = _stabiliser_chain(n, (p.img for p in gens))
+    if prod(map(len, trans)) > cap:
+        raise EnumerationCapExceeded(f"group has more than {cap} elements")
+    levels = [p for p in range(n) if len(trans[p]) > 1]
+
+    def descend(depth, pi):
+        if not keep(pi, levels[depth] if depth < len(levels) else n):
+            return
+        if depth == len(levels):
+            yield pi
+            return
+        u_of = trans[levels[depth]]
+        for x in sorted(u_of, key=pi.__getitem__):
+            yield from descend(depth + 1, tuple([pi[v] for v in u_of[x]]))
+
+    return descend(0, tuple(range(n)))
+
 
 def group_order(n: int, gens: Iterable[Permutation]) -> int:
-    """Order of the permutation group via a Schreier stabilizer chain."""
-    identity = tuple(range(n))
-
-    def order_of(gen_imgs: list[tuple[int, ...]]) -> int:
-        gen_imgs = [g for g in set(gen_imgs) if g != identity]
-        if not gen_imgs:
-            return 1
-        base = min(
-            v for g in gen_imgs for v in range(n) if g[v] != v
-        )
-        transversal: dict[int, tuple[int, ...]] = {base: identity}
-        queue = deque([base])
-        while queue:
-            pt = queue.popleft()
-            u = transversal[pt]
-            for g in gen_imgs:
-                npt = g[pt]
-                if npt not in transversal:
-                    transversal[npt] = tuple(g[u[x]] for x in range(n))
-                    queue.append(npt)
-        stab_gens = []
-        for pt, u in transversal.items():
-            for g in gen_imgs:
-                w = transversal[g[pt]]
-                w_inv = [0] * n
-                for v, img in enumerate(w):
-                    w_inv[img] = v
-                sg = tuple(w_inv[g[u[x]]] for x in range(n))
-                stab_gens.append(sg)
-        return len(transversal) * order_of(stab_gens)
-
-    return order_of([p.img for p in gens])
+    """Order of the permutation group: the product of the basic orbit sizes."""
+    return prod(map(len, _stabiliser_chain(n, (p.img for p in gens))))
 
 
 def group_elements(
     n: int, gens: Sequence[Permutation], cap: int = 10**7
 ) -> list[Permutation]:
-    """All elements generated by gens, BFS order; raises beyond the cap."""
-    identity = tuple(range(n))
-    seen = {identity}
-    frontier = deque([identity])
-    gen_imgs = [p.img for p in gens]
-    while frontier:
-        cur = frontier.popleft()
-        for g in gen_imgs:
-            nxt = tuple(g[x] for x in cur)
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise EnumerationCapExceeded(
-                        f"group has more than {cap} elements"
-                    )
-                seen.add(nxt)
-                frontier.append(nxt)
-    return [Permutation(img) for img in sorted(seen)]
+    """All elements generated by gens, sorted by image tuple. Raises
+    EnumerationCapExceeded, before any is built, if there are more than cap."""
+    return [Permutation(img) for img in _walk(n, gens, cap)]
 
 
 def vertex_orbits(g: SimpleGraph, gens: Optional[Sequence[Permutation]] = None) -> OrbitSet:
@@ -592,20 +620,31 @@ def is_edge_transitive(g: SimpleGraph, gens: Optional[Sequence[Permutation]] = N
 def find_k_circulant(
     g: SimpleGraph, m: int, cap: int = 10**7
 ) -> Optional[Permutation]:
-    """A semiregular automorphism with exactly m vertex orbits of equal size,
-    i.e. of order |V|/m with all cycles that long; None if no such element
-    exists in Aut(g)."""
-    if m < 1 or g.n % m:
+    """The least (by image tuple) semiregular automorphism with exactly m
+    vertex orbits of equal size, i.e. of order |V|/m with all cycles that
+    long; None if none. Raises EnumerationCapExceeded if |Aut| > cap."""
+    if g.n == 0 or m < 1 or g.n % m:
         raise ValueError("orbit count must divide the vertex count")
     target = g.n // m
     if target == 1:
         return Permutation.identity(g.n)
-    gens = automorphism_group(g)
-    for p in group_elements(g.n, gens, cap=cap):
-        lengths = p.cycle_lengths()
-        if lengths[0] == target and lengths[-1] == target:
-            return p
-    return None
+
+    def keep(img, known):
+        """False once a cycle through the points below `known` closes at a
+        length other than target or runs target steps without closing."""
+        seen = [False] * known
+        heads = set(range(known)).difference(img[:known])  # open chains
+        for v in [*heads, *range(known)]:
+            x, steps = v, 0
+            while x < known and not seen[x]:
+                seen[x] = True
+                x, steps = img[x], steps + 1
+            if steps and (steps >= target if x >= known else steps != target):
+                return False
+        return True
+
+    img = next(_walk(g.n, automorphism_group(g), cap, keep), None)
+    return None if img is None else Permutation(img)
 
 
 # -- girth, cycles and signatures --------------------------------------------

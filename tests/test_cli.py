@@ -185,6 +185,35 @@ def test_quotient_group_past_the_cap_is_usage_error(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_analyze_group_past_the_cap(tmp_path, capsys, time_limit):
+    from tricirc.families import t3
+    p = tmp_path / "t3.g6"
+    p.write_bytes(encode_graph6(t3(12, 6)))
+    with time_limit(10):
+        code, out, _ = run(capsys, "analyze", str(p))
+    assert code == 0
+    report = json.loads(out)
+    assert report["aut_order"] == 137_594_142_720
+    assert report["k_circulant"] == dict.fromkeys(("1", "2", "3"), "cap_exceeded")
+
+
+def test_quotient_of_a_complete_graph_against_the_cap(tmp_path, capsys, time_limit):
+    from tricirc.graphs import SimpleGraph
+    p = tmp_path / "k24.g6"
+    p.write_bytes(encode_graph6(
+        SimpleGraph(24, [(a, b) for a in range(24) for b in range(a + 1, 24)])
+    ))
+    with time_limit(10):
+        code, out, err = run(capsys, "quotient", "--order", "12", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    with time_limit(10):
+        code, out, _ = run(capsys, "quotient", "--order", "12",
+                           "--cap", str(10**30), str(p))
+    assert code == 0
+    assert out.splitlines()[:2] == ["pregraph 2 46", "group Z12"]
+
+
 def test_usage_error_for_unknown_type(capsys):
     # argparse choice validation exits with the usage code
     with pytest.raises(SystemExit) as exc:

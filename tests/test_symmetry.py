@@ -1,6 +1,7 @@
 """Automorphism groups, canonical forms, orbits, cycles and girth."""
 
 import random
+from math import factorial
 
 import pytest
 
@@ -263,3 +264,17 @@ def test_find_k_circulant():
 
 def test_petersen_is_not_a_circulant():
     assert find_k_circulant(gp(5, 2), 1) is None
+
+
+def test_find_k_circulant_on_the_empty_graph_is_a_value_error():
+    with pytest.raises(ValueError):
+        find_k_circulant(SimpleGraph(0, []), 1)
+
+
+def test_group_order_of_six_prisms(time_limit):
+    # t3(12, 6) is six copies of prism(6), whose group has order 24; the
+    # generators from the search once made the order computation hang.
+    g = t3(12, 6)
+    with time_limit(10):
+        order = group_order(g.n, automorphism_group(g))
+    assert order == 24**6 * factorial(6) == 137_594_142_720
