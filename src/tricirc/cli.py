@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spot-checks", action="store_true",
                    help="include the lemma spot checks")
     p.add_argument("--workers", type=int, default=None,
-                   help="process count (default: TRICIRC_THREADS or 1)")
+                   help="process count, one k per process (default: 1)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("iso", help="exit 0 iff the two graphs are isomorphic")

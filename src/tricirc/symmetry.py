@@ -143,27 +143,29 @@ class OrbitSet:
 
 # -- individualization-refinement search -------------------------------------
 
+def _bfs_key(adj: tuple[tuple[int, ...], ...], v: int) -> tuple:
+    """The degree/distance invariant of v: (degree, BFS layer sizes to depth 4)."""
+    dist = [-1] * len(adj)
+    dist[v] = 0
+    layer_sizes = []
+    frontier = [v]
+    for _ in range(4):
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if dist[y] == -1:
+                    dist[y] = dist[x] + 1
+                    nxt.append(y)
+        if not nxt:
+            break
+        layer_sizes.append(len(nxt))
+        frontier = nxt
+    return len(adj[v]), tuple(layer_sizes)
+
+
 def _initial_colors(adj: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Degree/distance invariant coloring: BFS layer sizes to depth 4."""
-    n = len(adj)
-    keys = []
-    for v in range(n):
-        dist = [-1] * n
-        dist[v] = 0
-        layer_sizes = []
-        frontier = [v]
-        for _ in range(4):
-            nxt = []
-            for x in frontier:
-                for y in adj[x]:
-                    if dist[y] == -1:
-                        dist[y] = dist[x] + 1
-                        nxt.append(y)
-            if not nxt:
-                break
-            layer_sizes.append(len(nxt))
-            frontier = nxt
-        keys.append((len(adj[v]), tuple(layer_sizes)))
+    """Degree/distance invariant coloring: `_bfs_key` ranked densely."""
+    keys = [_bfs_key(adj, v) for v in range(len(adj))]
     code = {key: i for i, key in enumerate(sorted(set(keys)))}
     return [code[k] for k in keys]
 
@@ -396,14 +398,10 @@ def _search(adj: tuple[tuple[int, ...], ...]):
             explore(_individualize(colors, v), path, prefix + (v,))
             explored.append(v)
 
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * n + 100))
-    try:
-        explore(_initial_colors(adj), (), ())
-    finally:
-        sys.setrecursionlimit(old_limit)
+    # Each level individualizes a vertex of a non-singleton cell, so it has
+    # more cells than its parent: the depth is at most n - 1, which is below
+    # Python's default recursion limit of 1000 under the size guard.
+    explore(_initial_colors(adj), (), ())
     return tuple(state["gens"]), tuple(state["best_lab"])
 
 
@@ -412,20 +410,17 @@ def _search_cached(adj: tuple[tuple[int, ...], ...]):
     return _search(adj)
 
 
-def _guarded_adj(g: SimpleGraph, size_guard: Optional[int]):
-    guard = DEFAULT_SIZE_GUARD if size_guard is None else size_guard
-    if g.n > guard:
+def _guarded_adj(g: SimpleGraph):
+    if g.n > DEFAULT_SIZE_GUARD:
         raise SizeGuardError(
-            f"graph on {g.n} vertices exceeds the size guard {guard}"
+            f"graph on {g.n} vertices exceeds the size guard {DEFAULT_SIZE_GUARD}"
         )
     return g.adjacency()
 
 
-def automorphism_group(
-    g: SimpleGraph, size_guard: Optional[int] = None
-) -> list[Permutation]:
+def automorphism_group(g: SimpleGraph) -> list[Permutation]:
     """Generators of Aut(g). Empty list means the trivial group."""
-    gens, _ = _search_cached(_guarded_adj(g, size_guard))
+    gens, _ = _search_cached(_guarded_adj(g))
     out = []
     for img in gens:
         p = Permutation(img)
@@ -435,26 +430,22 @@ def automorphism_group(
     return out
 
 
-def canonical_labeling(
-    g: SimpleGraph, size_guard: Optional[int] = None
-) -> Permutation:
-    _, lab = _search_cached(_guarded_adj(g, size_guard))
+def canonical_labeling(g: SimpleGraph) -> Permutation:
+    _, lab = _search_cached(_guarded_adj(g))
     return Permutation(lab) if g.n else Permutation(())
 
 
-def canonical_form(g: SimpleGraph, size_guard: Optional[int] = None) -> bytes:
+def canonical_form(g: SimpleGraph) -> bytes:
     """graph6 bytes of the canonically relabeled graph; equal iff isomorphic."""
-    lab = canonical_labeling(g, size_guard)
+    lab = canonical_labeling(g)
     plain = SimpleGraph(g.n, g.edges())
     return encode_graph6(plain.relabel(lab.img))
 
 
-def are_isomorphic(
-    g: SimpleGraph, h: SimpleGraph, size_guard: Optional[int] = None
-) -> bool:
+def are_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
     if g.n != h.n or g.edge_count() != h.edge_count():
         return False
-    return canonical_form(g, size_guard) == canonical_form(h, size_guard)
+    return canonical_form(g) == canonical_form(h)
 
 
 # -- group machinery ---------------------------------------------------------
@@ -757,5 +748,6 @@ def uniform_local_profile(g: SimpleGraph) -> bool:
     """True when all vertices share the degree/BFS-layer invariant.
 
     Necessary for vertex-transitivity and much cheaper than the orbit
-    computation, so sweeps use it as a first screen."""
+    computation. On a cover the sweep's screen needs the key only at the
+    three fibre roots (`verify._passes_vt_screen`)."""
     return len(set(_initial_colors(g.adjacency()))) <= 1

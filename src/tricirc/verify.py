@@ -3,15 +3,17 @@ the classification sweep, the small-order census, and targeted structure
 checks. Everything recomputes from scratch so results are independent
 evidence, not restatements.
 
-The sweep and the census share one funnel, `_funnel`: at one k it builds,
-filters, screens, tests and dedups the covers at the parameter
-representatives that `families` derives from the declared symmetries.
+The sweep and the census share one funnel, `_funnel`, over the covers at
+the parameter representatives that `families` derives from the declared
+symmetries. At one k it builds each cover (non-simple ones drop out), keeps
+the connected ones, screens them by the degree/BFS-layer key at the three
+fibre roots u_0, v_0 and w_0, decides vertex-transitivity by the IR search,
+and dedups the survivors by canonical form.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -33,6 +35,7 @@ from .families import (
 from .graphs import SimpleGraph
 from .pregraph import delta, reduced_closed_walks
 from .symmetry import (
+    _bfs_key,
     arc_orbit_count,
     automorphism_group,
     canonical_form,
@@ -40,7 +43,7 @@ from .symmetry import (
     girth,
     group_order,
     is_vertex_transitive,
-    uniform_local_profile,
+    uniform_local_profile,  # noqa: F401 -- perfbench/tracer.py wraps verify.uniform_local_profile
     vertex_orbits,
 )
 from .voltage import NonSimpleCover, SymbolicVoltage, symbolic_net_voltage
@@ -177,17 +180,16 @@ def check_t1_conditions(k: int, r: int, s: int) -> T1Conditions:
 # -- the funnel ------------------------------------------------------------------
 
 def _passes_vt_screen(g: SimpleGraph) -> bool:
-    """Cheap necessary conditions for vertex-transitivity."""
-    if not uniform_local_profile(g):
-        return False
-    gi = girth(g)
-    if gi is None:
-        return False
-    for c in (gi, gi + 1, gi + 2):
-        per_vertex, _, _ = cycle_counts(g, c)
-        if len(set(per_vertex)) > 1:
-            return False
-    return True
+    """Necessary condition for vertex-transitivity: u_0, v_0 and w_0 share
+    the degree/BFS-layer key of `uniform_local_profile`.
+
+    g must be a fibre-major cover of a three-vertex base, vertex f*n/3 + i
+    being the i-th vertex of fibre f. The deck transformation i -> i+1 is
+    an automorphism whose orbits are the three fibres, so every vertex
+    invariant is constant on a fibre, and this equals
+    `uniform_local_profile(g)` with the key computed at three vertices, not n."""
+    adj = g.adjacency()
+    return len({_bfs_key(adj, f * g.n // 3) for f in range(3)}) == 1
 
 
 _STAGES = ("grid", "constructed", "connected", "vt_instances")
@@ -429,15 +431,6 @@ def sweep_one_k(k: int) -> SweepReport:
     )
 
 
-def _worker_count(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("TRICIRC_THREADS", "")
-    if env.isdigit() and int(env) > 0:
-        return int(env)
-    return 1
-
-
 def classification_sweep(
     k_min: int = 9, k_max: int = 15, workers: Optional[int] = None
 ) -> list[SweepReport]:
@@ -447,7 +440,7 @@ def classification_sweep(
     if 6 * k_max > 300:
         raise ValueError("sweep guard: 6*k_max must stay at or below 300")
     ks = list(range(k_min, k_max + 1))
-    nworkers = _worker_count(workers)
+    nworkers = max(1, workers or 1)
     if nworkers == 1 or len(ks) == 1:
         return [sweep_one_k(k) for k in ks]
     with ProcessPoolExecutor(max_workers=min(nworkers, len(ks))) as pool:

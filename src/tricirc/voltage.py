@@ -104,15 +104,11 @@ def zeta_for(delta_index: int, k: int, r: int = 0, s: int = 0) -> VoltageAssignm
     if k < 1:
         raise ValueError("k must be positive")
     base = delta(delta_index)
-    n = 2 * k
-    symbol_values = {"k": k % n, "0": 0, "r": r % n, "s": s % n,
-                     "-r": (-r) % n, "-s": (-s) % n}
-    zeta = {}
-    for d in range(base.n_darts):
-        name = base.dart_names[d]
-        sym = name[name.index(")_") + 2:]
-        zeta[d] = symbol_values[sym]
-    return VoltageAssignment(base, n, zeta)
+    zeta = {
+        d: symbolic_dart_voltage(base, d).evaluate(k, r, s)
+        for d in range(base.n_darts)
+    }
+    return VoltageAssignment(base, 2 * k, zeta)
 
 
 def net_voltage(va: VoltageAssignment, walk: Walk) -> int:

@@ -1,5 +1,6 @@
 """Command line interface behaviors and exit codes."""
 
+import hashlib
 import io
 import json
 
@@ -139,6 +140,15 @@ def test_verify_with_census_and_checks(capsys):
     assert code == 0
     kinds = [r["kind"] for r in json.loads(out)["reports"]]
     assert "census" in kinds and "lemma_spot_checks" in kinds
+
+
+def test_verify_default_check_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--kmin", "9", "--kmax", "15",
+                       "--census", "--spot-checks", "--workers", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "03f1811b87a0dacecaf6f47a3f55294ee60db8896cf78541794ca469d03d942a"
+    )
 
 
 def test_iso_exit_codes(tmp_path, capsys):

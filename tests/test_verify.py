@@ -5,7 +5,12 @@ import json
 import pytest
 
 from tricirc.families import FamilyParams, prism, t3, x_graph, y_graph
-from tricirc.symmetry import are_isomorphic, canonical_form, is_vertex_transitive
+from tricirc.symmetry import (
+    are_isomorphic,
+    canonical_form,
+    is_vertex_transitive,
+    uniform_local_profile,
+)
 from tricirc.verify import (
     _funnel,
     _passes_vt_screen,
@@ -105,7 +110,9 @@ def test_sweep_single_k_even():
 
 def _full_grid_classes(k):
     """Reference: the vertex-transitive classes of every (r, s) on the full
-    grid of each type at order 6k, with no parameter symmetry assumed."""
+    grid of each type at order 6k, with no parameter symmetry assumed and
+    the all-vertex profile in place of the three-root screen, which must
+    agree with it on every connected cover."""
     classes = {}
     n = 2 * k
     for t in (1, 2, 3, 4):
@@ -117,7 +124,8 @@ def _full_grid_classes(k):
                     continue
                 if not g.is_connected():
                     continue
-                if not (_passes_vt_screen(g) and is_vertex_transitive(g)):
+                assert _passes_vt_screen(g) == uniform_local_profile(g), (t, k, r, s)
+                if not (uniform_local_profile(g) and is_vertex_transitive(g)):
                     continue
                 classes.setdefault(canonical_form(g).decode("ascii"), set()).add(t)
     return classes
