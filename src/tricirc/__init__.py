@@ -32,9 +32,7 @@ from .voltage import (
 )
 from .graph6 import Graph6Error, decode_graph6, encode_graph6
 from .symmetry import (
-    CycleSignature,
     EnumerationCapExceeded,
-    OrbitSet,
     Permutation,
     SizeGuardError,
     arc_orbit_count,

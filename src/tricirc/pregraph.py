@@ -79,9 +79,6 @@ class Pregraph:
     def darts_at(self, v: int) -> list[int]:
         return [d for d in range(self.n_darts) if self.beg[d] == v]
 
-    def valence(self, v: int) -> int:
-        return sum(1 for d in range(self.n_darts) if self.beg[d] == v)
-
     def edge_kind(self, d: int) -> str:
         """Kind of the edge containing dart d: semi-edge, loop or link."""
         if not 0 <= d < self.n_darts:
@@ -193,9 +190,6 @@ class Walk:
 
     def __hash__(self) -> int:
         return hash((id(self.pregraph), self.darts))
-
-    def is_closed(self) -> bool:
-        return self.start == self.end
 
     def inverse(self) -> "Walk":
         p = self.pregraph

@@ -13,13 +13,15 @@ next to a cell that split. Each search node keeps one union-find of the
 orbits of the generators that fix its prefix, fed as generators arrive.
 Leaf certificates set one bit per edge. Each of these returns exactly what
 the plain version (re-key every vertex, rebuild the orbits for each cell
-vertex, test every pair) returns, so the tree and its output are the same.
+vertex, test every pair) returns. A leaf that matches the first leaf gives
+an automorphism that fixes their common prefix, so the search jumps back to
+their deepest common ancestor: the canonical labeling is the one the full
+tree gives, and the tree and the generator list are smaller.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from typing import Iterable, Optional, Sequence
@@ -70,19 +72,7 @@ class Permutation:
         return all(v == w for v, w in enumerate(self.img))
 
     def cycle_lengths(self) -> list[int]:
-        seen = [False] * len(self.img)
-        out = []
-        for v in range(len(self.img)):
-            if seen[v]:
-                continue
-            length = 0
-            x = v
-            while not seen[x]:
-                seen[x] = True
-                x = self.img[x]
-                length += 1
-            out.append(length)
-        return sorted(out)
+        return sorted(map(len, self.orbits()))
 
     def order(self) -> int:
         from math import lcm
@@ -90,20 +80,8 @@ class Permutation:
         return lcm(*self.cycle_lengths()) if self.img else 1
 
     def orbits(self) -> list[list[int]]:
-        seen = [False] * len(self.img)
-        out = []
-        for v in range(len(self.img)):
-            if seen[v]:
-                continue
-            orb = [v]
-            seen[v] = True
-            x = self.img[v]
-            while x != v:
-                seen[x] = True
-                orb.append(x)
-                x = self.img[x]
-            out.append(orb)
-        return out
+        """The cycles as point sets: each sorted, ordered by least point."""
+        return _orbits(len(self.img), [self.img])
 
     def is_semiregular(self) -> bool:
         """All cycles have the same length, equal to the order."""
@@ -129,16 +107,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.img)})"
-
-
-@dataclass(frozen=True)
-class OrbitSet:
-    """A partition of some ground set into orbits under a generator set."""
-
-    blocks: tuple[tuple, ...]
-
-    def __len__(self) -> int:
-        return len(self.blocks)
 
 
 # -- individualization-refinement search -------------------------------------
@@ -280,11 +248,6 @@ class _UnionFind:
             x = p[x]
         return x
 
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
     def union_perm(self, img: Sequence[int]):
         """Merge every point with its image under a permutation."""
         find, parent = self.find, self.parent
@@ -295,8 +258,20 @@ class _UnionFind:
                     parent[rx] = ry
 
 
+def _orbits(m: int, maps: Iterable[Sequence[int]]) -> list[list[int]]:
+    """The orbits of 0..m-1 under the maps (image sequences), each sorted,
+    ordered by least point."""
+    uf = _UnionFind(m)
+    for img in maps:
+        uf.union_perm(img)
+    blocks: dict[int, list[int]] = {}
+    for x in range(m):
+        blocks.setdefault(uf.find(x), []).append(x)
+    return list(blocks.values())
+
+
 def _search(adj: tuple[tuple[int, ...], ...]):
-    """Full IR search: returns (generator tuples, canonical labeling tuple).
+    """IR search: returns (generator tuples, canonical labeling tuple).
 
     The canonical labeling maps vertex -> position; relabeling any isomorphic
     copy of the graph by its own canonical labeling yields the same graph.
@@ -306,7 +281,7 @@ def _search(adj: tuple[tuple[int, ...], ...]):
         return (), ()
 
     state = {
-        "ref_cert": None, "ref_lab": None, "ref_path": None,
+        "ref_cert": None, "ref_lab": None, "ref_path": None, "ref_prefix": None,
         "best_cert": None, "best_lab": None, "best_path": None,
         "gens": [],
     }
@@ -322,9 +297,9 @@ def _search(adj: tuple[tuple[int, ...], ...]):
             return
         state["gens"].append(g)
 
-    def explore(colors: list[int], path: tuple, prefix: tuple):
+    def explore(colors: list[int], path: tuple, prefix: tuple) -> int:
         # Below the root, colors individualizes prefix[-1] in an
-        # equitable coloring.
+        # equitable coloring. Returns the depth to unwind to.
         colors = _wl_refine(adj, colors, prefix[-1:] or None)
         counts = Counter(colors)
         inv = _node_invariant(counts)
@@ -338,13 +313,13 @@ def _search(adj: tuple[tuple[int, ...], ...]):
         if state["best_path"] is not None:
             if depth >= len(state["best_path"]):
                 if not on_ref:
-                    return
+                    return depth
                 cmp = -1
             else:
                 bench = state["best_path"][depth]
                 cmp = (inv > bench) - (inv < bench)
             if cmp < 0 and not on_ref:
-                return
+                return depth
             if cmp > 0:
                 # Entering territory that beats the current best: the first
                 # leaf below installs the new benchmark.
@@ -355,12 +330,18 @@ def _search(adj: tuple[tuple[int, ...], ...]):
         if len(counts) == n:
             lab = list(colors)
             cert = _leaf_certificate(adj, lab)
+            back = depth
             if state["ref_cert"] is None:
                 state["ref_cert"] = cert
                 state["ref_lab"] = lab
                 state["ref_path"] = path
+                state["ref_prefix"] = prefix
             elif cert == state["ref_cert"]:
                 add_automorphism(state["ref_lab"], lab)
+                # It maps the first path onto this one and fixes their common
+                # prefix, so the rest of this branch repeats the first path's.
+                back = next(i for i, (a, b) in enumerate(
+                    zip(prefix, state["ref_prefix"])) if a != b)
             if state["best_cert"] is None:
                 state["best_cert"] = cert
                 state["best_lab"] = lab
@@ -371,7 +352,7 @@ def _search(adj: tuple[tuple[int, ...], ...]):
                     state["best_lab"] = lab
                 elif cert == state["best_cert"]:
                     add_automorphism(state["best_lab"], lab)
-            return
+            return back
 
         # Target cell: the smallest color class with more than one vertex.
         target_color = min(c for c, cnt in counts.items() if cnt > 1)
@@ -395,8 +376,11 @@ def _search(adj: tuple[tuple[int, ...], ...]):
                 root_v = uf.find(v)
                 if any(uf.find(u) == root_v for u in explored):
                     continue
-            explore(_individualize(colors, v), path, prefix + (v,))
+            back = explore(_individualize(colors, v), path, prefix + (v,))
+            if back < depth:
+                return back
             explored.append(v)
+        return depth
 
     # Each level individualizes a vertex of a non-singleton cell, so it has
     # more cells than its parent: the depth is at most n - 1, which is below
@@ -547,35 +531,24 @@ def group_elements(
     return [Permutation(img) for img in _walk(n, gens, cap)]
 
 
-def vertex_orbits(g: SimpleGraph, gens: Optional[Sequence[Permutation]] = None) -> OrbitSet:
+def vertex_orbits(g: SimpleGraph, gens: Optional[Sequence[Permutation]] = None) -> list[list[int]]:
+    """The vertex orbits, each sorted, ordered by least vertex."""
     if gens is None:
         gens = automorphism_group(g)
-    uf = _UnionFind(g.n)
-    for p in gens:
-        uf.union_perm(p.img)
-    blocks: dict[int, list[int]] = {}
-    for v in range(g.n):
-        blocks.setdefault(uf.find(v), []).append(v)
-    ordered = sorted(blocks.values(), key=lambda b: b[0])
-    return OrbitSet(tuple(tuple(b) for b in ordered))
+    return _orbits(g.n, (p.img for p in gens))
 
 
-def edge_orbits(g: SimpleGraph, gens: Optional[Sequence[Permutation]] = None) -> OrbitSet:
+def edge_orbits(g: SimpleGraph, gens: Optional[Sequence[Permutation]] = None) -> list[list[tuple]]:
+    """The edge orbits as sorted (a, b) pairs, each orbit sorted, ordered by
+    least edge."""
     if gens is None:
         gens = automorphism_group(g)
     edges = g.edges()
-    index = {e: i for i, e in enumerate(edges)}
-    uf = _UnionFind(len(edges))
-    for p in gens:
-        for a, b in edges:
-            fa, fb = p.img[a], p.img[b]
-            img = (fa, fb) if fa < fb else (fb, fa)
-            uf.union(index[(a, b)], index[img])
-    blocks: dict[int, list] = {}
-    for e, i in index.items():
-        blocks.setdefault(uf.find(i), []).append(e)
-    ordered = sorted(blocks.values(), key=lambda b: sorted(b)[0])
-    return OrbitSet(tuple(tuple(sorted(b)) for b in ordered))
+    index = {}
+    for i, (a, b) in enumerate(edges):
+        index[a, b] = index[b, a] = i
+    maps = ([index[p.img[a], p.img[b]] for a, b in edges] for p in gens)
+    return [[edges[i] for i in orb] for orb in _orbits(len(edges), maps)]
 
 
 def arc_orbit_count(g: SimpleGraph, gens: Optional[Sequence[Permutation]] = None) -> int:
@@ -583,11 +556,8 @@ def arc_orbit_count(g: SimpleGraph, gens: Optional[Sequence[Permutation]] = None
         gens = automorphism_group(g)
     arcs = [(a, b) for a in range(g.n) for b in g.neighbors(a)]
     index = {arc: i for i, arc in enumerate(arcs)}
-    uf = _UnionFind(len(arcs))
-    for p in gens:
-        for a, b in arcs:
-            uf.union(index[(a, b)], index[(p.img[a], p.img[b])])
-    return len({uf.find(i) for i in range(len(arcs))})
+    maps = ([index[p.img[a], p.img[b]] for a, b in arcs] for p in gens)
+    return len(_orbits(len(arcs), maps))
 
 
 def is_vertex_transitive(g: SimpleGraph, gens: Optional[Sequence[Permutation]] = None) -> bool:
@@ -710,17 +680,10 @@ def cycle_counts(g: SimpleGraph, c: int):
     return per_vertex, per_edge, len(cycles)
 
 
-@dataclass(frozen=True)
-class CycleSignature:
-    """Sorted counts of c-cycles through the edges at one vertex."""
-
-    c: int
-    triple: tuple[int, ...]
-
-
-def c_signature(g: SimpleGraph, v: int, c: int) -> CycleSignature:
+def c_signature(g: SimpleGraph, v: int, c: int) -> tuple[int, ...]:
+    """Sorted counts of c-cycles through the edges at v."""
     _, per_edge, _ = cycle_counts(g, c)
-    return CycleSignature(c, _signatures(g, per_edge)[v])
+    return _signatures(g, per_edge)[v]
 
 
 def _signatures(g: SimpleGraph, per_edge: dict) -> list[tuple[int, ...]]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -44,7 +44,7 @@ from .symmetry import (
     group_order,
     is_vertex_transitive,
     uniform_local_profile,  # noqa: F401 -- perfbench/tracer.py wraps verify.uniform_local_profile
-    vertex_orbits,
+    vertex_orbits,  # noqa: F401 -- perfbench/tracer.py wraps verify.vertex_orbits
 )
 from .voltage import NonSimpleCover, SymbolicVoltage, symbolic_net_voltage
 
@@ -250,17 +250,6 @@ class CensusEntry:
     arc_transitive: bool
     name: Optional[str]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "canonical": self.canonical,
-            "types": list(self.types),
-            "girth": self.girth,
-            "aut_order": self.aut_order,
-            "arc_transitive": self.arc_transitive,
-            "name": self.name,
-        }
-
 
 @dataclass(frozen=True)
 class CensusTable:
@@ -291,8 +280,10 @@ class CensusTable:
             "kind": "census",
             "max_order": self.max_order,
             "total": self.total,
+            # str keys sort as strings ("12" < "48" < "6"), and the output
+            # is pinned in that order.
             "per_order": {str(o): c for o, c in self.per_order.items()},
-            "entries": [e.to_json_dict() for e in self.entries],
+            "entries": [asdict(e) for e in self.entries],
         }
 
 
@@ -333,15 +324,6 @@ class VTClass:
     name: Optional[str]
     example_params: tuple
 
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "canonical": self.canonical,
-            "types": list(self.types),
-            "name": self.name,
-            "example_params": [list(p) for p in self.example_params],
-        }
-
 
 @dataclass(frozen=True)
 class SweepReport:
@@ -355,23 +337,9 @@ class SweepReport:
     anomalies: tuple
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": "sweep",
-            "k": self.k,
-            "order": self.order,
-            "grid": {str(t): c for t, c in sorted(self.grid.items())},
-            "constructed": {
-                str(t): c for t, c in sorted(self.constructed.items())
-            },
-            "connected": {
-                str(t): c for t, c in sorted(self.connected.items())
-            },
-            "vt_instances": {
-                str(t): c for t, c in sorted(self.vt_instances.items())
-            },
-            "classes": [c.to_json_dict() for c in self.classes],
-            "anomalies": list(self.anomalies),
-        }
+        """The fields as JSON: the count dicts' int keys print as strings
+        "1".."4", in the same order under `report_emit`'s sort_keys."""
+        return {"kind": "sweep", **asdict(self)}
 
 
 def _expected_classes(k: int) -> dict[str, str]:

@@ -73,26 +73,14 @@ class VoltageAssignment:
         return self.zeta[dart]
 
     def is_normalised(self) -> bool:
-        """True if some spanning tree of the base carries voltage 0."""
-        zero_links = [
-            d for d in self.base.edges()
-            if self.base.edge_kind(d) == LINK and self.zeta[d] == 0
-        ]
-        # Kruskal-style reachability over zero-voltage links only.
-        parent = list(range(self.base.n_vertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for d in zero_links:
-            a, b = find(self.base.beg[d]), find(self.base.end(d))
-            if a != b:
-                parent[a] = b
-        roots = {find(v) for v in range(self.base.n_vertices)}
-        return len(roots) == 1
+        """True if some spanning tree of the base carries voltage 0, that is
+        if the zero-voltage links connect the base."""
+        base = self.base
+        zero_links = {
+            tuple(sorted((base.beg[d], base.end(d)))) for d in base.edges()
+            if base.edge_kind(d) == LINK and self.zeta[d] == 0
+        }
+        return SimpleGraph(base.n_vertices, zero_links).is_connected()
 
 
 def zeta_for(delta_index: int, k: int, r: int = 0, s: int = 0) -> VoltageAssignment:

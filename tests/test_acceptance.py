@@ -136,7 +136,7 @@ def test_criterion_05_x_family():
         if not (
             is_vertex_transitive(g)
             and girth(g) >= 5
-            and c_signature(g, 0, 8).triple == (5, 5, 6)
+            and c_signature(g, 0, 8) == (5, 5, 6)
         ):
             bad.append(k)
     report(5, "X family: transitive, girth, signature", not bad, t0)

@@ -4,7 +4,9 @@
 Schreier-Sims chain and one walk over it. The references below build the
 whole group by closure and scan it in sorted order. The chain must give the
 same order, the same element list, the same least semiregular element for
-every orbit count, and the same cap behaviour.
+every orbit count, and the same cap behaviour. The orbits of vertices,
+edges and arcs, and the cycles of each element, must be the ones read off
+the element list.
 """
 
 from collections import deque
@@ -17,10 +19,14 @@ from tricirc.families import FamilyParams
 from tricirc.graphs import SimpleGraph
 from tricirc.symmetry import (
     EnumerationCapExceeded,
+    Permutation,
+    arc_orbit_count,
     automorphism_group,
+    edge_orbits,
     find_k_circulant,
     group_elements,
     group_order,
+    vertex_orbits,
 )
 from tricirc.voltage import NonSimpleCover
 
@@ -69,6 +75,43 @@ def reference_scan(elements, target):
     return None
 
 
+def reference_orbits(elements, points, act):
+    """The orbits of the points under the listed elements, each sorted, in
+    sorted order."""
+    orbits = {tuple(sorted({act(e, x) for e in elements})) for x in points}
+    return [list(o) for o in sorted(orbits)]
+
+
+def on_vertex(e, v):
+    return e[v]
+
+
+def on_edge(e, edge):
+    return tuple(sorted((e[edge[0]], e[edge[1]])))
+
+
+def on_arc(e, arc):
+    return e[arc[0]], e[arc[1]]
+
+
+def powers(img):
+    """The cyclic group generated by one element, by repeated composition."""
+    out = [tuple(range(len(img)))]
+    while (nxt := tuple(img[x] for x in out[-1])) != out[0]:
+        out.append(nxt)
+    return out
+
+
+def assert_orbits_match(g, gens, elements):
+    edges = g.edges()
+    arcs = [(a, b) for a in range(g.n) for b in g.neighbors(a)]
+    assert vertex_orbits(g, gens) == reference_orbits(elements, range(g.n), on_vertex)
+    assert edge_orbits(g, gens) == reference_orbits(elements, edges, on_edge)
+    assert arc_orbit_count(g, gens) == len(reference_orbits(elements, arcs, on_arc))
+    for img in elements:
+        assert Permutation(img).orbits() == reference_orbits(powers(img), range(g.n), on_vertex)
+
+
 def assert_matches_reference(g):
     gens = automorphism_group(g)
     try:
@@ -82,6 +125,7 @@ def assert_matches_reference(g):
         return
     assert group_order(g.n, gens) == len(elements)
     assert [p.img for p in group_elements(g.n, gens, cap=CAP)] == elements
+    assert_orbits_match(g, gens, elements)
     if len(elements) > 1:
         with pytest.raises(EnumerationCapExceeded):
             group_elements(g.n, gens, cap=len(elements) - 1)

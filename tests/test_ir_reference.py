@@ -3,8 +3,8 @@
 `_wl_refine` re-keys only the cells that can split, and `_leaf_certificate`
 sets bits from the edge list. Both must return exactly what the plain
 versions below return, so that the search tree, every canonical form and
-every generator stay the same. The frozen canonical-form digests pin the
-search output on family graphs as a whole.
+every generator stay the same. The frozen canonical-form and
+canonical-labeling digests pin the search output on family graphs as a whole.
 """
 
 import hashlib
@@ -19,6 +19,7 @@ from tricirc.symmetry import (
     _leaf_certificate,
     _wl_refine,
     canonical_form,
+    canonical_labeling,
 )
 
 
@@ -145,3 +146,25 @@ def test_canonical_form_is_frozen(name, digest):
     family, args = name.rstrip(")").split("(")
     g = GRAPHS[family](*(int(a) for a in args.split(",")))
     assert hashlib.sha256(canonical_form(g)).hexdigest() == digest
+
+
+# sha256 of the bytes of canonical_labeling(g).img, recorded before the search
+# jumped back from leaves that match the first leaf.
+FROZEN_CANONICAL_LABELINGS = [
+    ("x_graph(9)", "7723eff7085f773282a9290663a66aec25afd8efe1ca9ecc1aeb668baf8338fe"),
+    ("x_graph(15)", "0a705ebba29aea11aa731a5f4cc0e1ee62f1c274147cda850cdd2a08489f8d5e"),
+    ("x_graph(25)", "5c0d8f504584daa2e580eda838f7afb17f788799d172d5ba07794846264273f1"),
+    ("y_graph(9)", "d9ea2ce36fce4116b6c5d899e983ec4c0ad98031ec6bb7e1a80f81dda8d1afad"),
+    ("y_graph(15)", "000efa99cff76d710b377a71847ce2ad45cca4b44ead58f6b94e41698fb31f0e"),
+    ("y_graph(25)", "3b1dc950f159e1f52b8f2503ea6d9e125b5dc621e86ecae8988508ca6fdc91d6"),
+    ("prism(27)", "9749b89b34f1615d63eadc1af1589cfc6b2e09b9ef4e21d9809ff63b85d10427"),
+    ("moebius(27)", "f555523f4fe41876fc771abfd206b24f94df6e35835aab69b8430c82b931a6c6"),
+    ("gp(24, 5)", "e42cb1812418aa184cd5a9570b407d38ef929433c4ea3de8fea84814fc5770cc"),
+]
+
+
+@pytest.mark.parametrize("name,digest", FROZEN_CANONICAL_LABELINGS)
+def test_canonical_labeling_is_frozen(name, digest):
+    family, args = name.rstrip(")").split("(")
+    g = GRAPHS[family](*(int(a) for a in args.split(",")))
+    assert hashlib.sha256(bytes(canonical_labeling(g).img)).hexdigest() == digest

@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 
 from tricirc.families import gp, moebius, prism, t3, x_graph, y_graph
+from tricirc.graph6 import encode_graph6
 from tricirc.graphs import SimpleGraph
 from tricirc.symmetry import (
     EnumerationCapExceeded,
@@ -106,12 +107,12 @@ def test_vertex_and_edge_orbits():
     p = path(4)                      # orbits {0,3}, {1,2}
     gens = automorphism_group(p)
     vo = vertex_orbits(p, gens)
-    assert sorted(sorted(b) for b in vo.blocks) == [[0, 3], [1, 2]]
+    assert sorted(sorted(b) for b in vo) == [[0, 3], [1, 2]]
     eo = edge_orbits(p, gens)
-    assert len(eo.blocks) == 2       # end edges vs middle edge
+    assert len(eo) == 2       # end edges vs middle edge
     pet = gp(5, 2)
-    assert len(vertex_orbits(pet).blocks) == 1
-    assert len(edge_orbits(pet).blocks) == 1
+    assert len(vertex_orbits(pet)) == 1
+    assert len(edge_orbits(pet)) == 1
     assert arc_orbit_count(pet) == 1
 
 
@@ -233,12 +234,12 @@ def test_cycle_counts_consistency():
     assert sum(per_edge.values()) == 5 * total
     assert is_c_vertex_regular(g, 5)
     assert is_c_cycle_regular(g, 5)
-    assert c_signature(g, 0, 5).triple == (4, 4, 4)
+    assert c_signature(g, 0, 5) == (4, 4, 4)
 
 
 def test_x_graph_eight_cycle_signature():
     g = x_graph(9)
-    assert c_signature(g, 0, 8).triple == (5, 5, 6)
+    assert c_signature(g, 0, 8) == (5, 5, 6)
     assert is_c_cycle_regular(g, 8)
     # paw graph: triangle edges sit in one 3-cycle, the pendant edge in none
     paw = SimpleGraph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
@@ -278,3 +279,16 @@ def test_group_order_of_six_prisms(time_limit):
     with time_limit(10):
         order = group_order(g.n, automorphism_group(g))
     assert order == 24**6 * factorial(6) == 137_594_142_720
+
+
+@pytest.mark.parametrize("complete", [False, True], ids=["edgeless", "complete"])
+def test_search_on_the_full_symmetric_group(time_limit, complete):
+    # Every relabeling of these graphs is an automorphism. Without the jump
+    # from a leaf that matches the first leaf back to their deepest common
+    # ancestor, the edgeless graph on 40 vertices took about 14 s.
+    n = 60
+    g = SimpleGraph(n, [(a, b) for a in range(n) for b in range(a + 1, n)]
+                    if complete else [])
+    with time_limit(10):
+        assert canonical_form(g) == encode_graph6(g)
+        assert group_order(n, automorphism_group(g)) == factorial(n)
