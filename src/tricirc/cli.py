@@ -37,7 +37,6 @@ from .symmetry import (
     _signatures,
     arc_orbit_count,
     are_isomorphic,
-    automorphism_group,
     canonical_form,
     cycle_counts,
     edge_orbits,
@@ -48,6 +47,7 @@ from .symmetry import (
     vertex_orbits,
 )
 from .verify import (
+    check_max_order,
     classification_sweep,
     lemma_spot_checks,
     report_emit,
@@ -56,6 +56,8 @@ from .verify import (
     walk_table,
 )
 from .voltage import quotient_with_voltages
+
+_MAX_WALK_LENGTH = 18  # the reduced walks listed grow 4x every two steps
 
 
 def _build_graph(args) -> SimpleGraph:
@@ -140,12 +142,12 @@ def _analyze_one(g: SimpleGraph, extra_cycles: int, cap: int) -> dict:
         "bipartite": g.is_bipartite(),
         "canonical": canonical_form(g).decode("ascii"),
     }
-    gens = automorphism_group(g)
-    report["aut_order"] = group_order(g.n, gens)
-    report["vertex_orbit_count"] = len(vertex_orbits(g, gens))
-    report["edge_orbit_count"] = len(edge_orbits(g, gens))
-    report["arc_orbit_count"] = arc_orbit_count(g, gens)
-    report["vertex_transitive"] = report["vertex_orbit_count"] == 1
+    report["aut_order"] = group_order(g)
+    report["vertex_orbit_count"] = len(vertex_orbits(g))
+    report["edge_orbit_count"] = len(edge_orbits(g))
+    report["arc_orbit_count"] = arc_orbit_count(g)
+    # At most one orbit, as in `is_vertex_transitive` and its siblings.
+    report["vertex_transitive"] = report["vertex_orbit_count"] <= 1
     report["edge_transitive"] = report["edge_orbit_count"] <= 1
     report["arc_transitive"] = report["arc_orbit_count"] <= 1
 
@@ -196,6 +198,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_walks(args) -> int:
+    if args.length > _MAX_WALK_LENGTH:
+        raise ValueError(f"--length must be at most {_MAX_WALK_LENGTH}")
     starts = ("u", "v", "w") if args.start == "all" else (args.start,)
     tables = [walk_table(args.delta, args.length, s) for s in starts]
     keys = sorted(
@@ -217,6 +221,8 @@ def _cmd_walks(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.census:
+        check_max_order(args.census_order)  # before the sweep's work
     reports = classification_sweep(args.kmin, args.kmax, workers=args.workers)
     docs: list = list(reports)
     if args.census:
@@ -287,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("walks", help="symbolic net-voltage walk table")
     p.add_argument("--delta", type=int, required=True, choices=[1, 2, 3, 4])
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", type=int, required=True,
+                   help=f"walk length, at most {_MAX_WALK_LENGTH}")
     p.add_argument("--start", default="all", choices=["u", "v", "w", "all"])
     p.set_defaults(func=_cmd_walks)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from math import isqrt
+from typing import Iterable
 
 from .graphs import SimpleGraph
 
@@ -28,7 +29,15 @@ def encode_graph6(g: SimpleGraph) -> bytes:
 
     Vertices are emitted in their construction order.
     """
-    n = g.n
+    return pack_graph6(g.n, [j * (j - 1) // 2 + i for i, j in g.edges()])
+
+
+def pack_graph6(n: int, bits: Iterable[int]) -> bytes:
+    """graph6 bytes of the graph on 0..n-1 whose upper-triangle bits are set.
+
+    Read column by column, pair i < j is body bit j(j-1)/2 + i, most
+    significant first, six bits a byte. Graphs of one order get one header
+    and one body length, so their encodings compare as the bits they pack."""
     if n > _MAX_N:
         raise ValueError(f"graph6 only supports n <= {_MAX_N}")
     out = bytearray()
@@ -42,10 +51,8 @@ def encode_graph6(g: SimpleGraph) -> bytes:
         out.extend((126, 126))
         for shift in (30, 24, 18, 12, 6, 0):
             out.append(((n >> shift) & 63) + 63)
-    # Column-major upper triangle: pair i < j is body bit j(j-1)/2 + i.
     body = bytearray((n * (n - 1) // 2 + 5) // 6)
-    for i, j in g.edges():
-        t = j * (j - 1) // 2 + i
+    for t in bits:
         body[t // 6] |= 32 >> (t % 6)
     out += body.translate(_OFFSET)
     return bytes(out)

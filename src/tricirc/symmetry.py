@@ -11,12 +11,16 @@ graph isomorphism II, 2014). Refinement re-keys only the cells that can
 split: after the root, those next to the individualized vertex, then those
 next to a cell that split. Each search node keeps one union-find of the
 orbits of the generators that fix its prefix, fed as generators arrive.
-Leaf certificates set one bit per edge. Each of these returns exactly what
-the plain version (re-key every vertex, rebuild the orbits for each cell
-vertex, test every pair) returns. A leaf that matches the first leaf gives
+A leaf's certificate is the graph6 of the graph relabelled by the leaf,
+packed from the edge list. Each of these returns exactly what the plain
+version (re-key every vertex, rebuild the orbits for each cell vertex, test
+every pair) returns. A leaf that matches the first leaf gives
 an automorphism that fixes their common prefix, so the search jumps back to
 their deepest common ancestor: the canonical labeling is the one the full
 tree gives, and the tree and the generator list are smaller.
+
+The cached search result (generator tuples, canonical labeling, canonical
+graph6) answers every question below; `Permutation` is only the API edge.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from functools import lru_cache
 from math import prod
 from typing import Iterable, Optional, Sequence
 
-from .graph6 import encode_graph6
+from .graph6 import encode_graph6  # noqa: F401 -- perfbench/tracer.py wraps symmetry.encode_graph6
+from .graph6 import pack_graph6
 from .graphs import SimpleGraph
 
 DEFAULT_SIZE_GUARD = 600
@@ -89,13 +94,7 @@ class Permutation:
         return len(lengths) == 1
 
     def is_automorphism(self, g: SimpleGraph) -> bool:
-        if len(self.img) != g.n:
-            return False
-        return all(
-            sorted(self.img[b] for b in g.neighbors(a))
-            == list(g.neighbors(self.img[a]))
-            for a in range(g.n)
-        )
+        return _is_automorphism(g.adjacency(), self.img)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Permutation):
@@ -212,22 +211,13 @@ def _individualize(colors: list[int], v: int) -> list[int]:
 
 
 def _leaf_certificate(adj, colors: list[int]) -> bytes:
-    """Adjacency bitmap bytes under the discrete coloring's labeling.
-
-    The labelled pair i < j sits at bit j(j-1)/2 + i, most significant bit
-    first, in ceil(n(n-1)/16) bytes. Only the edges set bits, so this is
-    linear in the edge count."""
-    n = len(adj)
-    bits = bytearray((n * (n - 1) // 2 + 7) // 8)
-    for v, nbrs in enumerate(adj):
-        j = colors[v]
-        row = j * (j - 1) // 2
-        for w in nbrs:
-            i = colors[w]
-            if i < j:
-                t = row + i
-                bits[t >> 3] |= 0x80 >> (t & 7)
-    return bytes(bits)
+    """graph6 of the graph relabelled by the discrete coloring, vertex v
+    going to colors[v]. Only the edges set bits, so this is linear in the
+    edge count."""
+    return pack_graph6(len(adj), [
+        j * (j - 1) // 2 + colors[w]
+        for j, nbrs in zip(colors, adj) for w in nbrs if colors[w] < j
+    ])
 
 
 def _node_invariant(counts: Counter) -> tuple:
@@ -270,16 +260,22 @@ def _orbits(m: int, maps: Iterable[Sequence[int]]) -> list[list[int]]:
     return list(blocks.values())
 
 
+def _is_automorphism(adj: tuple[tuple[int, ...], ...], img: Sequence[int]) -> bool:
+    return len(img) == len(adj) and all(
+        tuple(sorted([img[b] for b in nbrs])) == adj[img[a]]
+        for a, nbrs in enumerate(adj)
+    )
+
+
 def _search(adj: tuple[tuple[int, ...], ...]):
-    """IR search: returns (generator tuples, canonical labeling tuple).
+    """IR search: returns (generator tuples, canonical labeling tuple,
+    canonical graph6).
 
     The canonical labeling maps vertex -> position; relabeling any isomorphic
-    copy of the graph by its own canonical labeling yields the same graph.
+    copy of the graph by its own canonical labeling yields the same graph,
+    whose graph6 is the best leaf's certificate.
     """
     n = len(adj)
-    if n == 0:
-        return (), ()
-
     state = {
         "ref_cert": None, "ref_lab": None, "ref_path": None, "ref_prefix": None,
         "best_cert": None, "best_lab": None, "best_path": None,
@@ -386,44 +382,39 @@ def _search(adj: tuple[tuple[int, ...], ...]):
     # more cells than its parent: the depth is at most n - 1, which is below
     # Python's default recursion limit of 1000 under the size guard.
     explore(_initial_colors(adj), (), ())
-    return tuple(state["gens"]), tuple(state["best_lab"])
+    return tuple(state["gens"]), tuple(state["best_lab"]), state["best_cert"]
 
 
 @lru_cache(maxsize=2048)
 def _search_cached(adj: tuple[tuple[int, ...], ...]):
-    return _search(adj)
+    """`_search`, with each generator checked once to be an automorphism."""
+    result = _search(adj)
+    if not all(_is_automorphism(adj, img) for img in result[0]):
+        raise AssertionError("internal error: invalid generator")
+    return result
 
 
-def _guarded_adj(g: SimpleGraph):
+def _searched(g: SimpleGraph):
+    """The cached search result of g, under the size guard."""
     if g.n > DEFAULT_SIZE_GUARD:
         raise SizeGuardError(
             f"graph on {g.n} vertices exceeds the size guard {DEFAULT_SIZE_GUARD}"
         )
-    return g.adjacency()
+    return _search_cached(g.adjacency())
 
 
 def automorphism_group(g: SimpleGraph) -> list[Permutation]:
     """Generators of Aut(g). Empty list means the trivial group."""
-    gens, _ = _search_cached(_guarded_adj(g))
-    out = []
-    for img in gens:
-        p = Permutation(img)
-        if not p.is_automorphism(g):
-            raise AssertionError("internal error: invalid generator")
-        out.append(p)
-    return out
+    return [Permutation(img) for img in _searched(g)[0]]
 
 
 def canonical_labeling(g: SimpleGraph) -> Permutation:
-    _, lab = _search_cached(_guarded_adj(g))
-    return Permutation(lab) if g.n else Permutation(())
+    return Permutation(_searched(g)[1])
 
 
 def canonical_form(g: SimpleGraph) -> bytes:
     """graph6 bytes of the canonically relabeled graph; equal iff isomorphic."""
-    lab = canonical_labeling(g)
-    plain = SimpleGraph(g.n, g.edges())
-    return encode_graph6(plain.relabel(lab.img))
+    return _searched(g)[2]
 
 
 def are_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
@@ -494,13 +485,13 @@ def _stabiliser_chain(n: int, gens: Iterable[Sequence[int]]) -> list[dict]:
     return trans
 
 
-def _walk(n: int, gens: Sequence[Permutation], cap: int,
-          keep=lambda img, known: True):
-    """The elements of the group as image tuples, in increasing order; raises
+def _walk(g: SimpleGraph, cap: int, keep=lambda img, known: True):
+    """The elements of Aut(g) as image tuples, in increasing order; raises
     EnumerationCapExceeded first if there are more than cap. Below a prefix,
     the images of the points before the next moved base point are final, and
     the prefix is dropped if `keep(img, number of final images)` is False."""
-    trans = _stabiliser_chain(n, (p.img for p in gens))
+    n = g.n
+    trans = _stabiliser_chain(n, _searched(g)[0])
     if prod(map(len, trans)) > cap:
         raise EnumerationCapExceeded(f"group has more than {cap} elements")
     levels = [p for p in range(n) if len(trans[p]) > 1]
@@ -518,64 +509,51 @@ def _walk(n: int, gens: Sequence[Permutation], cap: int,
     return descend(0, tuple(range(n)))
 
 
-def group_order(n: int, gens: Iterable[Permutation]) -> int:
-    """Order of the permutation group: the product of the basic orbit sizes."""
-    return prod(map(len, _stabiliser_chain(n, (p.img for p in gens))))
+def group_order(g: SimpleGraph) -> int:
+    """|Aut(g)|: the product of the basic orbit sizes."""
+    return prod(map(len, _stabiliser_chain(g.n, _searched(g)[0])))
 
 
-def group_elements(
-    n: int, gens: Sequence[Permutation], cap: int = 10**7
-) -> list[Permutation]:
-    """All elements generated by gens, sorted by image tuple. Raises
+def group_elements(g: SimpleGraph, cap: int = 10**7) -> list[Permutation]:
+    """All elements of Aut(g), sorted by image tuple. Raises
     EnumerationCapExceeded, before any is built, if there are more than cap."""
-    return [Permutation(img) for img in _walk(n, gens, cap)]
+    return [Permutation(img) for img in _walk(g, cap)]
 
 
-def vertex_orbits(g: SimpleGraph, gens: Optional[Sequence[Permutation]] = None) -> list[list[int]]:
+def vertex_orbits(g: SimpleGraph) -> list[list[int]]:
     """The vertex orbits, each sorted, ordered by least vertex."""
-    if gens is None:
-        gens = automorphism_group(g)
-    return _orbits(g.n, (p.img for p in gens))
+    return _orbits(g.n, _searched(g)[0])
 
 
-def edge_orbits(g: SimpleGraph, gens: Optional[Sequence[Permutation]] = None) -> list[list[tuple]]:
+def edge_orbits(g: SimpleGraph) -> list[list[tuple]]:
     """The edge orbits as sorted (a, b) pairs, each orbit sorted, ordered by
     least edge."""
-    if gens is None:
-        gens = automorphism_group(g)
     edges = g.edges()
     index = {}
     for i, (a, b) in enumerate(edges):
         index[a, b] = index[b, a] = i
-    maps = ([index[p.img[a], p.img[b]] for a, b in edges] for p in gens)
+    maps = ([index[p[a], p[b]] for a, b in edges] for p in _searched(g)[0])
     return [[edges[i] for i in orb] for orb in _orbits(len(edges), maps)]
 
 
-def arc_orbit_count(g: SimpleGraph, gens: Optional[Sequence[Permutation]] = None) -> int:
-    if gens is None:
-        gens = automorphism_group(g)
+def arc_orbit_count(g: SimpleGraph) -> int:
     arcs = [(a, b) for a in range(g.n) for b in g.neighbors(a)]
     index = {arc: i for i, arc in enumerate(arcs)}
-    maps = ([index[p.img[a], p.img[b]] for a, b in arcs] for p in gens)
+    maps = ([index[p[a], p[b]] for a, b in arcs] for p in _searched(g)[0])
     return len(_orbits(len(arcs), maps))
 
 
-def is_vertex_transitive(g: SimpleGraph, gens: Optional[Sequence[Permutation]] = None) -> bool:
-    if g.n == 0:
-        return True
-    return len(vertex_orbits(g, gens)) == 1
+# Transitive on vertices, edges or arcs: at most one orbit of them.
+def is_vertex_transitive(g: SimpleGraph) -> bool:
+    return len(vertex_orbits(g)) <= 1
 
 
-def is_arc_transitive(g: SimpleGraph, gens: Optional[Sequence[Permutation]] = None) -> bool:
-    if g.edge_count() == 0:
-        return True
-    return arc_orbit_count(g, gens) == 1
+def is_arc_transitive(g: SimpleGraph) -> bool:
+    return arc_orbit_count(g) <= 1
 
 
-def is_edge_transitive(g: SimpleGraph, gens: Optional[Sequence[Permutation]] = None) -> bool:
-    if g.edge_count() == 0:
-        return True
-    return len(edge_orbits(g, gens)) == 1
+def is_edge_transitive(g: SimpleGraph) -> bool:
+    return len(edge_orbits(g)) <= 1
 
 
 def find_k_circulant(
@@ -604,7 +582,7 @@ def find_k_circulant(
                 return False
         return True
 
-    img = next(_walk(g.n, automorphism_group(g), cap, keep), None)
+    img = next(_walk(g, cap, keep), None)
     return None if img is None else Permutation(img)
 
 

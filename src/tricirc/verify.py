@@ -37,7 +37,6 @@ from .pregraph import delta, reduced_closed_walks
 from .symmetry import (
     _bfs_key,
     arc_orbit_count,
-    automorphism_group,
     canonical_form,
     cycle_counts,
     girth,
@@ -179,6 +178,17 @@ def check_t1_conditions(k: int, r: int, s: int) -> T1Conditions:
 
 # -- the funnel ------------------------------------------------------------------
 
+_MAX_ORDER = 300  # the sweep guard: the largest cover order 6k built
+
+
+def check_max_order(order: int) -> None:
+    """ValueError unless order is a multiple of 6 within the sweep guard."""
+    if order % 6:
+        raise ValueError("max order must be a multiple of 6")
+    if order > _MAX_ORDER:
+        raise ValueError(f"sweep guard: order {order} is above {_MAX_ORDER}")
+
+
 def _passes_vt_screen(g: SimpleGraph) -> bool:
     """Necessary condition for vertex-transitivity: u_0, v_0 and w_0 share
     the degree/BFS-layer key of `uniform_local_profile`.
@@ -292,21 +302,19 @@ def small_census(max_order: int = 48) -> CensusTable:
     <= max_order: the funnel for k = 1..max_order/6, with the type sets of
     coinciding instances merged, plus |Aut|, arc-transitivity, girth and
     name."""
-    if max_order % 6:
-        raise ValueError("max order must be a multiple of 6")
+    check_max_order(max_order)
     entries = []
     for k in range(1, max_order // 6 + 1):
         for canon, slot in _funnel(k)[1].items():
             g = slot["graph"]
-            gens = automorphism_group(g)
-            at = arc_orbit_count(g, gens) == 1
+            at = arc_orbit_count(g) <= 1
             gi = girth(g)
             entries.append(CensusEntry(
                 order=g.n,
                 canonical=canon,
                 types=tuple(sorted(slot["types"])),
                 girth=gi,
-                aut_order=group_order(g.n, gens),
+                aut_order=group_order(g),
                 arc_transitive=at,
                 name=_NAMED_AT.get((g.n, gi)) if at else None,
             ))
@@ -405,8 +413,7 @@ def classification_sweep(
     """Run sweep_one_k over k_min..k_max; parallel over k when asked to."""
     if k_min < 1 or k_max < k_min:
         raise ValueError("need 1 <= k_min <= k_max")
-    if 6 * k_max > 300:
-        raise ValueError("sweep guard: 6*k_max must stay at or below 300")
+    check_max_order(6 * k_max)
     ks = list(range(k_min, k_max + 1))
     nworkers = max(1, workers or 1)
     if nworkers == 1 or len(ks) == 1:

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from tricirc import families
 from tricirc.cli import main
 from tricirc.graph6 import decode_graph6, encode_graph6
 from tricirc.families import x_graph
@@ -81,6 +82,18 @@ def test_analyze(tmp_path, capsys):
     assert doc["k_circulant"]["3"] is not None
 
 
+def test_analyze_empty_graph_is_transitive(monkeypatch, capsys):
+    # No vertices, edges or arcs: at most one orbit of each, as in
+    # `is_vertex_transitive` and its siblings.
+    monkeypatch.setattr("sys.stdin", io.StringIO("?\n"))
+    code, out, _ = run(capsys, "analyze", "-")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["n"] == 0 and doc["aut_order"] == 1
+    assert doc["vertex_orbit_count"] == doc["edge_orbit_count"] == doc["arc_orbit_count"] == 0
+    assert doc["vertex_transitive"] is doc["edge_transitive"] is doc["arc_transitive"] is True
+
+
 def test_analyze_missing_file_is_io_error(capsys):
     code, _, err = run(capsys, "analyze", "/nonexistent/missing.g6")
     assert code == 3
@@ -116,6 +129,14 @@ def test_walks_table_output(capsys):
     assert rows["total"] == ["112", "106", "106"]
 
 
+def test_walks_length_past_the_bound_is_usage_error(capsys, time_limit):
+    # Length 19 would list every walk for about a minute before failing.
+    with time_limit(5):
+        code, out, err = run(capsys, "walks", "--delta", "1", "--length", "19")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_walks_single_start(capsys):
     code, out, _ = run(capsys, "walks", "--delta", "2", "--length", "6",
                        "--start", "v")
@@ -142,6 +163,15 @@ def test_verify_with_census_and_checks(capsys):
     assert "census" in kinds and "lemma_spot_checks" in kinds
 
 
+def test_verify_census_past_the_sweep_guard_is_usage_error(capsys, time_limit):
+    # The census at order 606 would run the funnel for every k <= 100
+    # before the size guard stopped it; the sweep's guard stops it first.
+    with time_limit(5):
+        code, out, err = run(capsys, "verify", "--census", "--census-order", "606")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_verify_default_check_output_is_pinned(capsys):
     code, out, _ = run(capsys, "verify", "--kmin", "9", "--kmax", "15",
                        "--census", "--spot-checks", "--workers", "1")
@@ -149,6 +179,42 @@ def test_verify_default_check_output_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "03f1811b87a0dacecaf6f47a3f55294ee60db8896cf78541794ca469d03d942a"
     )
+
+
+# sha256 of stdout, recorded before the group functions read the search
+# result themselves.
+ANALYZE_DIGESTS = [
+    ("x_graph", (9,), "73ac544eaf665d5de698bbfbada13c573e5274c9d4c40940afcbb9785a058bed"),
+    ("y_graph", (9,), "2e2646b390472da26a58800fc3093755ed925251289f1d6fb08336809d592d2a"),
+    ("prism", (27,), "2a4f3f0b6c91d9594d4fcac37fd75b892cae6dbda404763ef1a01ad48fb03bd9"),
+    ("moebius", (27,), "a12c0dfe59a6770bbc3c2305cc0cf6416552f53e7c297e7f9967943b62745884"),
+    ("gp", (24, 5), "4ee935975991fb6c5699b6af62fa9e8ee5bc9911408e0fa5a65da0450e89c866"),
+]
+QUOTIENT_DIGESTS = [
+    ("x_graph", (9,), "a5ee2e4ee935a2ed7297f8ef7a4afe66b37a37e558b2aded9ba315049b9195f6"),
+    ("y_graph", (9,), "bfba3c36ec43245d1247ef506a0c97fdd6236a7e3155c77b879396b19364d619"),
+]
+
+
+def _family_file(tmp_path, family, params):
+    p = tmp_path / "g.g6"
+    p.write_bytes(encode_graph6(getattr(families, family)(*params)) + b"\n")
+    return str(p)
+
+
+@pytest.mark.parametrize("family,params,digest", ANALYZE_DIGESTS)
+def test_analyze_output_is_pinned(tmp_path, capsys, family, params, digest):
+    code, out, _ = run(capsys, "analyze", _family_file(tmp_path, family, params))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family,params,digest", QUOTIENT_DIGESTS)
+def test_quotient_output_is_pinned(tmp_path, capsys, family, params, digest):
+    code, out, _ = run(capsys, "quotient", "--order", "18",
+                       _family_file(tmp_path, family, params))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_iso_exit_codes(tmp_path, capsys):

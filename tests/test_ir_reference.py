@@ -1,10 +1,11 @@
 """The IR search's hot spots against their plain reference versions.
 
 `_wl_refine` re-keys only the cells that can split, and `_leaf_certificate`
-sets bits from the edge list. Both must return exactly what the plain
-versions below return, so that the search tree, every canonical form and
-every generator stay the same. The frozen canonical-form and
-canonical-labeling digests pin the search output on family graphs as a whole.
+packs the graph6 of the relabelled graph from the edge list. Both must
+return exactly what the plain versions below return, so that the search
+tree, every canonical form and every generator stay the same. The frozen
+canonical-form and canonical-labeling digests pin the search output on
+family graphs as a whole.
 """
 
 import hashlib
@@ -39,24 +40,28 @@ def reference_refine(adj, colors):
 
 
 def reference_leaf_certificate(adj, colors):
-    """Test every labelled pair i < j, column by column, eight bits a byte."""
+    """Test every labelled pair i < j, column by column, six bits a byte
+    offset by 63, after the graph6 size header (n <= 258047)."""
     n = len(adj)
     vert_at = [0] * n
     for v in range(n):
         vert_at[colors[v]] = v
-    bits = bytearray()
+    if n <= 62:
+        out = bytearray([n + 63])
+    else:
+        out = bytearray([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
     acc = nacc = 0
     for j in range(1, n):
         nbrs = set(adj[vert_at[j]])
         for i in range(j):
             acc = (acc << 1) | (1 if vert_at[i] in nbrs else 0)
             nacc += 1
-            if nacc == 8:
-                bits.append(acc)
+            if nacc == 6:
+                out.append(acc + 63)
                 acc = nacc = 0
     if nacc:
-        bits.append(acc << (8 - nacc))
-    return bytes(bits)
+        out.append((acc << (6 - nacc)) + 63)
+    return bytes(out)
 
 
 @st.composite

@@ -1,16 +1,22 @@
 """`perfbench/tracer.py` wraps module-level names of the package by name, so
 a change that deletes or renames one of them fails here, not only in a traced
-benchmark run."""
+benchmark run. An import that the package keeps only so that the tracer can
+wrap it must name an attribute the tracer wraps."""
 
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+# An import kept only for the tracer says so: "# noqa: F401 -- perfbench/tracer.py
+# wraps <module>.<name>".
+MARKER = re.compile(r"# noqa: F401 -- perfbench/tracer\.py wraps (\w+)\.(\w+)")
 MODULES = ("cli", "families", "graph6", "graphs", "pregraph", "symmetry",
            "verify", "voltage")
 
@@ -35,11 +41,28 @@ def fresh_package():
         sys.modules.update(saved)
 
 
-def test_tracer_wraps_and_restores_every_name(fresh_package):
+def installed(package):
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    tr = tracer.install(fresh_package)
+    tr = tracer.install(package)
     tr.unwrap()
+    return tr
+
+
+def test_tracer_wraps_and_restores_every_name(fresh_package):
+    tr = installed(fresh_package)
     assert tr.patched
     assert tr.restored() == []
+
+
+def test_imports_kept_for_the_tracer_are_wrapped(fresh_package):
+    marked = []
+    for path in sorted((ROOT / "src" / "tricirc").glob("*.py")):
+        for module, name in MARKER.findall(path.read_text()):
+            assert module == path.stem, f"{path.name} marks {module}.{name}"
+            marked.append((module, name))
+    assert marked
+    patched = {(owner.__name__.rpartition(".")[2], attr)
+               for owner, attr, _ in installed(fresh_package).patched}
+    assert [m for m in marked if m not in patched] == []

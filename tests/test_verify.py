@@ -147,6 +147,8 @@ def test_sweep_range_serial_vs_parallel():
 def test_sweep_guard():
     with pytest.raises(ValueError):
         classification_sweep(9, 51)    # 6*51 > 300
+    with pytest.raises(ValueError):
+        small_census(306)
 
 
 def test_spot_checks_pass():
