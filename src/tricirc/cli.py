@@ -57,7 +57,7 @@ from .verify import (
 )
 from .voltage import quotient_with_voltages
 
-_MAX_WALK_LENGTH = 18  # the reduced walks listed grow 4x every two steps
+_MAX_WALK_LENGTH = 18  # well past the lengths 6..8 the paper reads; keeps each table short
 
 
 def _build_graph(args) -> SimpleGraph:

@@ -19,8 +19,13 @@ an automorphism that fixes their common prefix, so the search jumps back to
 their deepest common ancestor: the canonical labeling is the one the full
 tree gives, and the tree and the generator list are smaller.
 
-The cached search result (generator tuples, canonical labeling, canonical
-graph6) answers every question below; `Permutation` is only the API edge.
+The cached search entry (generator tuples, canonical labeling, canonical
+graph6, stabiliser chain) answers every question below; `Permutation` is
+only the API edge. The chain is built when the first group question (order,
+elements, semiregular search) reaches the entry, so canonical forms and
+isomorphism tests never pay for it. Cycle counts are taken at one edge per
+edge orbit, since an automorphism carries the cycles through an edge onto
+those through its image.
 """
 
 from __future__ import annotations
@@ -387,11 +392,13 @@ def _search(adj: tuple[tuple[int, ...], ...]):
 
 @lru_cache(maxsize=2048)
 def _search_cached(adj: tuple[tuple[int, ...], ...]):
-    """`_search`, with each generator checked once to be an automorphism."""
-    result = _search(adj)
-    if not all(_is_automorphism(adj, img) for img in result[0]):
+    """`_search`, with each generator checked once to be an automorphism,
+    as a list whose last slot holds the stabiliser chain once `_chain` has
+    built it."""
+    gens, labeling, cert = _search(adj)
+    if not all(_is_automorphism(adj, img) for img in gens):
         raise AssertionError("internal error: invalid generator")
-    return result
+    return [gens, labeling, cert, None]
 
 
 def _searched(g: SimpleGraph):
@@ -485,13 +492,21 @@ def _stabiliser_chain(n: int, gens: Iterable[Sequence[int]]) -> list[dict]:
     return trans
 
 
+def _chain(g: SimpleGraph) -> list[dict]:
+    """The stabiliser chain of Aut(g), built once per cached search entry."""
+    entry = _searched(g)
+    if entry[3] is None:
+        entry[3] = _stabiliser_chain(g.n, entry[0])
+    return entry[3]
+
+
 def _walk(g: SimpleGraph, cap: int, keep=lambda img, known: True):
     """The elements of Aut(g) as image tuples, in increasing order; raises
     EnumerationCapExceeded first if there are more than cap. Below a prefix,
     the images of the points before the next moved base point are final, and
     the prefix is dropped if `keep(img, number of final images)` is False."""
     n = g.n
-    trans = _stabiliser_chain(n, _searched(g)[0])
+    trans = _chain(g)
     if prod(map(len, trans)) > cap:
         raise EnumerationCapExceeded(f"group has more than {cap} elements")
     levels = [p for p in range(n) if len(trans[p]) > 1]
@@ -511,7 +526,7 @@ def _walk(g: SimpleGraph, cap: int, keep=lambda img, known: True):
 
 def group_order(g: SimpleGraph) -> int:
     """|Aut(g)|: the product of the basic orbit sizes."""
-    return prod(map(len, _stabiliser_chain(g.n, _searched(g)[0])))
+    return prod(map(len, _chain(g)))
 
 
 def group_elements(g: SimpleGraph, cap: int = 10**7) -> list[Permutation]:
@@ -645,17 +660,44 @@ def cycles_of_length(g: SimpleGraph, c: int) -> list[tuple[int, ...]]:
 
 
 def cycle_counts(g: SimpleGraph, c: int):
-    """(per-vertex counts, per-edge counts, total) for cycles of length c."""
-    per_vertex = [0] * g.n
-    per_edge: dict[tuple[int, int], int] = {e: 0 for e in g.edges()}
-    cycles = cycles_of_length(g, c)
-    for cyc in cycles:
-        for v in cyc:
-            per_vertex[v] += 1
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            key = (a, b) if a < b else (b, a)
-            per_edge[key] += 1
-    return per_vertex, per_edge, len(cycles)
+    """(per-vertex counts, per-edge counts, total) for cycles of length c.
+
+    Only the first edge (a, b) of each edge orbit is counted: its c-cycles
+    are the simple paths of c vertices from b back to a. A cycle uses two
+    edges at each of its vertices and c edges in all."""
+    if c < 3:
+        raise ValueError("cycle length must be at least 3")
+    adj = g.adjacency()
+    count_of = {}
+    for orbit in edge_orbits(g):
+        count = _paths_back(adj, *orbit[0], c)
+        for e in orbit:
+            count_of[e] = count
+    per_edge = {e: count_of[e] for e in g.edges()}
+    per_vertex = [
+        sum(per_edge[(v, w) if v < w else (w, v)] for w in adj[v]) // 2
+        for v in range(g.n)
+    ]
+    return per_vertex, per_edge, sum(per_edge.values()) // c
+
+
+def _paths_back(adj, a: int, b: int, c: int) -> int:
+    """The number of simple paths of c vertices from b to a."""
+    on_path = [False] * len(adj)
+    on_path[a] = on_path[b] = True
+
+    def extend(v: int, left: int) -> int:  # left: edges still to take
+        if left == 1:
+            return a in adj[v]
+        total = 0
+        for w in adj[v]:
+            if not on_path[w]:
+                on_path[w] = True
+                total += extend(w, left - 1)
+                on_path[w] = False
+        return total
+
+    return extend(b, c - 1)
 
 
 def c_signature(g: SimpleGraph, v: int, c: int) -> tuple[int, ...]:

@@ -33,7 +33,8 @@ from .families import (
     y_graph,
 )
 from .graphs import SimpleGraph
-from .pregraph import delta, reduced_closed_walks
+from .pregraph import delta
+from .pregraph import reduced_closed_walks  # noqa: F401 -- perfbench/tracer.py wraps verify.reduced_closed_walks
 from .symmetry import (
     _bfs_key,
     arc_orbit_count,
@@ -45,7 +46,7 @@ from .symmetry import (
     uniform_local_profile,  # noqa: F401 -- perfbench/tracer.py wraps verify.uniform_local_profile
     vertex_orbits,  # noqa: F401 -- perfbench/tracer.py wraps verify.vertex_orbits
 )
-from .voltage import NonSimpleCover, SymbolicVoltage, symbolic_net_voltage
+from .voltage import NonSimpleCover, SymbolicVoltage, symbolic_dart_voltage
 
 
 # -- walk tables ---------------------------------------------------------------
@@ -76,9 +77,12 @@ class WalkTable:
 
 
 def walk_table(delta_index: int, length: int, start) -> WalkTable:
-    """Voltage tally of all reduced closed walks of `length` at `start`.
+    """Voltage tally of all reduced closed walks of `length` at `start`, as
+    `pregraph.reduced_closed_walks` lists them.
 
-    `start` is a vertex name ("u", "v", "w") or id of the base pregraph."""
+    `start` is a vertex name ("u", "v", "w") or id of the base pregraph.
+    The walks are counted, not listed: per first dart, one layer per step
+    maps (last dart, net voltage) to the number of walks that reach it."""
     base = delta(delta_index)
     if isinstance(start, str):
         if start not in base.vertex_names:
@@ -86,9 +90,29 @@ def walk_table(delta_index: int, length: int, start) -> WalkTable:
         root = base.vertex_names.index(start)
     else:
         root = start
+    if not 0 <= root < base.n_vertices:
+        raise ValueError(f"unknown vertex {root}")
+    if length < 1:
+        raise ValueError("length must be positive")
+    inv = base.inv
+    step = {}  # dart -> (voltage as (eps, a, b), darts that may follow it)
+    for d in range(base.n_darts):
+        sv = symbolic_dart_voltage(base, d)
+        step[d] = ((sv.eps, sv.a, sv.b),
+                   [e for e in base.darts_at(base.end(d)) if e != inv[d]])
     tally: Counter = Counter()
-    for walk in reduced_closed_walks(base, root, length):
-        tally[symbolic_net_voltage(base, walk).canonical()] += 1
+    for first in base.darts_at(root):
+        layer = Counter({(first, *step[first][0]): 1})
+        for _ in range(length - 1):
+            nxt: Counter = Counter()
+            for (d, eps, a, b), count in layer.items():
+                for e in step[d][1]:
+                    de, da, db = step[e][0]
+                    nxt[e, (eps + de) % 2, a + da, b + db] += count
+            layer = nxt
+        for (d, eps, a, b), count in layer.items():
+            if base.end(d) == root and inv[d] != first:
+                tally[SymbolicVoltage(eps, a, b).canonical()] += count
     return WalkTable(
         delta_index, length, base.vertex_names[root], dict(tally)
     )

@@ -137,6 +137,15 @@ def test_walks_length_past_the_bound_is_usage_error(capsys, time_limit):
     assert err.startswith("error:")
 
 
+def test_walks_at_the_length_bound(capsys, time_limit):
+    # The tables are counted, not listed: listing the walks of this
+    # length took about 13 s.
+    with time_limit(3):
+        code, out, _ = run(capsys, "walks", "--delta", "1", "--length", "18")
+    assert code == 0
+    assert out.startswith("# delta 1, closed walks of length 18\n")
+
+
 def test_walks_single_start(capsys):
     code, out, _ = run(capsys, "walks", "--delta", "2", "--length", "6",
                        "--start", "v")
@@ -288,6 +297,51 @@ def test_quotient_of_a_complete_graph_against_the_cap(tmp_path, capsys, time_lim
                            "--cap", str(10**30), str(p))
     assert code == 0
     assert out.splitlines()[:2] == ["pregraph 2 46", "group Z12"]
+
+
+@pytest.mark.parametrize("n", [24, 40])
+def test_analyze_complete_graph(tmp_path, capsys, time_limit, n):
+    # Cycles are counted at one edge per edge orbit; listing them all took
+    # about 4 s on K_24 and grows as n^5.
+    from math import factorial
+    from tricirc.graphs import SimpleGraph
+    p = tmp_path / f"k{n}.g6"
+    p.write_bytes(encode_graph6(
+        SimpleGraph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+    ))
+    with time_limit(3):
+        code, out, _ = run(capsys, "analyze", str(p))
+    assert code == 0
+    assert json.loads(out)["aut_order"] == factorial(n)
+
+
+def test_one_stabiliser_chain_per_graph(tmp_path, capsys, monkeypatch):
+    from tricirc import symmetry
+    from tricirc.families import prism, y_graph
+    built = []
+    original = symmetry._stabiliser_chain
+
+    def counted(n, gens):
+        built.append(n)
+        return original(n, gens)
+
+    monkeypatch.setattr(symmetry, "_stabiliser_chain", counted)
+    symmetry._search_cached.cache_clear()
+    p = tmp_path / "x9.g6"
+    p.write_bytes(encode_graph6(x_graph(9)))
+    code, out, _ = run(capsys, "analyze", str(p))
+    assert code == 0
+    order = json.loads(out)["aut_order"]
+    assert run(capsys, "quotient", "--order", "18", str(p))[0] == 0
+    assert built == [54]
+    symmetry._search_cached.cache_clear()
+    assert symmetry.group_order(x_graph(9)) == order
+    assert built == [54, 54]
+    g = y_graph(9)
+    h = g.relabel(list(reversed(range(g.n))))
+    assert symmetry.are_isomorphic(g, h)
+    symmetry.canonical_form(prism(9))
+    assert built == [54, 54]
 
 
 def test_usage_error_for_unknown_type(capsys):
