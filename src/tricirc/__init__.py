@@ -22,7 +22,9 @@ from .voltage import (
     SymbolicVoltage,
     VoltageAssignment,
     cover_connected,
+    cover_is_simple,
     derived_cover,
+    lifted_adjacency,
     net_voltage,
     quotient,
     quotient_with_voltages,

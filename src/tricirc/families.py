@@ -20,7 +20,12 @@ from typing import Callable, NamedTuple, Optional
 
 from .graphs import SimpleGraph
 from .symmetry import Permutation
-from .voltage import NotAutomorphism, derived_cover, zeta_for
+from .voltage import (
+    NotAutomorphism,
+    VoltageAssignment,
+    derived_cover,
+    zeta_for,
+)
 
 
 @dataclass(frozen=True)
@@ -50,11 +55,12 @@ class FamilyParams:
     def order(self) -> int:
         return 6 * self.k
 
+    def voltages(self) -> VoltageAssignment:
+        """The standard voltage assignment whose derived cover is `build()`."""
+        return zeta_for(self.family_type, self.k, self.r, self.s or 0)
+
     def build(self) -> SimpleGraph:
-        if self.family_type == 3:
-            return t3(self.k, self.r)
-        builder = {1: t1, 2: t2, 4: t4}[self.family_type]
-        return builder(self.k, self.r, self.s)
+        return derived_cover(self.voltages())
 
 
 def t1(k: int, r: int, s: int) -> SimpleGraph:

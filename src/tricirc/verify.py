@@ -5,10 +5,11 @@ evidence, not restatements.
 
 The sweep and the census share one funnel, `_funnel`, over the covers at
 the parameter representatives that `families` derives from the declared
-symmetries. At one k it builds each cover (non-simple ones drop out), keeps
-the connected ones, screens them by the degree/BFS-layer key at the three
-fibre roots u_0, v_0 and w_0, decides vertex-transitivity by the IR search,
-and dedups the survivors by canonical form.
+symmetries. At one k it reads off each voltage assignment whether its cover
+is simple and connected and whether it passes the degree/BFS-layer screen at
+the three fibre roots u_0, v_0 and w_0, builds only the covers that pass,
+decides vertex-transitivity by the IR search, and dedups the survivors by
+canonical form.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .families import (
     x_graph,
     y_graph,
 )
-from .graphs import SimpleGraph
 from .pregraph import delta
 from .pregraph import reduced_closed_walks  # noqa: F401 -- perfbench/tracer.py wraps verify.reduced_closed_walks
 from .symmetry import (
@@ -46,7 +46,14 @@ from .symmetry import (
     uniform_local_profile,  # noqa: F401 -- perfbench/tracer.py wraps verify.uniform_local_profile
     vertex_orbits,  # noqa: F401 -- perfbench/tracer.py wraps verify.vertex_orbits
 )
-from .voltage import NonSimpleCover, SymbolicVoltage, symbolic_dart_voltage
+from .voltage import (
+    SymbolicVoltage,
+    VoltageAssignment,
+    cover_connected,
+    cover_is_simple,
+    lifted_adjacency,
+    symbolic_dart_voltage,
+)
 
 
 # -- walk tables ---------------------------------------------------------------
@@ -206,35 +213,44 @@ _MAX_ORDER = 300  # the sweep guard: the largest cover order 6k built
 
 
 def check_max_order(order: int) -> None:
-    """ValueError unless order is a multiple of 6 within the sweep guard."""
+    """ValueError unless order is a multiple of 6 from 6 up to the sweep
+    guard."""
+    if order < 6:
+        raise ValueError("max order must be at least 6")
     if order % 6:
         raise ValueError("max order must be a multiple of 6")
     if order > _MAX_ORDER:
         raise ValueError(f"sweep guard: order {order} is above {_MAX_ORDER}")
 
 
-def _passes_vt_screen(g: SimpleGraph) -> bool:
-    """Necessary condition for vertex-transitivity: u_0, v_0 and w_0 share
-    the degree/BFS-layer key of `uniform_local_profile`.
+def _passes_vt_screen(va: VoltageAssignment) -> bool:
+    """Necessary condition for vertex-transitivity of the derived cover of
+    va, which must be simple: the fibre roots x_0 share the degree/BFS-layer
+    key of `uniform_local_profile`, computed on `lifted_adjacency(va)`, so
+    no graph is built.
 
-    g must be a fibre-major cover of a three-vertex base, vertex f*n/3 + i
-    being the i-th vertex of fibre f. The deck transformation i -> i+1 is
-    an automorphism whose orbits are the three fibres, so every vertex
-    invariant is constant on a fibre, and this equals
-    `uniform_local_profile(g)` with the key computed at three vertices, not n."""
-    adj = g.adjacency()
-    return len({_bfs_key(adj, f * g.n // 3) for f in range(3)}) == 1
+    The deck transformation i -> i+1 is an automorphism of the cover whose
+    orbits are the fibres, so every vertex invariant is constant on a fibre,
+    and this equals `uniform_local_profile` of the built cover with the key
+    computed at u_0, v_0 and w_0, not at every vertex."""
+    adj = lifted_adjacency(va)
+    return len({
+        _bfs_key(adj, x * va.n) for x in range(va.base.n_vertices)
+    }) == 1
 
 
 _STAGES = ("grid", "constructed", "connected", "vt_instances")
 
 
 def _funnel(k: int) -> tuple[dict, dict]:
-    """Build -> filter -> screen -> VT -> dedup at order 6k, over the
-    parameter representatives of all four types.
+    """Voltages -> simple -> connected -> screen -> build -> VT -> dedup at
+    order 6k, over the parameter representatives of all four types.
 
-    Returns the per-type count of each stage in `_STAGES`, and the
-    vertex-transitive classes by canonical form (ascii), each with its
+    The first three stages read the voltage assignment (`cover_is_simple`,
+    `cover_connected`, `_passes_vt_screen`); only a cover that passes the
+    screen is built and handed to the IR search. Returns the per-type count
+    of each stage in `_STAGES` ("constructed" counts the simple covers), and
+    the vertex-transitive classes by canonical form (ascii), each with its
     types, up to three example parameter tuples and its first graph."""
     counts = {stage: dict.fromkeys((1, 2, 3, 4), 0) for stage in _STAGES}
     classes: dict[str, dict] = {}
@@ -242,15 +258,18 @@ def _funnel(k: int) -> tuple[dict, dict]:
         reps = parameter_representatives(t, k)
         counts["grid"][t] = len(reps)
         for r, s in reps:
-            try:
-                g = FamilyParams(t, k, r, s).build()
-            except NonSimpleCover:
+            params = FamilyParams(t, k, r, s)
+            va = params.voltages()
+            if not cover_is_simple(va):
                 continue
             counts["constructed"][t] += 1
-            if not g.is_connected():
+            if not cover_connected(va):
                 continue
             counts["connected"][t] += 1
-            if not (_passes_vt_screen(g) and is_vertex_transitive(g)):
+            if not _passes_vt_screen(va):
+                continue
+            g = params.build()
+            if not is_vertex_transitive(g):
                 continue
             counts["vt_instances"][t] += 1
             slot = classes.setdefault(

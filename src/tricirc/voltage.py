@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .graphs import CoverVertex, SimpleGraph
-from .pregraph import LINK, LOOP, SEMI_EDGE, Pregraph, Walk, delta
+from .pregraph import LINK, Pregraph, Walk, delta
 from .symmetry import Permutation
 
 
@@ -188,6 +188,58 @@ def symbolic_net_voltage(base: Pregraph, walk: Walk) -> SymbolicVoltage:
 
 # -- derived covers ----------------------------------------------------------
 
+def _simplicity_fault(va: VoltageAssignment) -> Optional[tuple[str, int]]:
+    """What the derived cover would contain that a simple graph may not, and
+    the base edge (its representative dart) that lifts to it; None when the
+    cover is simple.
+
+    The neighbours of x_0 are the pairs (end(d), zeta(d)) over the darts d
+    at x, and the deck shift i -> i+1 carries x_0 to every x_i. So the cover
+    is simple iff at every base vertex x these pairs are pairwise distinct
+    and none is (x, 0). A pair (x, 0) is a semi-edge or loop of voltage 0,
+    which lifts to semi-edges or loops; a repeated pair is a parallel edge,
+    within one loop (voltage n/2) or between two base edges. The faults of
+    single edges are reported before the parallels between edges."""
+    base, zeta = va.base, va.zeta
+    lift = [(base.beg[d], base.end(d), zeta[d]) for d in range(base.n_darts)]
+    for d in base.edges():
+        x, y, z = lift[d]
+        if x == y and z == 0:
+            return ("semi-edges" if base.inv[d] == d else "loops"), d
+        if base.inv[d] != d and lift[base.inv[d]] == lift[d]:
+            return "parallel edges", d
+    seen: set = set()
+    for d in base.edges():
+        pairs = {lift[d], lift[base.inv[d]]}
+        if not seen.isdisjoint(pairs):
+            return "parallel edges", d
+        seen |= pairs
+    return None
+
+
+def cover_is_simple(va: VoltageAssignment) -> bool:
+    """True iff the derived cover has no semi-edges, loops or parallel edges
+    (the rule of `_simplicity_fault`), decided without building it."""
+    return _simplicity_fault(va) is None
+
+
+def lifted_adjacency(va: VoltageAssignment) -> tuple[tuple[int, ...], ...]:
+    """The adjacency lists of the derived cover, read off the voltages:
+    vertex x*n + i (fibre-major, as `derived_cover` numbers it) has the
+    neighbours end(d)*n + (i + zeta(d)) mod n over the darts d at x, that
+    is, the fibre of end(d) rotated by zeta(d). On a simple cover these are
+    the neighbour sets of `derived_cover(va)`."""
+    base, n, zeta = va.base, va.n, va.zeta
+    adj: list[tuple[int, ...]] = []
+    for x in range(base.n_vertices):
+        columns = []
+        for d in base.darts_at(x):
+            fibre = list(range(base.end(d) * n, base.end(d) * n + n))
+            columns.append(fibre[zeta[d]:] + fibre[:zeta[d]])
+        adj.extend(zip(*columns) if columns else [()] * n)
+    return tuple(adj)
+
+
 def derived_cover(va: VoltageAssignment) -> SimpleGraph:
     """The derived covering graph of a voltage assignment.
 
@@ -195,55 +247,34 @@ def derived_cover(va: VoltageAssignment) -> SimpleGraph:
     vertex order. Raises NonSimpleCover if any lifted edge would be a
     semi-edge (semi-edge voltage of order < 2), a loop (loop voltage 0) or a
     parallel edge (loop voltage n/2, or two base edges lifting to the same
-    vertex pair).
+    vertex pair), as `cover_is_simple` decides.
     """
     base, n = va.base, va.n
-
-    def fail(reason: str, d: int):
+    fault = _simplicity_fault(va)
+    if fault is not None:
+        contains, d = fault
         raise NonSimpleCover(
-            f"{reason} (base edge {base.dart_label(d)},"
+            f"cover would contain {contains} (base edge {base.dart_label(d)},"
             f" voltage {va.zeta[d]} mod {n})",
             d, base.dart_label(d), va.zeta[d],
         )
-
-    for d in base.edges():
-        kind = base.edge_kind(d)
-        z = va.zeta[d]
-        if kind == SEMI_EDGE and z == 0:
-            fail("cover would contain semi-edges", d)
-        if kind == LOOP and z == 0:
-            fail("cover would contain loops", d)
-        if kind == LOOP and (2 * z) % n == 0:
-            fail("cover would contain parallel edges", d)
 
     labels = [
         CoverVertex(base.vertex_names[x], i)
         for x in range(base.n_vertices) for i in range(n)
     ]
-    vid = {(x, i): x * n + i for x in range(base.n_vertices) for i in range(n)}
-
-    edges: list[tuple[int, int]] = []
-    seen: dict[tuple[int, int], int] = {}
+    edges: set[tuple[int, int]] = set()  # a semi-edge lifts each edge twice
     tags: dict[tuple[int, int], str] = {}
     for d in base.edges():
         z = va.zeta[d]
-        x, y = base.beg[d], base.end(d)
+        x, y = base.beg[d] * n, base.end(d) * n
         tag = base.edge_tag(d)
-        lifted = set()
         for i in range(n):
-            a, b = vid[(x, i)], vid[(y, (i + z) % n)]
+            a, b = x + i, y + (i + z) % n
             key = (a, b) if a < b else (b, a)
-            lifted.add(key)
-        # Within one base edge the lifted keys are distinct (a semi-edge
-        # yields n/2 matching edges, loops and links yield n), so any
-        # collision in `seen` is a genuine parallel between base edges.
-        for key in lifted:
-            if key in seen:
-                fail("cover would contain parallel edges", d)
-            seen[key] = d
+            edges.add(key)
             if tag is not None:
                 tags[key] = tag
-        edges.extend(lifted)
 
     return SimpleGraph(base.n_vertices * n, edges, labels=labels,
                        edge_tags=tags)

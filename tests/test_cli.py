@@ -181,6 +181,14 @@ def test_verify_census_past_the_sweep_guard_is_usage_error(capsys, time_limit):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("order", ["-6", "0"])
+def test_verify_census_below_order_six_is_usage_error(capsys, order):
+    code, out, err = run(capsys, "verify", "--kmin", "9", "--kmax", "9",
+                         "--census", "--census-order", order)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_verify_default_check_output_is_pinned(capsys):
     code, out, _ = run(capsys, "verify", "--kmin", "9", "--kmax", "15",
                        "--census", "--spot-checks", "--workers", "1")
@@ -350,3 +358,40 @@ def test_usage_error_for_unknown_type(capsys):
         main(["gen", "--type", "7", "--k", "9"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def _random_regular_graph(n, degree, seed):
+    """A simple degree-regular graph from seeded random pairings."""
+    import random
+    from tricirc.graphs import SimpleGraph
+    rng = random.Random(seed)
+    while True:
+        ends = [v for v in range(n) for _ in range(degree)]
+        rng.shuffle(ends)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(ends[::2], ends[1::2])}
+        if len(edges) * 2 == len(ends) and all(a != b for a, b in edges):
+            return SimpleGraph(n, edges)
+
+
+def test_analyze_cycles_at_the_bound(tmp_path, capsys, time_limit):
+    # Each extra cycle length costs about three times the one before on
+    # this graph; --cycles 8 takes about 10 s.
+    p = tmp_path / "r4.g6"
+    p.write_bytes(encode_graph6(_random_regular_graph(600, 4, 3)) + b"\n")
+    with time_limit(10):
+        code, out, _ = run(capsys, "analyze", "--cycles", "6", str(p))
+    assert code == 0
+    report = json.loads(out)
+    assert report["aut_order"] == 1
+    assert len(report["cycles"]) == 7
+
+
+@pytest.mark.parametrize("extra", ["7", "-1"])
+def test_analyze_cycles_outside_the_bound_is_usage_error(tmp_path, capsys,
+                                                         time_limit, extra):
+    p = tmp_path / "x.g6"
+    p.write_bytes(encode_graph6(x_graph(9)) + b"\n")
+    with time_limit(5):
+        code, out, err = run(capsys, "analyze", "--cycles", extra, str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error:")

@@ -118,13 +118,15 @@ def _full_grid_classes(k):
     for t in (1, 2, 3, 4):
         for r in range(n):
             for s in [None] if t == 3 else range(n):
+                params = FamilyParams(t, k, r, s)
                 try:
-                    g = FamilyParams(t, k, r, s).build()
+                    g = params.build()
                 except NonSimpleCover:
                     continue
                 if not g.is_connected():
                     continue
-                assert _passes_vt_screen(g) == uniform_local_profile(g), (t, k, r, s)
+                screened = _passes_vt_screen(params.voltages())
+                assert screened == uniform_local_profile(g), (t, k, r, s)
                 if not (uniform_local_profile(g) and is_vertex_transitive(g)):
                     continue
                 classes.setdefault(canonical_form(g).decode("ascii"), set()).add(t)
@@ -138,6 +140,26 @@ def test_representatives_give_the_classes_of_the_full_grid():
         assert got == _full_grid_classes(k), k
 
 
+def test_funnel_builds_only_the_screened_covers(monkeypatch):
+    from tricirc import families, verify
+
+    def recorded(fn, results):
+        def wrapper(va):
+            results.append(fn(va))
+            return results[-1]
+        return wrapper
+
+    built, screened = [], []
+    monkeypatch.setattr(families, "derived_cover",
+                        recorded(families.derived_cover, built))
+    monkeypatch.setattr(verify, "_passes_vt_screen",
+                        recorded(verify._passes_vt_screen, screened))
+    counts, _ = _funnel(9)
+    assert len(screened) == sum(counts["connected"].values())
+    assert len(built) == sum(screened) > 0
+    assert len(built) < len(screened)
+
+
 def test_sweep_range_serial_vs_parallel():
     serial = classification_sweep(9, 10, workers=1)
     parallel = classification_sweep(9, 10, workers=2)
@@ -149,6 +171,12 @@ def test_sweep_guard():
         classification_sweep(9, 51)    # 6*51 > 300
     with pytest.raises(ValueError):
         small_census(306)
+
+
+@pytest.mark.parametrize("order", [0, -6])
+def test_census_below_order_six_is_refused(order):
+    with pytest.raises(ValueError):
+        small_census(order)
 
 
 def test_spot_checks_pass():

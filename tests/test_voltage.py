@@ -11,7 +11,9 @@ from tricirc.voltage import (
     SymbolicVoltage,
     VoltageAssignment,
     cover_connected,
+    cover_is_simple,
     derived_cover,
+    lifted_adjacency,
     net_voltage,
     quotient,
     quotient_with_voltages,
@@ -77,6 +79,52 @@ def test_non_simple_covers_are_rejected():
         derived_cover(zeta_for(2, 9, r=2, s=9))  # loop at half the modulus
     with pytest.raises(NonSimpleCover):
         derived_cover(zeta_for(1, 9, r=0, s=0))
+
+
+@pytest.mark.parametrize("delta_index,r,s,contains,label,voltage", [
+    (1, 1, 1, "parallel edges", "(vw)_s", 1),
+    (2, 2, 0, "loops", "(vv)_s", 0),
+    (2, 2, 9, "parallel edges", "(vv)_s", 9),
+    (2, 0, 0, "loops", "(vv)_s", 0),
+    (2, 0, 1, "parallel edges", "(uw)_r", 0),
+    (4, 3, 0, "loops", "(vv)_s", 0),
+])
+def test_non_simple_cover_names_its_base_edge(delta_index, r, s, contains,
+                                              label, voltage):
+    va = zeta_for(delta_index, 9, r=r, s=s)
+    assert not cover_is_simple(va)
+    with pytest.raises(NonSimpleCover) as excinfo:
+        derived_cover(va)
+    err = excinfo.value
+    assert (err.label, err.voltage) == (label, voltage)
+    assert va.base.dart_label(err.dart) == label
+    assert str(err) == (f"cover would contain {contains} (base edge {label},"
+                        f" voltage {voltage} mod 18)")
+
+
+def test_voltage_rules_match_the_built_cover():
+    """On the full (r, s) grid of all four types for k <= 10, the
+    simplicity rule at the fibre roots agrees with the lifted adjacency
+    lists at every vertex (no vertex among its own neighbours, none twice)
+    and with whether `derived_cover` builds a graph, and the lifted
+    adjacency of a simple cover is the built cover's."""
+    for k in range(1, 11):
+        for t in (1, 2, 3, 4):
+            for r in range(2 * k):
+                for s in [0] if t == 3 else range(2 * k):
+                    va = zeta_for(t, k, r, s)
+                    adj = lifted_adjacency(va)
+                    simple = all(v not in nb and len(set(nb)) == len(nb)
+                                 for v, nb in enumerate(adj))
+                    assert cover_is_simple(va) == simple, (t, k, r, s)
+                    try:
+                        g = derived_cover(va)
+                    except NonSimpleCover:
+                        assert not simple, (t, k, r, s)
+                        continue
+                    assert simple, (t, k, r, s)
+                    assert [tuple(sorted(nb)) for nb in adj] \
+                        == list(g.adjacency()), (t, k, r, s)
 
 
 def test_cover_connectivity_follows_gcd():
