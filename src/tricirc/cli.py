@@ -67,33 +67,29 @@ _MAX_WALK_LENGTH = 18  # well past the lengths 6..8 the paper reads; keeps each 
 _MAX_EXTRA_CYCLES = 6
 
 
+# gen's types: the constructor, the parameters it takes after k, and the
+# graph's order as a multiple of k.
+_GEN_TYPES = {
+    "1": (t1, ("r", "s"), 6), "2": (t2, ("r", "s"), 6), "3": (t3, ("r",), 6),
+    "4": (t4, ("r", "s"), 6), "x": (x_graph, (), 6), "y": (y_graph, (), 6),
+    "prism": (prism, (), 2), "moebius": (moebius, (), 2), "gp": (gp, ("r",), 2),
+}
+# gen builds the whole graph and packs its graph6 in one buffer of
+# n(n-1)/12 bytes. Type 1 at order 12 000 writes 12 MB in 0.3 s with a
+# 62 MB peak RSS on a 2-core Xeon with Python 3.11; order 24 000 writes
+# 48 MB with a 172 MB peak, and order 60 000 300 MB with a 918 MB peak.
+_MAX_GEN_ORDER = 12000
+
+
 def _build_graph(args) -> SimpleGraph:
-    t = args.type
-    k = args.k
-    need = {"1": ("r", "s"), "2": ("r", "s"), "4": ("r", "s"),
-            "3": ("r",), "gp": ("r",)}
-    for param in need.get(t, ()):
+    build, params, per_k = _GEN_TYPES[args.type]
+    for param in params:
         if getattr(args, param) is None:
-            raise ValueError(f"--{param} is required for --type {t}")
-    if t == "1":
-        return t1(k, args.r, args.s)
-    if t == "2":
-        return t2(k, args.r, args.s)
-    if t == "3":
-        return t3(k, args.r)
-    if t == "4":
-        return t4(k, args.r, args.s)
-    if t == "x":
-        return x_graph(k)
-    if t == "y":
-        return y_graph(k)
-    if t == "prism":
-        return prism(k)
-    if t == "moebius":
-        return moebius(k)
-    if t == "gp":
-        return gp(k, args.r)
-    raise ValueError(f"unknown type {t!r}")
+            raise ValueError(f"--{param} is required for --type {args.type}")
+    if per_k * args.k > _MAX_GEN_ORDER:
+        raise ValueError(
+            f"order {per_k * args.k} is above the gen bound {_MAX_GEN_ORDER}")
+    return build(args.k, *[getattr(args, param) for param in params])
 
 
 def _vertex_name(g: SimpleGraph, v: int) -> str:
@@ -211,10 +207,7 @@ def _cmd_walks(args) -> int:
         raise ValueError(f"--length must be at most {_MAX_WALK_LENGTH}")
     starts = ("u", "v", "w") if args.start == "all" else (args.start,)
     tables = [walk_table(args.delta, args.length, s) for s in starts]
-    keys = sorted(
-        {key for table in tables for key in table.counts},
-        key=lambda sv: (sv.eps, sv.a, sv.b),
-    )
+    keys = sorted({key for table in tables for key in table.counts})
     header = ["voltage"] + [t.start for t in tables]
     rows = [[str(key)] + [str(t.count(key)) for t in tables] for key in keys]
     rows.append(["total"] + [str(t.total) for t in tables])
@@ -280,9 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="construct a family graph")
-    p.add_argument("--type", required=True,
-                   choices=["1", "2", "3", "4", "x", "y",
-                            "prism", "moebius", "gp"])
+    p.add_argument("--type", required=True, choices=list(_GEN_TYPES))
     p.add_argument("--k", type=int, required=True,
                    help="family parameter k (for gp: the outer cycle length; "
                         "for prism/moebius: the ladder length)")
@@ -316,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--census-order", type=int, default=48)
     p.add_argument("--spot-checks", action="store_true",
                    help="include the lemma spot checks")
-    p.add_argument("--workers", type=int, default=None,
-                   help="process count, one k per process (default: 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="process count, one k per process")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("iso", help="exit 0 iff the two graphs are isomorphic")

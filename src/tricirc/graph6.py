@@ -43,14 +43,11 @@ def pack_graph6(n: int, bits: Iterable[int]) -> bytes:
     out = bytearray()
     if n <= 62:
         out.append(n + 63)
-    elif n <= 258047:
-        out.append(126)
-        for shift in (12, 6, 0):
-            out.append(((n >> shift) & 63) + 63)
-    else:
-        out.extend((126, 126))
-        for shift in (30, 24, 18, 12, 6, 0):
-            out.append(((n >> shift) & 63) + 63)
+    else:  # one 126 and three 6-bit bytes, or two and six
+        width = 3 if n <= 258047 else 6
+        out += bytes(width // 3 * [126])
+        out += bytes(((n >> shift) & 63) + 63
+                     for shift in range(6 * width - 6, -1, -6))
     body = bytearray((n * (n - 1) // 2 + 5) // 6)
     for t in bits:
         body[t // 6] |= 32 >> (t % 6)
@@ -67,29 +64,21 @@ def _read_size(data: bytes) -> tuple[int, int]:
         if not 0 <= n <= 62:
             raise Graph6Error("malformed size header")
         return n, 1
-    if len(data) >= 2 and data[1] == 126:
-        chunk = data[2:8]
-        if len(chunk) != 6:
-            raise Graph6Error("truncated size header")
-        n = 0
-        for byte in chunk:
-            if not 63 <= byte <= 126:
-                raise Graph6Error("invalid byte in size header")
-            n = (n << 6) | (byte - 63)
-        if n <= 258047:
-            raise Graph6Error("non-canonical size header")
-        return n, 8
-    chunk = data[1:4]
-    if len(chunk) != 3:
+    # One 126 and three 6-bit bytes, or two and six, each for n past the
+    # reach of the shorter header.
+    start, width, least = (
+        (2, 6, 258048) if len(data) >= 2 and data[1] == 126 else (1, 3, 63))
+    chunk = data[start:start + width]
+    if len(chunk) != width:
         raise Graph6Error("truncated size header")
     n = 0
     for byte in chunk:
         if not 63 <= byte <= 126:
             raise Graph6Error("invalid byte in size header")
         n = (n << 6) | (byte - 63)
-    if n <= 62:
+    if n < least:
         raise Graph6Error("non-canonical size header")
-    return n, 4
+    return n, start + width
 
 
 def decode_graph6(blob) -> SimpleGraph:

@@ -9,8 +9,10 @@ and a link has two darts at distinct vertices.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import Counter
 from typing import Iterable, Optional, Sequence
+
+from .graphs import SimpleGraph
 
 SEMI_EDGE = "semi-edge"
 LOOP = "loop"
@@ -109,19 +111,16 @@ class Pregraph:
         return nm if nm is not None else f"dart{d}"
 
     def is_connected(self) -> bool:
-        if self.n_vertices <= 1:
-            return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for d in range(self.n_darts):
-                if self.beg[d] == x:
-                    y = self.end(d)
-                    if y not in seen:
-                        seen.add(y)
-                        queue.append(y)
-        return len(seen) == self.n_vertices
+        return self._connected_by(self.edges())
+
+    def _connected_by(self, darts: Iterable[int]) -> bool:
+        """True if the links among the edges of these darts connect the
+        vertices; semi-edges and loops join nothing."""
+        links = {
+            tuple(sorted((self.beg[d], self.end(d)))) for d in darts
+            if self.edge_kind(d) == LINK
+        }
+        return SimpleGraph(self.n_vertices, links).is_connected()
 
     def semi_edge_count(self, v: int) -> int:
         return sum(
@@ -205,90 +204,58 @@ class Walk:
 _U, _V, _W = 0, 1, 2
 
 
-def _build(edge_specs):
-    """Build a named pregraph on vertices u, v, w from edge specs.
-
-    Each spec is ("semi", v, name, tag), ("loop", v, fwd, back, tag) or
-    ("link", a, b, fwd, back, tag).
-    """
+def _build(edges) -> Pregraph:
+    """The pregraph on u, v, w with the given edges, each (ends, symbol):
+    one end for a semi-edge, two for a loop or a link. The dart from a to b
+    is named "(ab)_x" for its voltage symbol x, which is negated on the back
+    dart of an r or s edge; the edge is tagged with the symbol in capitals."""
     beg: list[int] = []
     inv: list[int] = []
     names: list[str] = []
     tags: dict[int, str] = {}
-    for spec in edge_specs:
-        kind = spec[0]
-        if kind == "semi":
-            _, v, name, tag = spec
-            d = len(beg)
-            beg.append(v)
-            inv.append(d)
-            names.append(name)
-            tags[d] = tag
-        elif kind == "loop":
-            _, v, fwd, back, tag = spec
-            d = len(beg)
-            beg.extend([v, v])
-            inv.extend([d + 1, d])
-            names.extend([fwd, back])
-            tags[d] = tag
-        else:
-            _, a, b, fwd, back, tag = spec
-            d = len(beg)
-            beg.extend([a, b])
-            inv.extend([d + 1, d])
-            names.extend([fwd, back])
-            tags[d] = tag
+    for ends, sym in edges:
+        a, b = ends[0], ends[-1]
+        darts = [(a, b, sym)]
+        if len(ends) == 2:
+            darts.append((b, a, "-" + sym if sym in "rs" else sym))
+        d = len(beg)
+        tags[d] = sym.upper()
+        for i, (x, y, z) in enumerate(darts):
+            beg.append(x)
+            inv.append(d + len(darts) - 1 - i)
+            names.append(f"({'uvw'[x]}{'uvw'[y]})_{z}")
     return Pregraph(
         3, beg, inv, dart_names=names, vertex_names=("u", "v", "w"),
         edge_tags=tags,
     )
 
 
+# Each edge carries the voltage symbol of the tricirculant family: k on
+# semi-edges, 0 on tree links, r and s on the remaining edges.
+_DELTAS = {i: _build(edges) for i, edges in enumerate((
+    # semi-edge at u; links u-v, u-w; two parallel links v-w
+    [((_U,), "k"), ((_U, _V), "0"), ((_U, _W), "0"),
+     ((_V, _W), "r"), ((_V, _W), "s")],
+    # semi-edge at w; loop at v; link u-v; two links u-w
+    [((_W,), "k"), ((_V, _V), "s"), ((_U, _V), "0"),
+     ((_U, _W), "0"), ((_U, _W), "r")],
+    # a semi-edge at each vertex; links u-v, u-w, v-w
+    [((_U,), "k"), ((_V,), "k"), ((_W,), "k"),
+     ((_U, _V), "0"), ((_U, _W), "0"), ((_V, _W), "r")],
+    # semi-edge at u; links u-v, u-w; loops at v and w
+    [((_U,), "k"), ((_U, _V), "0"), ((_U, _W), "0"),
+     ((_V, _V), "s"), ((_W, _W), "r")],
+), start=1)}
+
+
 def delta(i: int) -> Pregraph:
-    """The i-th cubic pregraph on three vertices (i in 1..4).
+    """The i-th cubic pregraph on three vertices (i in 1..4), built once.
 
     Dart names record the voltage symbol each dart carries in the
-    corresponding tricirculant family: k on semi-edges, 0 on tree links,
-    r and s on the remaining edges.
-    """
-    if i == 1:
-        # semi-edge at u; links u-v, u-w; two parallel links v-w
-        return _build([
-            ("semi", _U, "(uu)_k", "K"),
-            ("link", _U, _V, "(uv)_0", "(vu)_0", "0"),
-            ("link", _U, _W, "(uw)_0", "(wu)_0", "0"),
-            ("link", _V, _W, "(vw)_r", "(wv)_-r", "R"),
-            ("link", _V, _W, "(vw)_s", "(wv)_-s", "S"),
-        ])
-    if i == 2:
-        # semi-edge at w; loop at v; link u-v; two links u-w
-        return _build([
-            ("semi", _W, "(ww)_k", "K"),
-            ("loop", _V, "(vv)_s", "(vv)_-s", "S"),
-            ("link", _U, _V, "(uv)_0", "(vu)_0", "0"),
-            ("link", _U, _W, "(uw)_0", "(wu)_0", "0"),
-            ("link", _U, _W, "(uw)_r", "(wu)_-r", "R"),
-        ])
-    if i == 3:
-        # a semi-edge at each vertex; links u-v, u-w, v-w
-        return _build([
-            ("semi", _U, "(uu)_k", "K"),
-            ("semi", _V, "(vv)_k", "K"),
-            ("semi", _W, "(ww)_k", "K"),
-            ("link", _U, _V, "(uv)_0", "(vu)_0", "0"),
-            ("link", _U, _W, "(uw)_0", "(wu)_0", "0"),
-            ("link", _V, _W, "(vw)_r", "(wv)_-r", "R"),
-        ])
-    if i == 4:
-        # semi-edge at u; links u-v, u-w; loops at v and w
-        return _build([
-            ("semi", _U, "(uu)_k", "K"),
-            ("link", _U, _V, "(uv)_0", "(vu)_0", "0"),
-            ("link", _U, _W, "(uw)_0", "(wu)_0", "0"),
-            ("loop", _V, "(vv)_s", "(vv)_-s", "S"),
-            ("loop", _W, "(ww)_r", "(ww)_-r", "R"),
-        ])
-    raise ValueError(f"delta index must be in 1..4, got {i}")
+    corresponding tricirculant family."""
+    if i not in _DELTAS:
+        raise ValueError(f"delta index must be in 1..4, got {i}")
+    return _DELTAS[i]
 
 
 # -- pregraph isomorphism ---------------------------------------------------

@@ -540,9 +540,21 @@ def vertex_orbits(g: SimpleGraph) -> list[list[int]]:
     return _orbits(g.n, _searched(g)[0])
 
 
+def _arc_orbits(
+    g: SimpleGraph, maps: Iterable[Sequence[int]]
+) -> list[list[tuple]]:
+    """The orbits of the arcs (a, b) of g under the vertex maps acting on
+    both ends: each sorted, ordered by least arc."""
+    arcs = [(a, b) for a in range(g.n) for b in g.neighbors(a)]
+    index = {arc: i for i, arc in enumerate(arcs)}
+    arc_maps = ([index[p[a], p[b]] for a, b in arcs] for p in maps)
+    return [[arcs[i] for i in orb] for orb in _orbits(len(arcs), arc_maps)]
+
+
 def edge_orbits(g: SimpleGraph) -> list[list[tuple]]:
     """The edge orbits as sorted (a, b) pairs, each orbit sorted, ordered by
-    least edge."""
+    least edge. Indexed by edge, not read off `_arc_orbits` with reversal,
+    which maps twice the points per generator."""
     edges = g.edges()
     index = {}
     for i, (a, b) in enumerate(edges):
@@ -552,10 +564,7 @@ def edge_orbits(g: SimpleGraph) -> list[list[tuple]]:
 
 
 def arc_orbit_count(g: SimpleGraph) -> int:
-    arcs = [(a, b) for a in range(g.n) for b in g.neighbors(a)]
-    index = {arc: i for i, arc in enumerate(arcs)}
-    maps = ([index[p[a], p[b]] for a, b in arcs] for p in _searched(g)[0])
-    return len(_orbits(len(arcs), maps))
+    return len(_arc_orbits(g, _searched(g)[0]))
 
 
 # Transitive on vertices, edges or arcs: at most one orbit of them.

@@ -78,9 +78,7 @@ class WalkTable:
         return sum(self.counts.values())
 
     def rows(self) -> list[tuple[SymbolicVoltage, int]]:
-        return sorted(
-            self.counts.items(), key=lambda kv: (kv[0].eps, kv[0].a, kv[0].b)
-        )
+        return sorted(self.counts.items())
 
 
 def walk_table(delta_index: int, length: int, start) -> WalkTable:
@@ -127,26 +125,15 @@ def walk_table(delta_index: int, length: int, start) -> WalkTable:
 
 # -- necessary conditions for the t1 family ------------------------------------
 
-_T1_CONGRUENCES = ("3s-2r+k", "3r-2s+k", "3r-s", "3s-r", "4r-4s")
-
-_TABLE_8CYCLES = {
-    # congruence -> 8-cycles through each edge type
-    "3s-2r+k": {"0": 5, "R": 5, "S": 6, "K": 6},
-    "3r-2s+k": {"0": 5, "R": 6, "S": 5, "K": 6},
-    "3r-s": {"0": 6, "R": 6, "S": 4, "K": 4},
-    "3s-r": {"0": 6, "R": 4, "S": 6, "K": 4},
-    "4r-4s": {"0": 4, "R": 4, "S": 4, "K": 4},
+# congruence -> (its left side, the 8-cycles through each edge type when it
+# is the one that holds)
+_T1_CONGRUENCES = {
+    "3s-2r+k": (SymbolicVoltage(1, -2, 3), {"0": 5, "R": 5, "S": 6, "K": 6}),
+    "3r-2s+k": (SymbolicVoltage(1, 3, -2), {"0": 5, "R": 6, "S": 5, "K": 6}),
+    "3r-s": (SymbolicVoltage(0, 3, -1), {"0": 6, "R": 6, "S": 4, "K": 4}),
+    "3s-r": (SymbolicVoltage(0, -1, 3), {"0": 6, "R": 4, "S": 6, "K": 4}),
+    "4r-4s": (SymbolicVoltage(0, 4, -4), {"0": 4, "R": 4, "S": 4, "K": 4}),
 }
-
-
-def _congruence_value(name: str, k: int, r: int, s: int) -> int:
-    return {
-        "3s-2r+k": 3 * s - 2 * r + k,
-        "3r-2s+k": 3 * r - 2 * s + k,
-        "3r-s": 3 * r - s,
-        "3s-r": 3 * s - r,
-        "4r-4s": 4 * r - 4 * s,
-    }[name] % (2 * k)
 
 
 def _signature_of(edge_counts: dict) -> tuple[int, int, int]:
@@ -179,14 +166,14 @@ def check_t1_conditions(k: int, r: int, s: int) -> T1Conditions:
     r %= n
     s %= n
     congruences = {
-        name: _congruence_value(name, k, r, s) == 0
-        for name in _T1_CONGRUENCES
+        name: side.evaluate(k, r, s) == 0
+        for name, (side, _) in _T1_CONGRUENCES.items()
     }
     holding = tuple(name for name in _T1_CONGRUENCES if congruences[name])
 
     def necessary(rr: int, ss: int) -> dict:
         return {
-            "congruence": (3 * ss - 2 * rr + k) % n == 0,
+            "congruence": _T1_CONGRUENCES["3s-2r+k"][0].evaluate(k, rr, ss) == 0,
             "k_odd": k % 2 == 1,
             "s_odd": ss % 2 == 1,
             "gcd_ks": gcd(k, ss) == 1,
@@ -197,7 +184,7 @@ def check_t1_conditions(k: int, r: int, s: int) -> T1Conditions:
     predicted_sig = None
     predicted_counts = None
     if len(holding) == 1:
-        predicted_counts = dict(_TABLE_8CYCLES[holding[0]])
+        predicted_counts = dict(_T1_CONGRUENCES[holding[0]][1])
         predicted_sig = _signature_of(predicted_counts)
 
     return T1Conditions(
@@ -451,17 +438,18 @@ def sweep_one_k(k: int) -> SweepReport:
 
 
 def classification_sweep(
-    k_min: int = 9, k_max: int = 15, workers: Optional[int] = None
+    k_min: int = 9, k_max: int = 15, workers: int = 1
 ) -> list[SweepReport]:
-    """Run sweep_one_k over k_min..k_max; parallel over k when asked to."""
+    """Run sweep_one_k over k_min..k_max, on `workers` processes."""
     if k_min < 1 or k_max < k_min:
         raise ValueError("need 1 <= k_min <= k_max")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     check_max_order(6 * k_max)
     ks = list(range(k_min, k_max + 1))
-    nworkers = max(1, workers or 1)
-    if nworkers == 1 or len(ks) == 1:
+    if workers == 1 or len(ks) == 1:
         return [sweep_one_k(k) for k in ks]
-    with ProcessPoolExecutor(max_workers=min(nworkers, len(ks))) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(ks))) as pool:
         return list(pool.map(sweep_one_k, ks))
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graphs import CoverVertex, SimpleGraph
-from .pregraph import LINK, Pregraph, Walk, delta
-from .symmetry import Permutation
+from .pregraph import Pregraph, Walk, delta
+from .symmetry import Permutation, _arc_orbits
 
 
 class NonSimpleCover(ValueError):
@@ -75,12 +75,7 @@ class VoltageAssignment:
     def is_normalised(self) -> bool:
         """True if some spanning tree of the base carries voltage 0, that is
         if the zero-voltage links connect the base."""
-        base = self.base
-        zero_links = {
-            tuple(sorted((base.beg[d], base.end(d)))) for d in base.edges()
-            if base.edge_kind(d) == LINK and self.zeta[d] == 0
-        }
-        return SimpleGraph(base.n_vertices, zero_links).is_connected()
+        return self.base._connected_by(d for d, z in self.zeta.items() if z == 0)
 
 
 def zeta_for(delta_index: int, k: int, r: int = 0, s: int = 0) -> VoltageAssignment:
@@ -108,12 +103,13 @@ def net_voltage(va: VoltageAssignment, walk: Walk) -> int:
 
 # -- symbolic voltages -------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class SymbolicVoltage:
     """A formal combination eps*k + a*r + b*s over Z_{2k}.
 
     eps is reduced mod 2 because 2k = 0; negation maps (eps, a, b) to
-    (eps, -a, -b) because -k = k.
+    (eps, -a, -b) because -k = k. Voltages sort as (eps, a, b), the row
+    order of walk tables.
     """
 
     eps: int
@@ -160,18 +156,17 @@ _SYMBOLIC = {
     "k": SymbolicVoltage(1, 0, 0),
     "0": SymbolicVoltage(0, 0, 0),
     "r": SymbolicVoltage(0, 1, 0),
-    "-r": SymbolicVoltage(0, -1, 0),
     "s": SymbolicVoltage(0, 0, 1),
-    "-s": SymbolicVoltage(0, 0, -1),
 }
 
 
 def symbolic_dart_voltage(base: Pregraph, dart: int) -> SymbolicVoltage:
-    """Voltage symbol of a catalogue dart, read off its name."""
+    """Voltage symbol of a catalogue dart, read off its name: x or -x."""
     name = base.dart_names[dart]
     if name is None or ")_" not in name:
         raise ValueError("dart carries no voltage symbol")
-    return _SYMBOLIC[name[name.index(")_") + 2:]]
+    sym = name[name.index(")_") + 2:]
+    return -_SYMBOLIC[sym[1:]] if sym.startswith("-") else _SYMBOLIC[sym]
 
 
 def symbolic_net_voltage(base: Pregraph, walk: Walk) -> SymbolicVoltage:
@@ -363,40 +358,22 @@ def quotient_with_voltages(
     if len(visited) != len(orbits):
         raise ValueError("graph is disconnected; quotient tree incomplete")
 
-    # Dart orbits: arcs (a, b) with rho acting componentwise.
-    arc_orbit: dict[tuple[int, int], int] = {}
-    dart_beg: list[int] = []
-    dart_voltage: list[int] = []
-    arc_reps: list[tuple[int, int]] = []
-    for a in range(g.n):
-        for b in g.neighbors(a):
-            if (a, b) in arc_orbit:
-                continue
-            did = len(arc_reps)
-            x, y = a, b
-            while True:
-                arc_orbit[(x, y)] = did
-                x, y = rho[x], rho[y]
-                if (x, y) == (a, b):
-                    break
-            arc_reps.append((a, b))
-            dart_beg.append(orbit_of[a])
-            dart_voltage.append(
-                (index_in_orbit[b] - index_in_orbit[a]) % n
-            )
-    dart_inv = [arc_orbit[(b, a)] for (a, b) in arc_reps]
-
-    names = []
-    for did, (a, b) in enumerate(arc_reps):
-        va_name = chr(ord("a") + orbit_of[a]) if len(orbits) <= 26 else str(orbit_of[a])
-        vb_name = chr(ord("a") + orbit_of[b]) if len(orbits) <= 26 else str(orbit_of[b])
-        names.append(f"({va_name}{vb_name})#{did}")
+    # Darts are the orbits of the arcs (a, b) under rho acting on both ends,
+    # numbered by least arc, which each dart takes as its representative.
+    darts = _arc_orbits(g, [rho])
+    dart_of = {arc: did for did, orb in enumerate(darts) for arc in orb}
+    reps = [orb[0] for orb in darts]
+    names = [chr(ord("a") + i) if len(orbits) <= 26 else str(i)
+             for i in range(len(orbits))]
     pg = Pregraph(
-        len(orbits), dart_beg, dart_inv, dart_names=names,
-        vertex_names=tuple(
-            chr(ord("a") + i) if len(orbits) <= 26 else str(i)
-            for i in range(len(orbits))
-        ),
+        len(orbits), [orbit_of[a] for a, _ in reps],
+        [dart_of[b, a] for a, b in reps],
+        dart_names=[f"({names[orbit_of[a]]}{names[orbit_of[b]]})#{did}"
+                    for did, (a, b) in enumerate(reps)],
+        vertex_names=names,
     )
-    va = VoltageAssignment(pg, n, dict(enumerate(dart_voltage)))
+    va = VoltageAssignment(pg, n, {
+        did: (index_in_orbit[b] - index_in_orbit[a]) % n
+        for did, (a, b) in enumerate(reps)
+    })
     return pg, va

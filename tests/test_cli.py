@@ -69,6 +69,27 @@ def test_gen_non_simple_parameters_fail(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--type", "1", "--k", "100000", "--r", "1", "--s", "3"),
+    ("--type", "x", "--k", "2001"),
+    ("--type", "prism", "--k", "6001"),
+    ("--type", "gp", "--k", "10000000", "--r", "5"),
+])
+def test_gen_above_the_order_bound_is_usage_error(capsys, time_limit, argv):
+    # refused before the graph is built: order 6k, or 2k for prism/moebius/gp
+    with time_limit(5):
+        code, out, err = run(capsys, "gen", *argv)
+    assert code == 2 and out == ""
+    assert "gen bound" in err
+
+
+def test_gen_order_bound_counts_ladder_vertices(capsys, time_limit):
+    with time_limit(10):
+        code, out, _ = run(capsys, "gen", "--type", "prism", "--k", "2001")
+    assert code == 0
+    assert decode_graph6(out.strip()).n == 4002
+
+
 def test_analyze(tmp_path, capsys):
     p = tmp_path / "x.g6"
     p.write_bytes(encode_graph6(x_graph(9)) + b"\n")
@@ -187,6 +208,14 @@ def test_verify_census_below_order_six_is_usage_error(capsys, order):
                          "--census", "--census-order", order)
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_verify_workers_below_one_is_usage_error(capsys, workers):
+    code, out, err = run(capsys, "verify", "--kmin", "9", "--kmax", "9",
+                         "--workers", workers)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "workers" in err
 
 
 def test_verify_default_check_output_is_pinned(capsys):

@@ -1,0 +1,80 @@
+"""The census from the definition: every voltage assignment on every cubic
+pregraph on three vertices, with no reduction to the four Delta_i and their
+(r, s) grids, gives the vertex-transitive classes of `small_census`.
+
+Gross & Tucker (Topological Graph Theory, 1987, section 2.5) normalise
+voltages on a spanning tree and the sweep drops pregraphs with two
+semi-edges at a vertex. This test assumes neither: it builds the cover of
+every assignment and tests connectivity on the cover itself, since the gcd
+rule of `cover_connected` holds only for normalised assignments."""
+
+from itertools import product
+
+from tricirc.pregraph import Pregraph, pregraphs_isomorphic
+from tricirc.symmetry import canonical_form, is_vertex_transitive
+from tricirc.verify import small_census
+from tricirc.voltage import VoltageAssignment, cover_is_simple, derived_cover
+
+K_MAX = 3  # 18 112 assignments; k <= 4 has 57 024
+
+
+def involutions(points):
+    if not points:
+        yield {}
+        return
+    first, rest = points[0], points[1:]
+    for sub in involutions(rest):
+        yield {first: first, **sub}
+    for j, other in enumerate(rest):
+        for sub in involutions(rest[:j] + rest[j + 1:]):
+            yield {first: other, other: first, **sub}
+
+
+def cubic_pregraphs_3v():
+    """Every connected cubic pregraph on 3 vertices up to isomorphism,
+    semi-edges unrestricted."""
+    found = []
+    for invmap in involutions(list(range(9))):
+        pg = Pregraph(3, [0, 0, 0, 1, 1, 1, 2, 2, 2],
+                      [invmap[d] for d in range(9)])
+        if pg.is_connected() and not any(
+                pregraphs_isomorphic(pg, h) for h in found):
+            found.append(pg)
+    return found
+
+
+def assignments(base, k):
+    """Every voltage assignment over Z_2k: semi-edges carry 0 or k, every
+    other edge any element, its inverse dart the negative."""
+    n = 2 * k
+    edges = base.edges()
+    choices = [(0, k) if base.inv[d] == d else range(n) for d in edges]
+    for values in product(*choices):
+        zeta = {}
+        for d, z in zip(edges, values):
+            zeta[d], zeta[base.inv[d]] = z, -z % n
+        yield VoltageAssignment(base, n, zeta)
+
+
+def test_there_are_seven_cubic_pregraphs_on_three_vertices():
+    assert len(cubic_pregraphs_3v()) == 7
+
+
+def test_every_assignment_gives_the_census_classes(time_limit):
+    with time_limit(60):
+        found = {}
+        count = 0
+        for base in cubic_pregraphs_3v():
+            for k in range(1, K_MAX + 1):
+                for va in assignments(base, k):
+                    count += 1
+                    if not cover_is_simple(va):
+                        continue
+                    g = derived_cover(va)
+                    if g.is_connected() and is_vertex_transitive(g):
+                        found.setdefault(g.n, set()).add(canonical_form(g))
+        census = {}
+        for e in small_census(6 * K_MAX).entries:
+            census.setdefault(e.order, set()).add(e.canonical.encode("ascii"))
+    assert count == 18112
+    assert found == census

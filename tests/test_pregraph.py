@@ -47,6 +47,51 @@ def test_delta_is_cubic():
             assert sum(1 for d in range(p.n_darts) if p.beg[d] == v) == 3
 
 
+# beg, inv, dart names and edge tags of each delta(i), recorded before the
+# catalogue was written as data.
+DELTA_PINS = {
+    1: ((0, 0, 1, 0, 2, 1, 2, 1, 2), (0, 2, 1, 4, 3, 6, 5, 8, 7),
+        ("(uu)_k", "(uv)_0", "(vu)_0", "(uw)_0", "(wu)_0", "(vw)_r",
+         "(wv)_-r", "(vw)_s", "(wv)_-s"),
+        {0: "K", 1: "0", 3: "0", 5: "R", 7: "S"}),
+    2: ((2, 1, 1, 0, 1, 0, 2, 0, 2), (0, 2, 1, 4, 3, 6, 5, 8, 7),
+        ("(ww)_k", "(vv)_s", "(vv)_-s", "(uv)_0", "(vu)_0", "(uw)_0",
+         "(wu)_0", "(uw)_r", "(wu)_-r"),
+        {0: "K", 1: "S", 3: "0", 5: "0", 7: "R"}),
+    3: ((0, 1, 2, 0, 1, 0, 2, 1, 2), (0, 1, 2, 4, 3, 6, 5, 8, 7),
+        ("(uu)_k", "(vv)_k", "(ww)_k", "(uv)_0", "(vu)_0", "(uw)_0",
+         "(wu)_0", "(vw)_r", "(wv)_-r"),
+        {0: "K", 1: "K", 2: "K", 3: "0", 5: "0", 7: "R"}),
+    4: ((0, 0, 1, 0, 2, 1, 1, 2, 2), (0, 2, 1, 4, 3, 6, 5, 8, 7),
+        ("(uu)_k", "(uv)_0", "(vu)_0", "(uw)_0", "(wu)_0", "(vv)_s",
+         "(vv)_-s", "(ww)_r", "(ww)_-r"),
+        {0: "K", 1: "0", 3: "0", 5: "S", 7: "R"}),
+}
+
+
+@pytest.mark.parametrize("i", [1, 2, 3, 4])
+def test_delta_catalogue_is_pinned_and_built_once(i):
+    p = delta(i)
+    assert (p.beg, p.inv, p.dart_names, p.edge_tags) == DELTA_PINS[i]
+    assert p.vertex_names == ("u", "v", "w")
+    assert delta(i) is p
+
+
+def test_delta_rejects_unknown_index():
+    for i in (0, 5, -1):
+        with pytest.raises(ValueError):
+            delta(i)
+
+
+def test_pregraph_connectivity_reads_the_links():
+    # a semi-edge and a loop join nothing; two links make a path
+    assert Pregraph(2, [0, 1, 1], [0, 2, 1]).is_connected() is False
+    assert Pregraph(1, [0], [0]).is_connected() is True
+    assert Pregraph(0, [], []).is_connected() is True
+    assert Pregraph(3, [0, 1, 1, 2], [1, 0, 3, 2]).is_connected() is True
+    assert Pregraph(3, [0, 1, 0, 1], [1, 0, 3, 2]).is_connected() is False
+
+
 def test_dart_name_round_trip():
     p = delta(1)
     for d in range(p.n_darts):

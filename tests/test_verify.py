@@ -42,6 +42,18 @@ def test_conditions_congruence_bookkeeping():
     assert res2.necessary_as_given["r_even"] is False
 
 
+def test_t1_conditions_are_pinned_over_the_grid():
+    # sha256 of the reprs of every result for k <= 12 and all (r, s) in
+    # Z_2k^2, recorded before the congruences became one table.
+    import hashlib
+    from dataclasses import asdict
+    rows = [repr(asdict(check_t1_conditions(k, r, s)))
+            for k in range(1, 13) for r in range(2 * k) for s in range(2 * k)]
+    assert len(rows) == 2600
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
+        "821fc3427567a81b179ba8abc6d68a9446049b5148d0794142b236cdd061c0db")
+
+
 def test_predicted_edge_counts_match_reality():
     from collections import Counter
     from tricirc.symmetry import cycle_counts
@@ -171,6 +183,12 @@ def test_sweep_guard():
         classification_sweep(9, 51)    # 6*51 > 300
     with pytest.raises(ValueError):
         small_census(306)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_rejects_workers_below_one(workers):
+    with pytest.raises(ValueError, match="workers"):
+        classification_sweep(9, 9, workers=workers)
 
 
 @pytest.mark.parametrize("order", [0, -6])

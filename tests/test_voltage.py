@@ -217,3 +217,34 @@ def test_quotient_by_involution_gives_semi_edges():
     assert sum(q.semi_edge_count(v) for v in range(3)) == 0
     # C6 / antipode = triangle: no edge of C6 joins antipodal vertices
     assert pregraphs_isomorphic(q, quotient(c6, rho))
+
+
+def _quotient_of_order(g, order):
+    """The quotient by the least semiregular automorphism of that order, as
+    `tricirc quotient --order` takes it."""
+    from tricirc.symmetry import find_k_circulant
+    q, qva = quotient_with_voltages(g, find_k_circulant(g, g.n // order).img)
+    return (q.vertex_names, q.beg, q.inv, q.dart_names,
+            tuple(qva.voltage(d) for d in range(q.n_darts)), qva.n)
+
+
+def test_quotient_with_loops_is_pinned():
+    # recorded before the arc orbits came from the shared orbit routine
+    from tricirc.families import prism
+    assert _quotient_of_order(prism(9), 9) == (
+        ("a", "b"), (0, 0, 0, 1, 1, 1), (1, 0, 3, 2, 5, 4),
+        ("(aa)#0", "(aa)#1", "(ab)#2", "(ba)#3", "(bb)#4", "(bb)#5"),
+        (1, 8, 0, 0, 1, 8), 9)
+
+
+def test_quotient_past_26_orbits_is_pinned():
+    # 30 orbits: vertices are named by number, not by letter. The sha256 of
+    # the repr was recorded before the arc orbits came from the shared
+    # orbit routine.
+    import hashlib
+    from tricirc.families import prism
+    dump = _quotient_of_order(prism(30), 2)
+    assert dump[0] == tuple(str(i) for i in range(30))
+    assert dump[3][:4] == ("(00)#0", "(01)#1", "(015)#2", "(10)#3")
+    assert hashlib.sha256(repr(dump).encode()).hexdigest() == (
+        "11f0ebf9840c4eeeb78e54bb2e8618ef459defb19a51ef23989f749f21b227b9")
