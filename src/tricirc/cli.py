@@ -147,7 +147,8 @@ def _analyze_one(g: SimpleGraph, extra_cycles: int, cap: int) -> dict:
     }
     report["aut_order"] = group_order(g)
     report["vertex_orbit_count"] = len(vertex_orbits(g))
-    report["edge_orbit_count"] = len(edge_orbits(g))
+    orbits = edge_orbits(g)
+    report["edge_orbit_count"] = len(orbits)
     report["arc_orbit_count"] = arc_orbit_count(g)
     # At most one orbit, as in `is_vertex_transitive` and its siblings.
     report["vertex_transitive"] = report["vertex_orbit_count"] <= 1
@@ -159,7 +160,7 @@ def _analyze_one(g: SimpleGraph, extra_cycles: int, cap: int) -> dict:
     cycles = {}
     if gi is not None:
         for c in range(gi, gi + extra_cycles + 1):
-            per_vertex, per_edge, total = cycle_counts(g, c)
+            per_vertex, per_edge, total = cycle_counts(g, c, orbits)
             vertex_regular = len(set(per_vertex)) <= 1
             signatures = set(_signatures(g, per_edge))
             cycle_regular = len(signatures) <= 1

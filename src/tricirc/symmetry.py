@@ -430,6 +430,60 @@ def are_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
     return canonical_form(g) == canonical_form(h)
 
 
+def _rooted_isomorphism(adj, a: int, adj_h, b: int):
+    """(an isomorphism from the connected graph adj onto adj_h that sends a
+    to b, as an image list, or None if there is none; the vertices placed).
+
+    Individualise a and extend, with no refinement and no tree (McKay &
+    Piperno 2014). Vertices are placed in BFS order from a, except that one
+    reached by a second placed vertex goes next, so a cycle is checked as
+    soon as it closes. Each goes on an unused neighbour, of its own degree,
+    of the image of the vertex that first reached it, and its edges to placed
+    vertices must land on edges (forward checking)."""
+    n = len(adj)
+    parent, rank = {a: a}, {}  # who first reached each vertex; the order
+    queue, forced = deque([a]), []
+    while forced or queue:
+        v = forced.pop() if forced else queue.popleft()
+        if v not in rank:
+            rank[v] = len(rank)
+            for w in adj[v]:
+                if w in parent:
+                    forced.append(w)
+                else:
+                    parent[w] = v
+                    queue.append(w)
+    if len(rank) != n:
+        raise ValueError("the graph must be connected")
+    if len(adj_h) != n or len(adj[a]) != len(adj_h[b]):
+        return None, 0
+    order = list(rank)
+    back = {v: [w for w in adj[v] if rank[w] < rank[v] and w != parent[v]]
+            for v in order}
+    img = [-1] * n
+    used = [False] * n
+    img[a], used[b] = b, True
+    nodes = 0
+
+    def place(i: int) -> bool:
+        nonlocal nodes
+        if i == n:
+            return True
+        v = order[i]
+        for y in adj_h[img[parent[v]]]:
+            if used[y] or len(adj_h[y]) != len(adj[v]) or any(
+                    img[w] not in adj_h[y] for w in back[v]):
+                continue
+            nodes += 1
+            img[v], used[y] = y, True
+            if place(i + 1):
+                return True
+            used[y] = False
+        return False
+
+    return (img if place(1) else None), nodes
+
+
 # -- group machinery ---------------------------------------------------------
 #
 # One stabiliser chain on the base 0..n-1 answers every group question (Seress,
@@ -668,17 +722,18 @@ def cycles_of_length(g: SimpleGraph, c: int) -> list[tuple[int, ...]]:
     return out
 
 
-def cycle_counts(g: SimpleGraph, c: int):
+def cycle_counts(g: SimpleGraph, c: int, orbits=None):
     """(per-vertex counts, per-edge counts, total) for cycles of length c.
 
     Only the first edge (a, b) of each edge orbit is counted: its c-cycles
     are the simple paths of c vertices from b back to a. A cycle uses two
-    edges at each of its vertices and c edges in all."""
+    edges at each of its vertices and c edges in all. `orbits` is
+    `edge_orbits(g)`, computed here unless the caller has it."""
     if c < 3:
         raise ValueError("cycle length must be at least 3")
     adj = g.adjacency()
     count_of = {}
-    for orbit in edge_orbits(g):
+    for orbit in edge_orbits(g) if orbits is None else orbits:
         count = _paths_back(adj, *orbit[0], c)
         for e in orbit:
             count_of[e] = count

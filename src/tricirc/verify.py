@@ -6,10 +6,11 @@ evidence, not restatements.
 The sweep and the census share one funnel, `_funnel`, over the covers at
 the parameter representatives that `families` derives from the declared
 symmetries. At one k it reads off each voltage assignment whether its cover
-is simple and connected and whether it passes the degree/BFS-layer screen at
-the three fibre roots u_0, v_0 and w_0, builds only the covers that pass,
-decides vertex-transitivity by the IR search, and dedups the survivors by
-canonical form.
+is simple and connected, whether it passes the degree/BFS-layer screen at
+the three fibre roots u_0, v_0 and w_0, and, by rooted extension on the
+lifted adjacency, whether it is vertex-transitive. It names each VT cover by
+extension onto the family graphs X(k), Y(k), prism(3k) and moebius(3k), and
+builds and searches for a canonical form only a VT cover that matches none.
 """
 
 from __future__ import annotations
@@ -33,16 +34,18 @@ from .families import (
     x_graph,
     y_graph,
 )
+from .graphs import SimpleGraph
 from .pregraph import delta
 from .pregraph import reduced_closed_walks  # noqa: F401 -- perfbench/tracer.py wraps verify.reduced_closed_walks
 from .symmetry import (
     _bfs_key,
+    _rooted_isomorphism,
     arc_orbit_count,
     canonical_form,
     cycle_counts,
     girth,
     group_order,
-    is_vertex_transitive,
+    is_vertex_transitive,  # noqa: F401 -- perfbench/tracer.py wraps verify.is_vertex_transitive
     uniform_local_profile,  # noqa: F401 -- perfbench/tracer.py wraps verify.uniform_local_profile
     vertex_orbits,  # noqa: F401 -- perfbench/tracer.py wraps verify.vertex_orbits
 )
@@ -229,18 +232,46 @@ def _passes_vt_screen(va: VoltageAssignment) -> bool:
 _STAGES = ("grid", "constructed", "connected", "vt_instances")
 
 
+def _family_graphs(k: int) -> dict[str, SimpleGraph]:
+    """family name -> graph, for the graphs the classification says must
+    appear at order 6k. X(k) and Y(k) need k >= 3."""
+    graphs = {}
+    if k % 2 == 1:
+        if k >= 3:
+            graphs[f"X({k})"] = x_graph(k)
+            graphs[f"Y({k})"] = y_graph(k)
+        graphs[f"prism({3 * k})"] = prism(3 * k)
+    graphs[f"moebius({3 * k})"] = moebius(3 * k)
+    return graphs
+
+
+def _is_vt_cover(adj: tuple[tuple[int, ...], ...], n: int) -> bool:
+    """Whether the connected cover with adjacency adj (`lifted_adjacency`,
+    fibres of n vertices) is vertex-transitive. The fibres are the orbits of
+    the deck transformation, so it is exactly when automorphisms send u_0 to
+    v_0 and to w_0."""
+    return all(
+        _rooted_isomorphism(adj, 0, adj, x * n)[0] is not None
+        for x in range(1, len(adj) // n)
+    )
+
+
 def _funnel(k: int) -> tuple[dict, dict]:
-    """Voltages -> simple -> connected -> screen -> build -> VT -> dedup at
+    """Voltages -> simple -> connected -> screen -> VT -> name -> dedup at
     order 6k, over the parameter representatives of all four types.
 
-    The first three stages read the voltage assignment (`cover_is_simple`,
-    `cover_connected`, `_passes_vt_screen`); only a cover that passes the
-    screen is built and handed to the IR search. Returns the per-type count
-    of each stage in `_STAGES` ("constructed" counts the simple covers), and
-    the vertex-transitive classes by canonical form (ascii), each with its
-    types, up to three example parameter tuples and its first graph."""
+    Every stage up to VT reads the voltage assignment (`cover_is_simple`,
+    `cover_connected`, `_passes_vt_screen`, `_is_vt_cover`). A VT cover is
+    named by extension from its vertex 0 onto vertex 0 of each graph of
+    `_family_graphs`: it is VT, so if any isomorphism exists one sends 0 to
+    0. Its class is the canonical form of the graph matched; only a cover
+    that matches none is built and searched. Returns the per-type count of
+    each stage in `_STAGES` ("constructed" counts the simple covers), and
+    the VT classes by canonical form (ascii), each with its types, up to
+    three example parameter tuples and a graph of the class."""
     counts = {stage: dict.fromkeys((1, 2, 3, 4), 0) for stage in _STAGES}
     classes: dict[str, dict] = {}
+    family = list(_family_graphs(k).values())
     for t in (1, 2, 3, 4):
         reps = parameter_representatives(t, k)
         counts["grid"][t] = len(reps)
@@ -255,10 +286,12 @@ def _funnel(k: int) -> tuple[dict, dict]:
             counts["connected"][t] += 1
             if not _passes_vt_screen(va):
                 continue
-            g = params.build()
-            if not is_vertex_transitive(g):
+            adj = lifted_adjacency(va)
+            if not _is_vt_cover(adj, va.n):
                 continue
             counts["vt_instances"][t] += 1
+            g = next((f for f in family if _rooted_isomorphism(
+                adj, 0, f.adjacency(), 0)[0] is not None), None) or params.build()
             slot = classes.setdefault(
                 canonical_form(g).decode("ascii"),
                 {"types": set(), "params": [], "graph": g},
@@ -380,24 +413,13 @@ class SweepReport:
         return {"kind": "sweep", **asdict(self)}
 
 
-def _expected_classes(k: int) -> dict[str, str]:
-    """canonical form (ascii) -> family name for the graphs the
-    classification says must appear at order 6k."""
-    expected = {}
-    if k % 2 == 1:
-        expected[canonical_form(x_graph(k)).decode("ascii")] = f"X({k})"
-        expected[canonical_form(y_graph(k)).decode("ascii")] = f"Y({k})"
-        expected[canonical_form(prism(3 * k)).decode("ascii")] = f"prism({3 * k})"
-    expected[canonical_form(moebius(3 * k)).decode("ascii")] = f"moebius({3 * k})"
-    return expected
-
-
 def sweep_one_k(k: int) -> SweepReport:
     """Exhaust one order 6k: run the funnel over the parameter orbits of
     all four types, and compare the surviving isomorphism classes against
     the expected list."""
     counts, seen = _funnel(k)
-    expected = _expected_classes(k)
+    expected = {canonical_form(g).decode("ascii"): name
+                for name, g in _family_graphs(k).items()}
     classes = []
     anomalies = []
     for canon, slot in sorted(seen.items(), key=lambda kv: kv[0]):
