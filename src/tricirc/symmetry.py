@@ -225,11 +225,6 @@ def _leaf_certificate(adj, colors: list[int]) -> bytes:
     ])
 
 
-def _node_invariant(counts: Counter) -> tuple:
-    """(color, cell size) pairs in color order, from the node's Counter."""
-    return tuple(sorted(counts.items()))
-
-
 class _UnionFind:
     __slots__ = ("parent",)
 
@@ -255,14 +250,24 @@ class _UnionFind:
 
 def _orbits(m: int, maps: Iterable[Sequence[int]]) -> list[list[int]]:
     """The orbits of 0..m-1 under the maps (image sequences), each sorted,
-    ordered by least point."""
-    uf = _UnionFind(m)
-    for img in maps:
-        uf.union_perm(img)
-    blocks: dict[int, list[int]] = {}
+    ordered by least point: the closure of each least unseen point under
+    every map."""
+    maps = list(maps)
+    seen = [False] * m
+    out = []
     for x in range(m):
-        blocks.setdefault(uf.find(x), []).append(x)
-    return list(blocks.values())
+        if seen[x]:
+            continue
+        seen[x] = True
+        orbit = [x]
+        for y in orbit:
+            for img in maps:
+                z = img[y]
+                if not seen[z]:
+                    seen[z] = True
+                    orbit.append(z)
+        out.append(sorted(orbit))
+    return out
 
 
 def _is_automorphism(adj: tuple[tuple[int, ...], ...], img: Sequence[int]) -> bool:
@@ -303,7 +308,8 @@ def _search(adj: tuple[tuple[int, ...], ...]):
         # equitable coloring. Returns the depth to unwind to.
         colors = _wl_refine(adj, colors, prefix[-1:] or None)
         counts = Counter(colors)
-        inv = _node_invariant(counts)
+        # The node invariant: (color, cell size) pairs in color order.
+        inv = tuple(sorted(counts.items()))
         path = path + (inv,)
         depth = len(path) - 1
 

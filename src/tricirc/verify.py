@@ -9,8 +9,9 @@ symmetries. At one k it reads off each voltage assignment whether its cover
 is simple and connected, whether it passes the degree/BFS-layer screen at
 the three fibre roots u_0, v_0 and w_0, and, by rooted extension on the
 lifted adjacency, whether it is vertex-transitive. It names each VT cover by
-extension onto the family graphs X(k), Y(k), prism(3k) and moebius(3k), and
-builds and searches for a canonical form only a VT cover that matches none.
+extension onto the family graphs X(k), Y(k), prism(3k) and moebius(3k) and
+records the name at the match, the only place a class is named; it builds
+and searches for a canonical form only a VT cover that matches none.
 """
 
 from __future__ import annotations
@@ -45,13 +46,14 @@ from .symmetry import (
     cycle_counts,
     girth,
     group_order,
+    is_c_cycle_regular,
+    is_c_vertex_regular,
     is_vertex_transitive,  # noqa: F401 -- perfbench/tracer.py wraps verify.is_vertex_transitive
     uniform_local_profile,  # noqa: F401 -- perfbench/tracer.py wraps verify.uniform_local_profile
     vertex_orbits,  # noqa: F401 -- perfbench/tracer.py wraps verify.vertex_orbits
 )
 from .voltage import (
     SymbolicVoltage,
-    VoltageAssignment,
     cover_connected,
     cover_is_simple,
     lifted_adjacency,
@@ -213,20 +215,17 @@ def check_max_order(order: int) -> None:
         raise ValueError(f"sweep guard: order {order} is above {_MAX_ORDER}")
 
 
-def _passes_vt_screen(va: VoltageAssignment) -> bool:
-    """Necessary condition for vertex-transitivity of the derived cover of
-    va, which must be simple: the fibre roots x_0 share the degree/BFS-layer
-    key of `uniform_local_profile`, computed on `lifted_adjacency(va)`, so
+def _passes_vt_screen(adj: tuple[tuple[int, ...], ...], n: int) -> bool:
+    """Necessary condition for vertex-transitivity of a simple cover with
+    adjacency adj (`lifted_adjacency`, fibres of n vertices): the fibre
+    roots x_0 share the degree/BFS-layer key of `uniform_local_profile`, so
     no graph is built.
 
     The deck transformation i -> i+1 is an automorphism of the cover whose
     orbits are the fibres, so every vertex invariant is constant on a fibre,
     and this equals `uniform_local_profile` of the built cover with the key
     computed at u_0, v_0 and w_0, not at every vertex."""
-    adj = lifted_adjacency(va)
-    return len({
-        _bfs_key(adj, x * va.n) for x in range(va.base.n_vertices)
-    }) == 1
+    return len({_bfs_key(adj, x) for x in range(0, len(adj), n)}) == 1
 
 
 _STAGES = ("grid", "constructed", "connected", "vt_instances")
@@ -256,22 +255,23 @@ def _is_vt_cover(adj: tuple[tuple[int, ...], ...], n: int) -> bool:
     )
 
 
-def _funnel(k: int) -> tuple[dict, dict]:
+def _funnel(k: int, family: dict[str, SimpleGraph]) -> tuple[dict, dict]:
     """Voltages -> simple -> connected -> screen -> VT -> name -> dedup at
     order 6k, over the parameter representatives of all four types.
 
-    Every stage up to VT reads the voltage assignment (`cover_is_simple`,
-    `cover_connected`, `_passes_vt_screen`, `_is_vt_cover`). A VT cover is
-    named by extension from its vertex 0 onto vertex 0 of each graph of
-    `_family_graphs`: it is VT, so if any isomorphism exists one sends 0 to
-    0. Its class is the canonical form of the graph matched; only a cover
-    that matches none is built and searched. Returns the per-type count of
+    Every stage up to VT reads the voltage assignment or the adjacency
+    lifted from it once (`cover_is_simple`, `cover_connected`,
+    `_passes_vt_screen`, `_is_vt_cover`). A VT cover is named by extension
+    from its vertex 0 onto vertex 0 of each graph of `family` (name ->
+    graph, `_family_graphs(k)`): it is VT, so if any isomorphism exists one
+    sends 0 to 0. Its class is the canonical form of the graph matched, and
+    the name matched is recorded there; only a cover that matches none is
+    built and searched, and its name is None. Returns the per-type count of
     each stage in `_STAGES` ("constructed" counts the simple covers), and
-    the VT classes by canonical form (ascii), each with its types, up to
-    three example parameter tuples and a graph of the class."""
+    the VT classes by canonical form (ascii), each with its name, types, up
+    to three example parameter tuples and a graph of the class."""
     counts = {stage: dict.fromkeys((1, 2, 3, 4), 0) for stage in _STAGES}
     classes: dict[str, dict] = {}
-    family = list(_family_graphs(k).values())
     for t in (1, 2, 3, 4):
         reps = parameter_representatives(t, k)
         counts["grid"][t] = len(reps)
@@ -284,17 +284,17 @@ def _funnel(k: int) -> tuple[dict, dict]:
             if not cover_connected(va):
                 continue
             counts["connected"][t] += 1
-            if not _passes_vt_screen(va):
-                continue
             adj = lifted_adjacency(va)
-            if not _is_vt_cover(adj, va.n):
+            if not (_passes_vt_screen(adj, va.n) and _is_vt_cover(adj, va.n)):
                 continue
             counts["vt_instances"][t] += 1
-            g = next((f for f in family if _rooted_isomorphism(
-                adj, 0, f.adjacency(), 0)[0] is not None), None) or params.build()
+            name = next((name for name, f in family.items() if
+                         _rooted_isomorphism(adj, 0, f.adjacency(), 0)[0]
+                         is not None), None)
+            g = params.build() if name is None else family[name]
             slot = classes.setdefault(
                 canonical_form(g).decode("ascii"),
-                {"types": set(), "params": [], "graph": g},
+                {"name": name, "types": set(), "params": [], "graph": g},
             )
             slot["types"].add(t)
             if len(slot["params"]) < 3:
@@ -368,7 +368,7 @@ def small_census(max_order: int = 48) -> CensusTable:
     check_max_order(max_order)
     entries = []
     for k in range(1, max_order // 6 + 1):
-        for canon, slot in _funnel(k)[1].items():
+        for canon, slot in _funnel(k, _family_graphs(k))[1].items():
             g = slot["graph"]
             at = arc_orbit_count(g) <= 1
             gi = girth(g)
@@ -415,23 +415,21 @@ class SweepReport:
 
 def sweep_one_k(k: int) -> SweepReport:
     """Exhaust one order 6k: run the funnel over the parameter orbits of
-    all four types, and compare the surviving isomorphism classes against
-    the expected list."""
-    counts, seen = _funnel(k)
-    expected = {canonical_form(g).decode("ascii"): name
-                for name, g in _family_graphs(k).items()}
+    all four types, and compare the names of the surviving isomorphism
+    classes against the family graphs expected at 6k."""
+    family = _family_graphs(k)
+    counts, seen = _funnel(k, family)
     classes = []
     anomalies = []
     for canon, slot in sorted(seen.items(), key=lambda kv: kv[0]):
-        name = expected.get(canon)
         classes.append(VTClass(
             order=6 * k,
             canonical=canon,
             types=tuple(sorted(slot["types"])),
-            name=name,
+            name=slot["name"],
             example_params=tuple(slot["params"]),
         ))
-        if name is None:
+        if slot["name"] is None:
             anomalies.append(
                 f"unexpected vertex-transitive class {canon} "
                 f"from params {slot['params']}"
@@ -441,13 +439,9 @@ def sweep_one_k(k: int) -> SweepReport:
                 f"type-4 instance is vertex-transitive: {slot['params']}"
             )
 
-    observed = {c.canonical for c in classes}
-    for canon, name in sorted(expected.items(), key=lambda kv: kv[1]):
-        if canon not in observed:
-            # prism(3k) can only arise for odd k; its absence otherwise
-            # is part of the expected picture.
-            if name.startswith("prism") and k % 2 == 0:
-                continue
+    observed = {c.name for c in classes}
+    for name in sorted(family):
+        if name not in observed:
             anomalies.append(f"expected class {name} not found")
 
     return SweepReport(
@@ -480,8 +474,6 @@ def classification_sweep(
 def lemma_spot_checks(ks: Iterable[int] = (9,)) -> dict:
     """Constructive checks of the degenerate-parameter and 7-cycle facts
     feeding the classification, plus the t4 inversion symmetry."""
-    from .symmetry import is_c_cycle_regular, is_c_vertex_regular
-
     ks = sorted(set(ks))
     report: dict = {"kind": "lemma_spot_checks", "checks": {}}
 

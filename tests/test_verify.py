@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from tricirc.families import FamilyParams, prism, r_star, t3, x_graph, y_graph
+from tricirc.families import FamilyParams, gp, prism, r_star, t3, x_graph, y_graph
 from tricirc.symmetry import (
     are_isomorphic,
     canonical_form,
@@ -14,6 +14,7 @@ from tricirc.symmetry import (
     uniform_local_profile,
 )
 from tricirc.verify import (
+    _family_graphs,
     _funnel,
     _passes_vt_screen,
     check_t1_conditions,
@@ -24,7 +25,7 @@ from tricirc.verify import (
     sweep_one_k,
     walk_table,
 )
-from tricirc.voltage import NonSimpleCover, derived_cover
+from tricirc.voltage import NonSimpleCover, derived_cover, lifted_adjacency
 
 
 def test_conditions_on_the_x_family():
@@ -128,10 +129,21 @@ def test_sweep_at_k_one_names_both_classes():
     assert [c.name for c in rep.classes] == ["moebius(3)", "prism(3)"]
 
 
-# sha256 of report_emit([sweep_one_k(k)]), recorded before the funnel decided
-# vertex-transitivity by rooted extension: part of the 9..50 gate, in about
-# a second. Each k took under 0.6 s on a 2-core Xeon with Python 3.11.
+# sha256 of report_emit([sweep_one_k(k)]): k = 25..50 recorded before the
+# funnel decided vertex-transitivity by rooted extension, part of the 9..50
+# gate; k = 1..8 recorded before the funnel recorded each class's name, and
+# they pin the "unexpected vertex-transitive class" anomaly at k = 2 and 5
+# and the "type-4 instance" anomaly at k = 5. Each k took under 0.6 s on a
+# 2-core Xeon with Python 3.11.
 SWEEP_DIGESTS = {
+    1: "6522b6fe014abbae83fa046634d6f991230714620efda25f748ae9e89f17d9c3",
+    2: "e83ff3e5f1e987a5a41839c0bc98d5697245a2ccdeab7107b39d0fb51d3676fc",
+    3: "7d0aba497d6d9e8b1b1a4f0eea23acaa17751053be4b9cd7c62184539c1ac974",
+    4: "72d91ba55f890b50bcb8ca7a19e152f24c406bfb9e4c37b2a1d0385b048f80ba",
+    5: "6867aa31784a8ea87fa36e1a908a4241eb965aca8811298bfbdcc375ca26740f",
+    6: "e088832d383d88dabbd3b9c3c26a335db191e39460f6db8c51d313ee435c8d79",
+    7: "ce910f0be92597c370ca79ab17927b4eaefb3fe6cb008004a831621e4d8db37d",
+    8: "b2d7c127abdddde498ecbe7bc5d3cc0b576ba704ff9d4b4061a9308dc89d0f1f",
     25: "e2c787b923bb741ad1d70ad8da55f895991d8bf2ab44c13c825502e86d65231b",
     35: "4b79e0204750b79449376833b8b6e2cb450e4378ffc198ef421c9478ea140089",
     49: "cfe3062fb7a94f1ee48d4a89027c2ee6f035109662c69eb3e60c5eb8aee7aa9d",
@@ -144,6 +156,37 @@ def test_sweep_report_is_pinned(time_limit, k):
     with time_limit(5):
         out = report_emit([sweep_one_k(k)])
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGESTS[k]
+
+
+def test_sweep_reports_an_expected_class_it_does_not_find(monkeypatch):
+    # GP(27, 2) has order 54 = 6 * 9 but is not vertex-transitive, so no
+    # cover at k = 9 matches it.
+    from tricirc import verify
+
+    def with_gp(k):
+        return {**_family_graphs(k), "GP(27,2)": gp(27, 2)}
+
+    monkeypatch.setattr(verify, "_family_graphs", with_gp)
+    rep = sweep_one_k(9)
+    assert rep.anomalies == ("expected class GP(27,2) not found",)
+    assert sorted(c.name for c in rep.classes) == [
+        "X(9)", "Y(9)", "moebius(27)", "prism(27)"]
+
+
+def test_sweep_builds_the_family_graphs_once(monkeypatch):
+    # At k = 9 every vertex-transitive cover matches a family graph, so the
+    # only covers built are X(9) and Y(9) for the family table.
+    from tricirc import families
+
+    built = []
+
+    def recorded(va):
+        built.append(va)
+        return derived_cover(va)
+
+    monkeypatch.setattr(families, "derived_cover", recorded)
+    assert sweep_one_k(9).anomalies == ()
+    assert len(built) == 2
 
 
 def _full_grid_classes(k):
@@ -163,7 +206,8 @@ def _full_grid_classes(k):
                     continue
                 if not g.is_connected():
                     continue
-                screened = _passes_vt_screen(params.voltages())
+                va = params.voltages()
+                screened = _passes_vt_screen(lifted_adjacency(va), va.n)
                 assert screened == uniform_local_profile(g), (t, k, r, s)
                 if not (uniform_local_profile(g) and is_vertex_transitive(g)):
                     continue
@@ -173,7 +217,7 @@ def _full_grid_classes(k):
 
 def test_representatives_give_the_classes_of_the_full_grid():
     for k in range(1, 11):
-        _, classes = _funnel(k)
+        _, classes = _funnel(k, _family_graphs(k))
         got = {canon: slot["types"] for canon, slot in classes.items()}
         assert got == _full_grid_classes(k), k
 
@@ -185,8 +229,8 @@ def test_funnel_builds_only_the_screened_covers(monkeypatch):
     from tricirc import families, verify
 
     def recorded(fn, results):
-        def wrapper(va):
-            results.append(fn(va))
+        def wrapper(*args):
+            results.append(fn(*args))
             return results[-1]
         return wrapper
 
@@ -195,7 +239,7 @@ def test_funnel_builds_only_the_screened_covers(monkeypatch):
                         recorded(families.derived_cover, built))
     monkeypatch.setattr(verify, "_passes_vt_screen",
                         recorded(verify._passes_vt_screen, screened))
-    counts, _ = _funnel(9)
+    counts, _ = _funnel(9, _family_graphs(9))
     assert len(screened) == sum(counts["connected"].values())
     assert 0 < sum(screened) < len(screened)
     assert [g.adjacency() for g in built] == [
@@ -214,7 +258,7 @@ def test_funnel_builds_the_vt_covers_no_family_graph_matches(monkeypatch):
         return derived_cover(va)
 
     monkeypatch.setattr(families, "derived_cover", recorded)
-    _, classes = _funnel(5)
+    _, classes = _funnel(5, _family_graphs(5))
     assert [va.zeta for va in built] == [
         FamilyParams(t, 5, r, s).voltages().zeta
         for t, r, s in ((1, r_star(5), 1), (2, 2, 1), (4, 1, 3))
