@@ -218,19 +218,13 @@ def gp(n: int, m: int) -> SimpleGraph:
         raise ValueError("step must be nonzero mod n")
     if 2 * m == n:
         raise ValueError("step n/2 would double the inner edges")
-    edges = []
     tags = {}
     for i in range(n):
-        for a, b, tag in (
-            (i, (i + 1) % n, "outer"),
-            (i, n + i, "spoke"),
-            (n + i, n + (i + m) % n, "inner"),
-        ):
-            edges.append((a, b))
-            tags[(min(a, b), max(a, b))] = tag
+        tags[i, (i + 1) % n] = "outer"
+        tags[i, n + i] = "spoke"
+        tags[n + i, n + (i + m) % n] = "inner"
     labels = [f"u{i}" for i in range(n)] + [f"v{i}" for i in range(n)]
-    return SimpleGraph(2 * n, set(map(lambda e: (min(e), max(e)), edges)),
-                       labels=labels, edge_tags=tags)
+    return SimpleGraph(2 * n, tags, labels=labels, edge_tags=tags)
 
 
 def prism(m: int) -> SimpleGraph:
@@ -244,16 +238,9 @@ def moebius(m: int) -> SimpleGraph:
     """Moebius ladder: a 2m-cycle with antipodal chords."""
     if m < 3:
         raise ValueError("Moebius ladder needs m >= 3")
-    edges = []
-    tags = {}
-    for i in range(2 * m):
-        j = (i + 1) % (2 * m)
-        edges.append((min(i, j), max(i, j)))
-        tags[edges[-1]] = "rim"
-    for i in range(m):
-        edges.append((i, i + m))
-        tags[edges[-1]] = "rung"
-    return SimpleGraph(2 * m, set(edges), edge_tags=tags)
+    tags = {(i, (i + 1) % (2 * m)): "rim" for i in range(2 * m)}
+    tags.update({(i, i + m): "rung" for i in range(m)})
+    return SimpleGraph(2 * m, tags, edge_tags=tags)
 
 
 # -- explicit automorphisms ---------------------------------------------------

@@ -64,9 +64,6 @@ class SimpleGraph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
     def has_edge(self, a: int, b: int) -> bool:
         return b in self._adj[a]
 

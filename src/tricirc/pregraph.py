@@ -276,13 +276,8 @@ def pregraph_isomorphism(p: Pregraph, q: Pregraph) -> Optional[dict[int, int]]:
         if any(ps[v] != qs[perm[v]] or pl[v] != ql[perm[v]]
                for v in range(p.n_vertices)):
             continue
-        ok = True
-        for (a, b), cnt in plinks.items():
-            fa, fb = sorted((perm[a], perm[b]))
-            if qlinks.get((fa, fb), 0) != cnt:
-                ok = False
-                break
-        if ok and sum(plinks.values()) == sum(qlinks.values()):
+        if all(qlinks.get(tuple(sorted((perm[a], perm[b]))), 0) == cnt
+               for (a, b), cnt in plinks.items()):
             return {v: perm[v] for v in range(p.n_vertices)}
     return None
 

@@ -728,18 +728,17 @@ def cycles_of_length(g: SimpleGraph, c: int) -> list[tuple[int, ...]]:
     return out
 
 
-def cycle_counts(g: SimpleGraph, c: int, orbits=None):
+def cycle_counts(g: SimpleGraph, c: int):
     """(per-vertex counts, per-edge counts, total) for cycles of length c.
 
     Only the first edge (a, b) of each edge orbit is counted: its c-cycles
     are the simple paths of c vertices from b back to a. A cycle uses two
-    edges at each of its vertices and c edges in all. `orbits` is
-    `edge_orbits(g)`, computed here unless the caller has it."""
+    edges at each of its vertices and c edges in all."""
     if c < 3:
         raise ValueError("cycle length must be at least 3")
     adj = g.adjacency()
     count_of = {}
-    for orbit in edge_orbits(g) if orbits is None else orbits:
+    for orbit in edge_orbits(g):
         count = _paths_back(adj, *orbit[0], c)
         for e in orbit:
             count_of[e] = count

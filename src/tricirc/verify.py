@@ -21,7 +21,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .families import (
     FamilyParams,
@@ -471,105 +471,68 @@ def classification_sweep(
 
 # -- targeted structure checks ----------------------------------------------------
 
-def lemma_spot_checks(ks: Iterable[int] = (9,)) -> dict:
+def lemma_spot_checks() -> dict:
     """Constructive checks of the degenerate-parameter and 7-cycle facts
-    feeding the classification, plus the t4 inversion symmetry."""
-    ks = sorted(set(ks))
-    report: dict = {"kind": "lemma_spot_checks", "checks": {}}
-
-    # r = k collapses 4-cycle regularity (checked through vertex counts).
-    results = []
-    for k in ks:
-        g = t1(k, k, 2)
-        per_vertex, _, _ = cycle_counts(g, 4)
-        u0, v0 = per_vertex[0], per_vertex[2 * k]
-        results.append({
-            "k": k, "u0_4cycles": u0, "v0_4cycles": v0,
-            "vertex_regular": is_c_vertex_regular(g, 4),
-        })
-    report["checks"]["r_equals_k"] = {
-        "instances": results,
-        "passed": all(
-            not row["vertex_regular"] and row["u0_4cycles"] != row["v0_4cycles"]
-            for row in results
-        ),
+    feeding the classification, plus the t4 inversion symmetry, at k = 9."""
+    k = 9
+    _, u, v, _ = fibre_indexers(k)
+    per_vertex, _, _ = cycle_counts(t1(k, k, 2), 4)
+    negate = fibre_map(k, -1)
+    # name -> (instances, what each instance must show)
+    checks = {
+        # r = k collapses 4-cycle regularity (read off the per-vertex counts).
+        "r_equals_k": ([{
+            "k": k, "u0_4cycles": per_vertex[u(0)],
+            "v0_4cycles": per_vertex[v(0)],
+            "vertex_regular": len(set(per_vertex)) <= 1,
+        }], lambda row: (not row["vertex_regular"]
+                         and row["u0_4cycles"] != row["v0_4cycles"])),
+        # r = 0 breaks 8-cycle regularity.
+        "r_equals_zero": ([{
+            "k": k, "cycle_regular_8": is_c_cycle_regular(t1(k, 0, 1), 8),
+        }], lambda row: not row["cycle_regular_8"]),
+        # The y family (odd k) is triangle-free.
+        "y_triangle_free": ([{
+            "k": k, "triangles": cycle_counts(y_graph(k), 3)[2],
+        }], lambda row: row["triangles"] == 0),
+        # Index negation is an automorphism of every simple t4 instance and
+        # fixes both u_0 and u_k, the endpoints of the middle edge it
+        # stabilizes.
+        "t4_inversion": ([{
+            "k": k, "is_automorphism": negate.is_automorphism(t4(k, 1, 2)),
+            "fixes_u0": negate(u(0)) == u(0), "fixes_uk": negate(u(k)) == u(k),
+        }], lambda row: (row["is_automorphism"] and row["fixes_u0"]
+                         and row["fixes_uk"])),
+        # Balanced 7-cycle congruence: 2r-2s+k = 0 (mod 2k) forces a 7-cycle
+        # through the standard walk lift and breaks 7-vertex-regularity.
+        "balanced_seven_cycles": (
+            [_seven_cycle_row(*krs) for krs in ((10, 6, 1), (12, 7, 1))],
+            lambda row: (row["congruence"] and row["seven_cycle_found"]
+                         and not row["vertex_regular_7"])),
     }
-
-    # r = 0 breaks 8-cycle regularity.
-    results = []
-    for k in ks:
-        g = t1(k, 0, 1)
-        results.append({
-            "k": k, "cycle_regular_8": is_c_cycle_regular(g, 8),
-        })
-    report["checks"]["r_equals_zero"] = {
-        "instances": results,
-        "passed": all(not row["cycle_regular_8"] for row in results),
-    }
-
-    # The y family is triangle-free.
-    results = []
-    for k in ks:
-        if k % 2 == 0:
-            continue
-        _, _, total = cycle_counts(y_graph(k), 3)
-        results.append({"k": k, "triangles": total})
-    report["checks"]["y_triangle_free"] = {
-        "instances": results,
-        "passed": all(row["triangles"] == 0 for row in results),
-    }
-
-    # Index negation is an automorphism of every simple t4 instance and
-    # fixes both u_0 and u_k, the endpoints of the middle edge it stabilizes.
-    results = []
-    for k in ks:
-        g = t4(k, 1, 2)
-        perm = fibre_map(k, -1)
-        results.append({
-            "k": k,
-            "is_automorphism": perm.is_automorphism(g),
-            "fixes_u0": perm(0) == 0,
-            "fixes_uk": perm(k) == k,
-        })
-    report["checks"]["t4_inversion"] = {
-        "instances": results,
-        "passed": all(
-            row["is_automorphism"] and row["fixes_u0"] and row["fixes_uk"]
-            for row in results
-        ),
-    }
-
-    # Balanced 7-cycle congruence: 2r-2s+k = 0 (mod 2k) forces a 7-cycle
-    # through the standard walk lift and breaks 7-vertex-regularity.
-    results = []
-    for k, r, s in ((10, 6, 1), (12, 7, 1)):
-        g = t1(k, r, s)
-        n, u, v, w = fibre_indexers(k)
-        cyc = [u(0), v(0), w(r), v(r - s), w(2 * r - s), v(2 * r - 2 * s),
-               u(2 * r - 2 * s)]
-        distinct = len(set(cyc)) == 7
-        closed = all(
-            g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])
-        )
-        results.append({
-            "k": k, "r": r, "s": s,
-            "congruence": (2 * r - 2 * s + k) % n == 0,
-            "seven_cycle_found": distinct and closed,
-            "vertex_regular_7": is_c_vertex_regular(g, 7),
-        })
-    report["checks"]["balanced_seven_cycles"] = {
-        "instances": results,
-        "passed": all(
-            row["congruence"] and row["seven_cycle_found"]
-            and not row["vertex_regular_7"]
-            for row in results
-        ),
-    }
-
+    report: dict = {"kind": "lemma_spot_checks", "checks": {
+        name: {"instances": rows, "passed": all(map(shows, rows))}
+        for name, (rows, shows) in checks.items()
+    }}
     report["all_passed"] = all(
         block["passed"] for block in report["checks"].values()
     )
     return report
+
+
+def _seven_cycle_row(k: int, r: int, s: int) -> dict:
+    """The balanced 7-cycle instance of t1(k, r, s)."""
+    g = t1(k, r, s)
+    n, u, v, w = fibre_indexers(k)
+    cyc = [u(0), v(0), w(r), v(r - s), w(2 * r - s), v(2 * r - 2 * s),
+           u(2 * r - 2 * s)]
+    return {
+        "k": k, "r": r, "s": s,
+        "congruence": (2 * r - 2 * s + k) % n == 0,
+        "seven_cycle_found": len(set(cyc)) == 7 and all(
+            g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1])),
+        "vertex_regular_7": is_c_vertex_regular(g, 7),
+    }
 
 
 # -- reporting ---------------------------------------------------------------------

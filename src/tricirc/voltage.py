@@ -10,7 +10,6 @@ throughout this package.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -313,67 +312,52 @@ def quotient_with_voltages(
         raise NotAutomorphism("rho does not preserve adjacency")
     if g.n == 0:
         raise ValueError("empty graph")
+    if not perm.is_semiregular():
+        raise NotSemiregular("vertex orbits are not all of equal size")
     rho = perm.img
     orbits = perm.orbits()
-    # Semiregular: no nonidentity power fixes a point. With one cycle length
-    # that length is the order of rho, so equal orbit sizes suffice.
-    sizes = {len(o) for o in orbits}
-    if len(sizes) != 1:
-        raise NotSemiregular("vertex orbits are not all of equal size")
-    n = sizes.pop()
+    n = len(orbits[0])
 
     orbit_of = [0] * g.n
     for oid, orb in enumerate(orbits):
         for v in orb:
             orbit_of[v] = oid
 
-    # Pick representatives so the quotient spanning tree carries voltage 0:
-    # BFS over orbits, entering each new orbit at the cover vertex adjacent
-    # to the current representative of the parent orbit.
-    rep = {0: orbits[0][0]}
-    index_in_orbit: dict[int, int] = {}
-
-    def assign_indices(oid: int):
-        v, i = rep[oid], 0
-        while True:
+    # Pick representatives so the quotient spanning tree carries voltage 0
+    # (Gross & Tucker 1987, section 2.5): a BFS over orbits, with the list of
+    # representatives as its queue, enters each new orbit at the cover vertex
+    # adjacent to the representative of the orbit it is reached from.
+    reps = [orbits[0][0]]
+    entered = [oid == 0 for oid in range(len(orbits))]
+    for a in reps:
+        for b in g.neighbors(a):
+            if not entered[orbit_of[b]]:
+                entered[orbit_of[b]] = True
+                reps.append(b)
+    if len(reps) != len(orbits):
+        raise ValueError("graph is disconnected; quotient tree incomplete")
+    index_in_orbit = [0] * g.n
+    for v in reps:
+        for i in range(n):
             index_in_orbit[v] = i
             v = rho[v]
-            i += 1
-            if v == rep[oid]:
-                break
-
-    assign_indices(0)
-    queue = deque([0])
-    visited = {0}
-    while queue:
-        oid = queue.popleft()
-        r0 = rep[oid]
-        for b in g.neighbors(r0):
-            boid = orbit_of[b]
-            if boid not in visited:
-                visited.add(boid)
-                rep[boid] = b
-                assign_indices(boid)
-                queue.append(boid)
-    if len(visited) != len(orbits):
-        raise ValueError("graph is disconnected; quotient tree incomplete")
 
     # Darts are the orbits of the arcs (a, b) under rho acting on both ends,
     # numbered by least arc, which each dart takes as its representative.
     darts = _arc_orbits(g, [rho])
     dart_of = {arc: did for did, orb in enumerate(darts) for arc in orb}
-    reps = [orb[0] for orb in darts]
+    dart_reps = [orb[0] for orb in darts]
     names = [chr(ord("a") + i) if len(orbits) <= 26 else str(i)
              for i in range(len(orbits))]
     pg = Pregraph(
-        len(orbits), [orbit_of[a] for a, _ in reps],
-        [dart_of[b, a] for a, b in reps],
+        len(orbits), [orbit_of[a] for a, _ in dart_reps],
+        [dart_of[b, a] for a, b in dart_reps],
         dart_names=[f"({names[orbit_of[a]]}{names[orbit_of[b]]})#{did}"
-                    for did, (a, b) in enumerate(reps)],
+                    for did, (a, b) in enumerate(dart_reps)],
         vertex_names=names,
     )
     va = VoltageAssignment(pg, n, {
         did: (index_in_orbit[b] - index_in_orbit[a]) % n
-        for did, (a, b) in enumerate(reps)
+        for did, (a, b) in enumerate(dart_reps)
     })
     return pg, va

@@ -1,8 +1,10 @@
 """`perfbench/tracer.py` wraps module-level names of the package by name, so
 a change that deletes or renames one of them fails here, not only in a traced
 benchmark run. An import that the package keeps only so that the tracer can
-wrap it must name an attribute the tracer wraps."""
+wrap it must name an attribute the tracer wraps; every other import must be
+read."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -66,3 +68,26 @@ def test_imports_kept_for_the_tracer_are_wrapped(fresh_package):
     patched = {(owner.__name__.rpartition(".")[2], attr)
                for owner, attr, _ in installed(fresh_package).patched}
     assert [m for m in marked if m not in patched] == []
+
+
+def test_every_imported_name_is_read():
+    """A module imports only names it reads, or that it marks as kept for the
+    tracer; `__init__.py` re-exports and is left out."""
+    unread = []
+    for path in sorted((ROOT / "src" / "tricirc").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        kept = {name for _, name in MARKER.findall(text)}
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).partition(".")[0]
+                    if name not in read and name not in kept:
+                        unread.append(f"{path.name}: {name}")
+    assert unread == []

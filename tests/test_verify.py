@@ -306,6 +306,20 @@ def test_spot_checks_pass():
         assert chk["passed"] is True
 
 
+def test_a_failed_spot_check_fails_the_report_and_the_cli(monkeypatch, capsys):
+    from tricirc import verify
+    from tricirc.cli import main
+
+    argv = ["verify", "--kmin", "1", "--kmax", "1", "--spot-checks"]
+    assert main(argv) == 0
+    monkeypatch.setattr(verify, "is_c_cycle_regular", lambda g, c: True)
+    out = lemma_spot_checks()
+    assert out["checks"]["r_equals_zero"]["passed"] is False
+    assert out["all_passed"] is False
+    assert main(argv) == 1
+    capsys.readouterr()
+
+
 def test_report_emit_schema():
     reports = [sweep_one_k(9), small_census(12), lemma_spot_checks()]
     blob = report_emit(reports)

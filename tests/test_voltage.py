@@ -208,6 +208,13 @@ def test_quotient_rejects_non_automorphisms_and_unequal_orbits():
         quotient(c6, reflection)
 
 
+def test_quotient_of_a_disconnected_graph_is_refused():
+    # rho turns each of two triangles, so no quotient tree spans both orbits
+    two_triangles = SimpleGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    with pytest.raises(ValueError, match="quotient tree incomplete"):
+        quotient(two_triangles, [1, 2, 0, 4, 5, 3])
+
+
 def test_quotient_by_involution_gives_semi_edges():
     # the antipodal shift on a 6-cycle folds to a triple of semi-edge stubs
     c6 = SimpleGraph(6, [(i, (i + 1) % 6) for i in range(6)])
