@@ -23,9 +23,12 @@ The cached search entry (generator tuples, canonical labeling, canonical
 graph6, stabiliser chain) answers every question below; `Permutation` is
 only the API edge. The chain is built when the first group question (order,
 elements, semiregular search) reaches the entry, so canonical forms and
-isomorphism tests never pay for it. Cycle counts are taken at one edge per
-edge orbit, since an automorphism carries the cycles through an edge onto
-those through its image.
+isomorphism tests never pay for it. A semiregular element with cycles of
+length t maps each vertex orbit onto itself, semiregularly with the same t,
+so the semiregular search first asks the orbit sizes and the groups induced
+on the orbits, and walks Aut only if none of them refutes t. Cycle counts
+are taken at one edge per edge orbit, since an automorphism carries the
+cycles through an edge onto those through its image.
 """
 
 from __future__ import annotations
@@ -495,6 +498,8 @@ def _rooted_isomorphism(adj, a: int, adj_h, b: int):
 # One stabiliser chain on the base 0..n-1 answers every group question (Seress,
 # Permutation Group Algorithms, 2003): level p is the pointwise stabiliser G_p
 # of 0..p-1, with one u_x in G_p mapping p to each x of its orbit under G_p.
+# The same walk serves the chain of Aut and that of the group Aut induces on
+# one orbit, which the semiregular search builds for its refutation and drops.
 
 def _stabiliser_chain(n: int, gens: Iterable[Sequence[int]]) -> list[dict]:
     """Schreier-Sims with sifting: per level, {x: image tuple of u_x}."""
@@ -560,15 +565,21 @@ def _chain(g: SimpleGraph) -> list[dict]:
     return entry[3]
 
 
-def _walk(g: SimpleGraph, cap: int, keep=lambda img, known: True):
-    """The elements of Aut(g) as image tuples, in increasing order; raises
-    EnumerationCapExceeded first if there are more than cap. Below a prefix,
-    the images of the points before the next moved base point are final, and
-    the prefix is dropped if `keep(img, number of final images)` is False."""
-    n = g.n
+def _capped_chain(g: SimpleGraph, cap: int) -> list[dict]:
+    """The stabiliser chain of Aut(g); raises EnumerationCapExceeded if
+    |Aut| > cap."""
     trans = _chain(g)
     if prod(map(len, trans)) > cap:
         raise EnumerationCapExceeded(f"group has more than {cap} elements")
+    return trans
+
+
+def _walk(trans: list[dict], keep=lambda img, known: True):
+    """The elements of the group with stabiliser chain trans, as image
+    tuples, in increasing order. Below a prefix, the images of the points
+    before the next moved base point are final, and the prefix is dropped
+    if `keep(img, number of final images)` is False."""
+    n = len(trans)
     levels = [p for p in range(n) if len(trans[p]) > 1]
 
     def descend(depth, pi):
@@ -592,7 +603,7 @@ def group_order(g: SimpleGraph) -> int:
 def group_elements(g: SimpleGraph, cap: int = 10**7) -> list[Permutation]:
     """All elements of Aut(g), sorted by image tuple. Raises
     EnumerationCapExceeded, before any is built, if there are more than cap."""
-    return [Permutation(img) for img in _walk(g, cap)]
+    return [Permutation(img) for img in _walk(_capped_chain(g, cap))]
 
 
 def vertex_orbits(g: SimpleGraph) -> list[list[int]]:
@@ -645,16 +656,34 @@ def find_k_circulant(
 ) -> Optional[Permutation]:
     """The least (by image tuple) semiregular automorphism with exactly m
     vertex orbits of equal size, i.e. of order |V|/m with all cycles that
-    long; None if none. Raises EnumerationCapExceeded if |Aut| > cap."""
+    long; None if none. Raises EnumerationCapExceeded if |Aut| > cap.
+
+    Such an element maps each Aut-orbit O onto itself, and its restriction
+    to O is an element of the group Aut induces on O with every cycle of the
+    same length t = |V|/m. So t must divide every |O|, and when there are
+    several orbits, each induced group must hold such an element; it is
+    walked first, one orbit at a time, the orbit with the fewest distinct
+    restricted generators first. Only then is Aut(g) walked for the least
+    element, so a None can come without walking Aut(g)."""
     if g.n == 0 or m < 1 or g.n % m:
         raise ValueError("orbit count must divide the vertex count")
     target = g.n // m
     if target == 1:
         return Permutation.identity(g.n)
+    trans = _capped_chain(g, cap)
 
     def keep(img, known):
         """False once a cycle through the points below `known` closes at a
-        length other than target or runs target steps without closing."""
+        length other than target or runs target steps without closing. The
+        points are those of the group walked: Aut(g), or the group it
+        induces on an orbit. The cycle through 0 is followed first, which
+        is cheap and rejects only what the scan of all known points would."""
+        if known:
+            x, steps = img[0], 1
+            while x and x < known and steps < target:
+                x, steps = img[x], steps + 1
+            if (x == 0) != (steps == target):
+                return False
         seen = [False] * known
         heads = set(range(known)).difference(img[:known])  # open chains
         for v in [*heads, *range(known)]:
@@ -666,7 +695,21 @@ def find_k_circulant(
                 return False
         return True
 
-    img = next(_walk(g, cap, keep), None)
+    gens = _searched(g)[0]
+    orbits = _orbits(g.n, gens)
+    if any(len(orbit) % target for orbit in orbits):
+        return None
+    if len(orbits) > 1:
+        induced = []
+        for orbit in orbits:
+            index = {v: i for i, v in enumerate(orbit)}
+            own = {tuple([index[s[v]] for v in orbit]) for s in gens}
+            own.discard(tuple(range(len(orbit))))
+            induced.append((len(own), len(orbit), sorted(own)))
+        for _, size, own in sorted(induced):
+            if next(_walk(_stabiliser_chain(size, own), keep), None) is None:
+                return None
+    img = next(_walk(trans, keep), None)
     return None if img is None else Permutation(img)
 
 

@@ -6,10 +6,13 @@ whole group by closure and scan it in sorted order. The chain must give the
 same order, the same element list, the same least semiregular element for
 every orbit count, and the same cap behaviour. The orbits of vertices,
 edges and arcs, and the cycles of each element, must be the ones read off
-the element list.
+the element list. On graphs with several vertex orbits, the semiregular
+search may answer None from the orbit sizes or the groups induced on the
+orbits; that answer, too, must be the reference's.
 """
 
 from collections import deque
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 from tricirc.families import FamilyParams
 from tricirc.graphs import SimpleGraph
+from tricirc import symmetry
 from tricirc.symmetry import (
     EnumerationCapExceeded,
     Permutation,
@@ -173,3 +177,79 @@ COVERS = list(simple_covers(4))
                          ids=[name for name, _ in COVERS])
 def test_simple_covers_match_reference(g):
     assert_matches_reference(g)
+
+
+def necklace(beads):
+    """A ring of K4-e beads: bead i is a, b, c, d = 4i..4i+3 without the edge
+    c-d, and d of each bead joins c of the next. Two vertex orbits, {a, b}
+    and {c, d} of every bead; |Aut| = 2^beads * 2*beads."""
+    edges = []
+    for i in range(beads):
+        a, b, c, d = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
+        edges += [(a, b), (a, c), (a, d), (b, c), (b, d)]
+        edges.append((d, (4 * (i + 1) + 2) % (4 * beads)))
+    return SimpleGraph(4 * beads, edges)
+
+
+def cycles(*lengths):
+    """The disjoint union of cycles of the given lengths."""
+    edges, start = [], 0
+    for c in lengths:
+        edges += [(start + i, start + (i + 1) % c) for i in range(c)]
+        start += c
+    return SimpleGraph(start, edges)
+
+
+MULTI_ORBIT = {
+    "necklace(3)": necklace(3),
+    "necklace(4)": necklace(4),
+    "necklace(5)": necklace(5),
+    "C3+C4": cycles(3, 4),
+    "C4+C6": cycles(4, 6),
+    "C5+C5": cycles(5, 5),
+}
+
+
+@pytest.mark.parametrize("g", list(MULTI_ORBIT.values()), ids=list(MULTI_ORBIT))
+def test_multi_orbit_graphs_match_reference(g):
+    """Graphs where the orbit sizes or an induced group refute some m."""
+    assert group_order(g) <= CAP
+    assert_matches_reference(g)
+
+
+@pytest.mark.parametrize("name, m", [
+    ("necklace(3)", 1),  # 12 does not divide the orbit size 6
+    ("necklace(4)", 2),  # no 8-cycle on the 8 points c, d: the induced group is D_4
+    ("C3+C4", 1),  # 7 divides neither 3 nor 4
+    ("C4+C6", 2),  # 5 divides neither 4 nor 6
+])
+def test_refutation_does_not_walk_the_group(name, m, monkeypatch):
+    """None comes from the orbits alone: no walk over Aut(g)'s own chain."""
+    g = MULTI_ORBIT[name]
+    walked = []
+    walk = symmetry._walk
+    monkeypatch.setattr(symmetry, "_walk",
+                        lambda trans, keep: walked.append(len(trans)) or walk(trans, keep))
+    assert find_k_circulant(g, m, cap=CAP) is None
+    assert g.n not in walked
+
+
+@pytest.mark.parametrize("name", ["necklace(3)", "C3+C4", "C5+C5"])
+def test_cap_comes_before_the_orbit_refutation(name):
+    """m = 1 is refuted by the orbit sizes, yet a cap below |Aut| still raises."""
+    g = MULTI_ORBIT[name]
+    with pytest.raises(EnumerationCapExceeded):
+        find_k_circulant(g, 1, cap=group_order(g) - 1)
+
+
+def test_necklace_circulants_refuted_fast(time_limit):
+    """necklace(10) has |Aut| = 20 480 and no semiregular element with one
+    or two orbits; the orbit refutation answers without walking the group,
+    which took about 0.25 s for the pair."""
+    g = necklace(10)
+    assert group_order(g) == 2**10 * 20
+    with time_limit(1):
+        start = perf_counter()
+        assert find_k_circulant(g, 1) is None
+        assert find_k_circulant(g, 2) is None
+        assert perf_counter() - start < 0.1
