@@ -33,6 +33,7 @@ from .families import gp, moebius, prism, t1, t2, t3, t4, x_graph, y_graph
 from .graph6 import Graph6Error, decode_graph6, encode_graph6
 from .graphs import SimpleGraph
 from .symmetry import (
+    DEFAULT_CAP,
     EnumerationCapExceeded,
     _signatures,
     arc_orbit_count,
@@ -47,7 +48,6 @@ from .symmetry import (
     vertex_orbits,
 )
 from .verify import (
-    check_max_order,
     classification_sweep,
     lemma_spot_checks,
     report_emit,
@@ -223,12 +223,10 @@ def _cmd_walks(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.census:
-        check_max_order(args.census_order)  # before the sweep's work
     reports = classification_sweep(args.kmin, args.kmax, workers=args.workers)
     docs: list = list(reports)
     if args.census:
-        docs.append(small_census(args.census_order))
+        docs.append(small_census(args.kmin - 1))
     if args.spot_checks:
         docs.append(lemma_spot_checks())
     print(report_emit(docs))
@@ -288,8 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycles", type=int, default=2,
                    help="cycle lengths analyzed: girth .. girth+N, "
                         f"N in 0..{_MAX_EXTRA_CYCLES}")
-    p.add_argument("--cap", type=int, default=10**7,
-                   help="largest |Aut| the semiregular search takes on")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                   help="largest |Aut| the semiregular search takes on "
+                        "(default %(default)s)")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("walks", help="symbolic net-voltage walk table")
@@ -303,8 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmin", type=int, default=9)
     p.add_argument("--kmax", type=int, default=15)
     p.add_argument("--census", action="store_true",
-                   help="include the small-order census")
-    p.add_argument("--census-order", type=int, default=48)
+                   help="include the census of the orders below 6*kmin")
     p.add_argument("--spot-checks", action="store_true",
                    help="include the lemma spot checks")
     p.add_argument("--workers", type=int, default=1,
@@ -321,8 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="graph6 file, or - for stdin")
     p.add_argument("--order", type=int, required=True,
                    help="order of the semiregular automorphism to find")
-    p.add_argument("--cap", type=int, default=10**7,
-                   help="largest |Aut| the semiregular search takes on")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                   help="largest |Aut| the semiregular search takes on "
+                        "(default %(default)s)")
     p.set_defaults(func=_cmd_quotient)
 
     return parser

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 
@@ -99,45 +98,36 @@ class SimpleGraph:
             return False
         return valence is None or degs == {valence}
 
+    def _bfs(self) -> tuple[list[list[int]], bool]:
+        """One BFS: the connected components, each sorted, ordered by
+        smallest vertex, and whether the graph has a proper 2-colouring."""
+        color = [-1] * self.n
+        out: list[list[int]] = []
+        bipartite = True
+        for start in range(self.n):
+            if color[start] != -1:
+                continue
+            color[start] = 0
+            comp = [start]
+            for x in comp:  # the list is the queue: it grows as it is read
+                for y in self._adj[x]:
+                    if color[y] == -1:
+                        color[y] = color[x] ^ 1
+                        comp.append(y)
+                    elif color[y] == color[x]:
+                        bipartite = False
+            out.append(sorted(comp))
+        return out, bipartite
+
     def components(self) -> list[list[int]]:
         """Connected components, each sorted, ordered by smallest vertex."""
-        seen = [False] * self.n
-        out: list[list[int]] = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            comp = [start]
-            seen[start] = True
-            queue = deque([start])
-            while queue:
-                x = queue.popleft()
-                for y in self._adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        comp.append(y)
-                        queue.append(y)
-            out.append(sorted(comp))
-        return out
+        return self._bfs()[0]
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
 
     def is_bipartite(self) -> bool:
-        color = [-1] * self.n
-        for start in range(self.n):
-            if color[start] != -1:
-                continue
-            color[start] = 0
-            queue = deque([start])
-            while queue:
-                x = queue.popleft()
-                for y in self._adj[x]:
-                    if color[y] == -1:
-                        color[y] = color[x] ^ 1
-                        queue.append(y)
-                    elif color[y] == color[x]:
-                        return False
-        return True
+        return self._bfs()[1]
 
     def relabel(self, perm: Sequence[int]) -> "SimpleGraph":
         """Image graph under vertex map v -> perm[v]. Labels and tags follow."""

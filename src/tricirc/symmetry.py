@@ -43,6 +43,7 @@ from .graph6 import pack_graph6
 from .graphs import SimpleGraph
 
 DEFAULT_SIZE_GUARD = 600
+DEFAULT_CAP = 10**7  # the largest |Aut| the semiregular search takes on
 
 
 class SizeGuardError(ValueError):
@@ -274,8 +275,11 @@ def _orbits(m: int, maps: Iterable[Sequence[int]]) -> list[list[int]]:
 
 
 def _is_automorphism(adj: tuple[tuple[int, ...], ...], img: Sequence[int]) -> bool:
+    """Whether img maps each row of adj onto the row of the image vertex, as
+    sets: the rows may be in any order (`lifted_adjacency` keeps dart
+    order)."""
     return len(img) == len(adj) and all(
-        tuple(sorted([img[b] for b in nbrs])) == adj[img[a]]
+        sorted([img[b] for b in nbrs]) == sorted(adj[img[a]])
         for a, nbrs in enumerate(adj)
     )
 
@@ -600,7 +604,7 @@ def group_order(g: SimpleGraph) -> int:
     return prod(map(len, _chain(g)))
 
 
-def group_elements(g: SimpleGraph, cap: int = 10**7) -> list[Permutation]:
+def group_elements(g: SimpleGraph, cap: int = DEFAULT_CAP) -> list[Permutation]:
     """All elements of Aut(g), sorted by image tuple. Raises
     EnumerationCapExceeded, before any is built, if there are more than cap."""
     return [Permutation(img) for img in _walk(_capped_chain(g, cap))]
@@ -652,7 +656,7 @@ def is_edge_transitive(g: SimpleGraph) -> bool:
 
 
 def find_k_circulant(
-    g: SimpleGraph, m: int, cap: int = 10**7
+    g: SimpleGraph, m: int, cap: int = DEFAULT_CAP
 ) -> Optional[Permutation]:
     """The least (by image tuple) semiregular automorphism with exactly m
     vertex orbits of equal size, i.e. of order |V|/m with all cycles that

@@ -204,15 +204,16 @@ def check_t1_conditions(k: int, r: int, s: int) -> T1Conditions:
 _MAX_ORDER = 300  # the sweep guard: the largest cover order 6k built
 
 
-def check_max_order(order: int) -> None:
-    """ValueError unless order is a multiple of 6 from 6 up to the sweep
-    guard."""
-    if order < 6:
-        raise ValueError("max order must be at least 6")
-    if order % 6:
-        raise ValueError("max order must be a multiple of 6")
-    if order > _MAX_ORDER:
-        raise ValueError(f"sweep guard: order {order} is above {_MAX_ORDER}")
+def _k_range(k_min: int, k_max: int) -> range:
+    """k_min..k_max, the k the funnel runs over, under one guard: ValueError
+    unless 1 <= k_min <= k_max + 1 and the order 6*k_max is at most the
+    sweep guard. The range is empty only at k_max = k_min - 1; the census
+    takes that (none below k = 1), the sweep does not."""
+    if not 1 <= k_min <= k_max + 1:
+        raise ValueError("need 1 <= k_min <= k_max + 1")
+    if 6 * k_max > _MAX_ORDER:
+        raise ValueError(f"sweep guard: order {6 * k_max} is above {_MAX_ORDER}")
+    return range(k_min, k_max + 1)
 
 
 def _passes_vt_screen(adj: tuple[tuple[int, ...], ...], n: int) -> bool:
@@ -360,14 +361,13 @@ class CensusTable:
         }
 
 
-def small_census(max_order: int = 48) -> CensusTable:
+def small_census(k_max: int) -> CensusTable:
     """All vertex-transitive graphs the four constructors produce at order
-    <= max_order: the funnel for k = 1..max_order/6, with the type sets of
-    coinciding instances merged, plus |Aut|, arc-transitivity, girth and
-    name."""
-    check_max_order(max_order)
+    <= 6*k_max: the funnel for k = 1..k_max (none at k_max = 0), with the
+    type sets of coinciding instances merged, plus |Aut|, arc-transitivity,
+    girth and name."""
     entries = []
-    for k in range(1, max_order // 6 + 1):
+    for k in _k_range(1, k_max):
         for canon, slot in _funnel(k, _family_graphs(k))[1].items():
             g = slot["graph"]
             at = arc_orbit_count(g) <= 1
@@ -382,7 +382,7 @@ def small_census(max_order: int = 48) -> CensusTable:
                 name=_NAMED_AT.get((g.n, gi)) if at else None,
             ))
     entries.sort(key=lambda e: (e.order, e.canonical))
-    return CensusTable(max_order, tuple(entries))
+    return CensusTable(6 * k_max, tuple(entries))
 
 
 # -- classification sweep --------------------------------------------------------
@@ -454,15 +454,14 @@ def sweep_one_k(k: int) -> SweepReport:
 
 
 def classification_sweep(
-    k_min: int = 9, k_max: int = 15, workers: int = 1
+    k_min: int, k_max: int, workers: int = 1
 ) -> list[SweepReport]:
     """Run sweep_one_k over k_min..k_max, on `workers` processes."""
-    if k_min < 1 or k_max < k_min:
-        raise ValueError("need 1 <= k_min <= k_max")
+    ks = _k_range(k_min, k_max)
+    if not ks:
+        raise ValueError("need k_min <= k_max")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    check_max_order(6 * k_max)
-    ks = list(range(k_min, k_max + 1))
     if workers == 1 or len(ks) == 1:
         return [sweep_one_k(k) for k in ks]
     with ProcessPoolExecutor(max_workers=min(workers, len(ks))) as pool:

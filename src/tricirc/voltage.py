@@ -275,8 +275,13 @@ def derived_cover(va: VoltageAssignment) -> SimpleGraph:
 
 
 def cover_connected(va: VoltageAssignment) -> bool:
-    """True iff the voltages generate Z_n (connected cover for a connected
-    normalised base)."""
+    """True iff the voltages generate Z_n: the cover is connected exactly
+    then, but only on a connected base with `va.is_normalised()`, where the
+    voltages of the links off a zero-voltage spanning tree are the net
+    voltages of the fundamental closed walks. Otherwise it can err, though
+    only one way: every net voltage is a sum of dart voltages, so a gcd
+    above 1 still means disconnected, but a gcd of 1 need not mean
+    connected."""
     g = va.n
     for z in va.zeta.values():
         g = math.gcd(g, z)

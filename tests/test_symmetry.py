@@ -293,3 +293,28 @@ def test_search_on_the_full_symmetric_group(time_limit, complete):
     with time_limit(10):
         assert canonical_form(g) == encode_graph6(g)
         assert group_order(g) == factorial(n)
+
+
+def test_search_ignores_the_row_order_of_lifted_adjacency():
+    # `lifted_adjacency` keeps each row in dart order, not sorted; the
+    # generator check must not read that as an invalid generator, and the
+    # search must give the result it gives on the built cover.
+    from tricirc.symmetry import _search_cached
+    from tricirc.voltage import (
+        cover_is_simple, derived_cover, lifted_adjacency, zeta_for)
+
+    checked = unsorted = 0
+    for t in (1, 2, 3, 4):
+        for k in range(1, 5):
+            for r in range(2 * k):
+                for s in range(2 * k) if t != 3 else (0,):
+                    va = zeta_for(t, k, r, s)
+                    if not cover_is_simple(va):
+                        continue
+                    lifted = lifted_adjacency(va)
+                    built = derived_cover(va).adjacency()
+                    unsorted += lifted != built
+                    assert (_search_cached(lifted)[:3]
+                            == _search_cached(built)[:3])
+                    checked += 1
+    assert checked > 0 and unsorted > 0

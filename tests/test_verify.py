@@ -72,14 +72,15 @@ def test_predicted_edge_counts_match_reality():
 
 
 def test_census_headline_numbers():
-    ct = small_census(48)
+    ct = small_census(8)
+    assert ct.max_order == 48
     assert len(ct.entries) == 20
     assert ct.per_order == {6: 2, 12: 2, 18: 4, 24: 1, 30: 5, 36: 1, 42: 4, 48: 1}
     assert ct.arc_transitive_orders == [6, 18, 30]
 
 
 def test_census_named_entries():
-    ct = small_census(48)
+    ct = small_census(8)
     k33 = ct.entry_named("K_{3,3}")
     assert k33 is not None and k33.order == 6 and k33.arc_transitive
     assert k33.types == (3,)
@@ -91,7 +92,7 @@ def test_census_named_entries():
 
 
 def test_census_multi_type_entry_is_the_triangular_prism():
-    ct = small_census(6)
+    ct = small_census(1)
     multi = [e for e in ct.entries if len(e.types) > 1]
     assert len(multi) == 1
     assert multi[0].types == (1, 3)
@@ -99,7 +100,8 @@ def test_census_multi_type_entry_is_the_triangular_prism():
 
 
 def test_census_respects_max_order():
-    ct = small_census(24)
+    ct = small_census(4)
+    assert ct.max_order == 24
     assert ct.per_order == {6: 2, 12: 2, 18: 4, 24: 1}
     assert all(e.order <= 24 for e in ct.entries)
 
@@ -277,7 +279,7 @@ def test_sweep_guard():
     with pytest.raises(ValueError):
         classification_sweep(9, 51)    # 6*51 > 300
     with pytest.raises(ValueError):
-        small_census(306)
+        small_census(51)    # 6*51 > 300
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -286,10 +288,20 @@ def test_sweep_rejects_workers_below_one(workers):
         classification_sweep(9, 9, workers=workers)
 
 
-@pytest.mark.parametrize("order", [0, -6])
-def test_census_below_order_six_is_refused(order):
+@pytest.mark.parametrize("k_max", [-1, -6])
+def test_census_below_k_zero_is_refused(k_max):
     with pytest.raises(ValueError):
-        small_census(order)
+        small_census(k_max)
+
+
+def test_census_of_no_orders_is_empty():
+    ct = small_census(0)
+    assert ct.max_order == 0 and ct.entries == ()
+
+
+def test_sweep_refuses_an_empty_range():
+    with pytest.raises(ValueError):
+        classification_sweep(10, 9)
 
 
 def test_spot_checks_pass():
@@ -321,7 +333,7 @@ def test_a_failed_spot_check_fails_the_report_and_the_cli(monkeypatch, capsys):
 
 
 def test_report_emit_schema():
-    reports = [sweep_one_k(9), small_census(12), lemma_spot_checks()]
+    reports = [sweep_one_k(9), small_census(2), lemma_spot_checks()]
     blob = report_emit(reports)
     doc = json.loads(blob)
     assert doc["schema"] == 1

@@ -255,3 +255,28 @@ def test_quotient_past_26_orbits_is_pinned():
     assert dump[3][:4] == ("(00)#0", "(01)#1", "(015)#2", "(10)#3")
     assert hashlib.sha256(repr(dump).encode()).hexdigest() == (
         "11f0ebf9840c4eeeb78e54bb2e8618ef459defb19a51ef23989f749f21b227b9")
+
+
+def test_standard_assignments_are_normalised_on_the_full_grid():
+    # `cover_connected`'s gcd rule needs a normalised assignment; the
+    # funnel applies it to `zeta_for` at every (t, k, r, s).
+    for t in (1, 2, 3, 4):
+        for k in range(1, 11):
+            for r in range(2 * k):
+                for s in range(2 * k) if t != 3 else (0,):
+                    assert zeta_for(t, k, r, s).is_normalised(), (t, k, r, s)
+
+
+def test_gcd_rule_errs_on_an_assignment_that_is_not_normalised():
+    # Delta_1 over Z_4 with voltage 1 on both tree links: the voltages have
+    # gcd 1, but the fundamental closed walks have net voltages 2, 2 and 0.
+    base = delta(1)
+    zeta = {base.dart("(uu)_k"): 2, base.dart("(uv)_0"): 1,
+            base.dart("(uw)_0"): 1, base.dart("(vw)_r"): 2,
+            base.dart("(vw)_s"): 0}
+    for d in list(zeta):
+        zeta[base.inv[d]] = -zeta[d]
+    va = VoltageAssignment(base, 4, zeta)
+    assert not va.is_normalised()
+    assert cover_connected(va)
+    assert not derived_cover(va).is_connected()
