@@ -224,13 +224,16 @@ def test_verify_census_past_the_sweep_guard_is_usage_error(capsys, time_limit):
     assert err.startswith("error:")
 
 
-def test_verify_census_order_option_is_gone(capsys):
-    # The census is indexed by --kmin, not by an order of its own.
+@pytest.mark.parametrize("order", ["-6", "0"])
+def test_verify_census_below_order_six_is_usage_error(capsys, order):
+    # The census is indexed by --kmin, not by an order of its own: argparse
+    # refuses --census-order at any value.
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--kmin", "9", "--kmax", "9", "--census",
-              "--census-order", "48"])
+              "--census-order", order])
     assert exc.value.code == 2
-    capsys.readouterr()
+    out = capsys.readouterr()
+    assert out.out == "" and "--census-order" in out.err
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
