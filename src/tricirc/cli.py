@@ -137,6 +137,13 @@ def _read_graphs(path: str) -> list[SimpleGraph]:
     return graphs
 
 
+def _read_one_graph(path: str) -> SimpleGraph:
+    graphs = _read_graphs(path)
+    if len(graphs) > 1:
+        raise ValueError(f"{path} holds {len(graphs)} graphs, not one")
+    return graphs[0]
+
+
 def _analyze_one(g: SimpleGraph, extra_cycles: int, cap: int) -> dict:
     report: dict = {
         "n": g.n,
@@ -237,8 +244,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    a = _read_graphs(args.a)[0]
-    b = _read_graphs(args.b)[0]
+    a, b = map(_read_one_graph, (args.a, args.b))
     same = are_isomorphic(a, b)
     print("isomorphic" if same else "not isomorphic")
     return 0 if same else 1
@@ -310,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("iso", help="exit 0 iff the two graphs are isomorphic")
-    p.add_argument("a")
-    p.add_argument("b")
+    p.add_argument("a", help="graph6 file holding one graph, or - for stdin")
+    p.add_argument("b", help="the same, for the other graph")
     p.set_defaults(func=_cmd_iso)
 
     p = sub.add_parser("quotient",

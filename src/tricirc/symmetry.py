@@ -23,7 +23,9 @@ The cached search entry (generator tuples, canonical labeling, canonical
 graph6, stabiliser chain) answers every question below; `Permutation` is
 only the API edge. The chain is built when the first group question (order,
 elements, semiregular search) reaches the entry, so canonical forms and
-isomorphism tests never pay for it. A semiregular element with cycles of
+isomorphism tests never pay for it. An isomorphism test reaches the search
+only when a vertex-invariant multiset and a budgeted rooted extension leave
+it open (`are_isomorphic`). A semiregular element with cycles of
 length t maps each vertex orbit onto itself, semiregularly with the same t,
 so the semiregular search first asks the orbit sizes and the groups induced
 on the orbits, and walks Aut only if none of them refutes t. Cycle counts
@@ -414,12 +416,16 @@ def _search_cached(adj: tuple[tuple[int, ...], ...]):
     return [gens, labeling, cert, None]
 
 
-def _searched(g: SimpleGraph):
-    """The cached search result of g, under the size guard."""
+def _check_size(g: SimpleGraph):
     if g.n > DEFAULT_SIZE_GUARD:
         raise SizeGuardError(
             f"graph on {g.n} vertices exceeds the size guard {DEFAULT_SIZE_GUARD}"
         )
+
+
+def _searched(g: SimpleGraph):
+    """The cached search result of g, under the size guard."""
+    _check_size(g)
     return _search_cached(g.adjacency())
 
 
@@ -437,22 +443,64 @@ def canonical_form(g: SimpleGraph) -> bytes:
     return _searched(g)[2]
 
 
+# Placements per vertex: relabelled covers take 2.2 in the median, refuting a look-alike ≥ 109.
+EXTENSION_BUDGET = 16
+
+
 def are_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
+    """Whether g and h are isomorphic. Raises SizeGuardError above the size
+    guard. Equal order and edge count are checked first; then:
+
+    1. The multiset of `_bfs_key` over all vertices is an isomorphism
+       invariant, so if the two differ the answer is False.
+    2. If g is connected and not empty, a is the least vertex of its rarest
+       key class, and `_rooted_isomorphism` tries each b of h with a's key
+       in turn. An image found is an isomorphism, so the answer is True. Any
+       isomorphism sends a to a vertex with a's key, so if every b fails the
+       answer is False.
+    3. If the extension spends EXTENSION_BUDGET·n placements in all without
+       deciding, or g is disconnected or empty, the answer is whether the
+       canonical forms are equal."""
     if g.n != h.n or g.edge_count() != h.edge_count():
         return False
+    _check_size(g)
+    adj, adj_h = g.adjacency(), h.adjacency()
+    keys = [_bfs_key(adj, v) for v in range(g.n)]
+    keys_h = [_bfs_key(adj_h, v) for v in range(h.n)]
+    count = Counter(keys)
+    if count != Counter(keys_h):
+        return False
+    if g.n and g.is_connected():
+        a = min(range(g.n), key=lambda v: (count[keys[v]], v))
+        budget = EXTENSION_BUDGET * g.n
+        for b in range(h.n):
+            if keys_h[b] != keys[a]:
+                continue
+            img, nodes = _rooted_isomorphism(adj, a, adj_h, b, budget)
+            if img is not None:
+                return True
+            budget -= nodes
+            if not budget:
+                break
+        else:
+            return False
     return canonical_form(g) == canonical_form(h)
 
 
-def _rooted_isomorphism(adj, a: int, adj_h, b: int):
+def _rooted_isomorphism(adj, a: int, adj_h, b: int, limit: Optional[int] = None):
     """(an isomorphism from the connected graph adj onto adj_h that sends a
-    to b, as an image list, or None if there is none; the vertices placed).
+    to b, as an image list, or None; the vertices placed).
 
     Individualise a and extend, with no refinement and no tree (McKay &
     Piperno 2014). Vertices are placed in BFS order from a, except that one
     reached by a second placed vertex goes next, so a cycle is checked as
     soon as it closes. Each goes on an unused neighbour, of its own degree,
     of the image of the vertex that first reached it, and its edges to placed
-    vertices must land on edges (forward checking)."""
+    vertices must land on edges (forward checking).
+
+    None means there is no such isomorphism, or that the search stopped at
+    `limit` placements without deciding: with a limit, a None whose count
+    equals the limit decides nothing."""
     n = len(adj)
     parent, rank = {a: a}, {}  # who first reached each vertex; the order
     queue, forced = deque([a]), []
@@ -477,6 +525,7 @@ def _rooted_isomorphism(adj, a: int, adj_h, b: int):
     used = [False] * n
     img[a], used[b] = b, True
     nodes = 0
+    stop = -1 if limit is None else limit
 
     def place(i: int) -> bool:
         nonlocal nodes
@@ -487,6 +536,8 @@ def _rooted_isomorphism(adj, a: int, adj_h, b: int):
             if used[y] or len(adj_h[y]) != len(adj[v]) or any(
                     img[w] not in adj_h[y] for w in back[v]):
                 continue
+            if nodes == stop:  # every caller up the stack stops here too
+                return False
             nodes += 1
             img[v], used[y] = y, True
             if place(i + 1):

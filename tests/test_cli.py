@@ -303,6 +303,31 @@ def test_iso_exit_codes(tmp_path, capsys):
     assert code == 1 and out.strip() == "not isomorphic"
 
 
+def test_iso_refuses_an_input_of_several_graphs(tmp_path, capsys):
+    from tricirc.families import gp
+    one = tmp_path / "one.g6"
+    two = tmp_path / "two.g6"
+    one.write_bytes(encode_graph6(gp(7, 2)) + b"\n")
+    two.write_bytes(b"\n".join([encode_graph6(gp(7, 3)), encode_graph6(gp(7, 1))]))
+    for argv in ([str(one), str(two)], [str(two), str(one)]):
+        code, out, err = run(capsys, "iso", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(two) in err
+
+
+def test_iso_above_the_size_guard_is_usage_error(tmp_path, capsys, time_limit):
+    from tricirc.graphs import SimpleGraph
+    c601 = SimpleGraph(601, [(i, (i + 1) % 601) for i in range(601)])
+    a = tmp_path / "a.g6"
+    b = tmp_path / "b.g6"
+    a.write_bytes(encode_graph6(c601))
+    b.write_bytes(encode_graph6(c601.relabel(list(reversed(range(601))))))
+    with time_limit(5):
+        code, out, err = run(capsys, "iso", str(a), str(b))
+    assert code == 2 and out == ""
+    assert "size guard" in err
+
+
 def test_quotient_prints_pregraph(tmp_path, capsys):
     p = tmp_path / "y.g6"
     from tricirc.families import t2

@@ -4,7 +4,11 @@ import random
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_oracles import ROOK_4X4, SHRIKHANDE, small_graphs
 
+from tricirc import symmetry
 from tricirc.families import gp, moebius, prism, t3, x_graph, y_graph
 from tricirc.graph6 import encode_graph6
 from tricirc.graphs import SimpleGraph
@@ -175,6 +179,94 @@ def test_size_guard():
     big = SimpleGraph(601, [])
     with pytest.raises(SizeGuardError):
         canonical_form(big)
+
+
+# -- are_isomorphic: invariant, extension, canonical forms -------------------
+
+@pytest.fixture
+def deciders(monkeypatch):
+    """Empties the search cache and counts the extensions run; returns a
+    function giving (IR searches run, extensions run) since then."""
+    extensions = []
+    original = symmetry._rooted_isomorphism
+
+    def counted(*args):
+        extensions.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(symmetry, "_rooted_isomorphism", counted)
+    symmetry._search_cached.cache_clear()
+    return lambda: (symmetry._search_cached.cache_info().misses, len(extensions))
+
+
+def relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return g.relabel(perm)
+
+
+def test_are_isomorphic_rejects_by_the_key_multiset(deciders):
+    two_triangles = SimpleGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert not are_isomorphic(cycle(6), two_triangles)
+    assert not are_isomorphic(gp(11, 2), gp(11, 3))
+    assert deciders() == (0, 0)
+
+
+def test_are_isomorphic_accepts_by_extension(deciders):
+    g = y_graph(9)
+    assert are_isomorphic(g, relabelled(g, 1))
+    assert deciders() == (0, 1)
+
+
+def test_are_isomorphic_rejects_by_extension(deciders):
+    # Both are cubic on 6 vertices with 3 vertices at distance 1 and 2 at
+    # distance 2 from each, so only the extension tells them apart.
+    assert not are_isomorphic(prism(3), t3(1, 1))
+    assert deciders() == (0, 6)
+
+
+def test_are_isomorphic_falls_back_when_the_budget_runs_out(deciders):
+    # Strongly regular with equal parameters: every vertex has the same key
+    # in both, and refuting all 16 images of the root takes 288 placements,
+    # more than the 16·16 allowed.
+    assert not are_isomorphic(ROOK_4X4, SHRIKHANDE)
+    searches, extensions = deciders()
+    assert searches == 2 and 0 < extensions < 16
+
+
+def test_are_isomorphic_on_disconnected_graphs_uses_canonical_forms(deciders):
+    c3_c4 = SimpleGraph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
+    assert are_isomorphic(c3_c4, relabelled(c3_c4, 2))
+    assert are_isomorphic(relabelled(c3_c4, 3), c3_c4)
+    assert deciders() == (3, 0)  # c3_c4's search is cached
+
+
+def test_are_isomorphic_on_the_empty_graph():
+    assert are_isomorphic(SimpleGraph(0, []), SimpleGraph(0, []))
+    assert not are_isomorphic(SimpleGraph(0, []), SimpleGraph(1, []))
+
+
+def test_are_isomorphic_size_guard_comes_before_the_extension(deciders):
+    c601 = cycle(601)
+    with pytest.raises(SizeGuardError):
+        are_isomorphic(c601, relabelled(c601, 4))
+    assert deciders() == (0, 0)
+
+
+def test_are_isomorphic_on_a_complete_graph(time_limit):
+    k100 = SimpleGraph(100, [(a, b) for a in range(100) for b in range(a + 1, 100)])
+    with time_limit(1):
+        assert are_isomorphic(k100, relabelled(k100, 5))
+
+
+@given(small_graphs(), small_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_are_isomorphic_agrees_with_canonical_forms(g, h, rng):
+    assert are_isomorphic(g, h) == (canonical_form(g) == canonical_form(h))
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    assert are_isomorphic(g, g.relabel(perm))
+    assert are_isomorphic(g.relabel(perm), g)
 
 
 # -- cycles and girth ---------------------------------------------------------
