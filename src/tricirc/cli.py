@@ -251,7 +251,7 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
-    g = _read_graphs(args.path)[0]
+    g = _read_one_graph(args.path)
     if args.order < 1 or g.n % args.order:
         raise ValueError("--order must be a positive divisor of |V|")
     rho = find_k_circulant(g, g.n // args.order, cap=args.cap)

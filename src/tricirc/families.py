@@ -5,7 +5,8 @@ delta(1)..delta(4) over Z_{2k}, with the standard voltages (k on semi-edges,
 0 on tree links, r and s elsewhere). Vertices are numbered fibre-major:
 u_i = i, v_i = 2k + i, w_i = 4k + i (`fibre_indexers`, `fibre_map`). Each
 family's parameter symmetries are declared here once, with the vertex maps
-that prove them, and the sweep's orbit representatives come from them.
+that prove them, and the sweep's orbit representatives and unit orbits
+come from them.
 Also here: the generalized Petersen graphs, prisms and Moebius ladders they
 get compared against, the explicit shift/mixing automorphisms, and the
 three-cycle torus decomposition of the y-family.
@@ -109,11 +110,28 @@ def fibre_map(
 class ParamSymmetry(NamedTuple):
     """A map on (r, s) with the vertex map that proves it: the cover at
     (r, s) relabelled by fibre_map(k, scale, fibres=fibres) is exactly the
-    cover at image(r, s)."""
+    cover at image(r, s). The fine maps define the reported orbits; the
+    others only join fine orbits into unit orbits."""
 
     image: Callable[[int, Optional[int]], tuple]
     scale: int = 1
     fibres: tuple = (0, 1, 2)
+    fine: bool = True
+
+
+def unit_generators(n: int) -> list[int]:
+    """Generators of the unit group of Z_n: each unit, ascending, that is
+    not in the subgroup the ones before it generate."""
+    gens, group = [], {1 % n}
+    for a in range(2, n):
+        if gcd(a, n) == 1 and a not in group:
+            gens.append(a)
+            cosets, x = [group], a
+            while x not in group:  # the cosets group * a^i, i < order of a
+                cosets.append({g * x % n for g in group})
+                x = x * a % n
+            group = set().union(*cosets)
+    return gens
 
 
 def parameter_symmetries(family_type: int, k: int) -> list[ParamSymmetry]:
@@ -122,10 +140,12 @@ def parameter_symmetries(family_type: int, k: int) -> list[ParamSymmetry]:
     They are voltage-assignment isomorphisms (Gross & Tucker, Topological
     Graph Theory, 1987, ch. 2). Multiplying every voltage by a unit a is the
     index map i -> a*i, and a fixes the semi-edge voltage k because it is
-    odd. A loop lifts to the same edges under s and -s. Swapping the two
-    edges of a double bridge, or two fibres that play the same part,
-    permutes the pregraph. Parameters are residues mod 2k; s is None for
-    type 3."""
+    odd; that holds for all four types, so each declares the scaling by
+    generators of the unit group of Z_{2k}. A loop lifts to the same edges
+    under s and -s. Swapping the two edges of a double bridge, or two
+    fibres that play the same part, permutes the pregraph. The scalings are
+    fine (they define the reported orbits) only for type 1. Parameters are
+    residues mod 2k; s is None for type 3."""
     n = 2 * k
 
     def neg_r(r, s):
@@ -137,45 +157,69 @@ def parameter_symmetries(family_type: int, k: int) -> list[ParamSymmetry]:
     def swap(r, s):
         return (s, r)
 
-    if family_type == 1:
-        return [ParamSymmetry(swap)] + [
-            ParamSymmetry(lambda r, s, a=a: (a * r % n, a * s % n), scale=a)
-            for a in range(1, n) if gcd(a, n) == 1
-        ]
+    def times(a):
+        return lambda r, s: (a * r % n, None if s is None else a * s % n)
+
+    units = [ParamSymmetry(times(a), scale=a, fine=family_type == 1)
+             for a in unit_generators(n)]
     return {
+        1: [ParamSymmetry(swap)],
         2: [ParamSymmetry(neg_r, scale=-1), ParamSymmetry(neg_s)],
         3: [ParamSymmetry(neg_r, scale=-1)],
         4: [ParamSymmetry(neg_r), ParamSymmetry(neg_s),
             ParamSymmetry(swap, fibres=(0, 2, 1))],
-    }[family_type]
+    }[family_type] + units
 
 
-def parameter_representatives(family_type: int, k: int) -> list[tuple]:
-    """The sorted orbit minima of the (r, s) grid of one family under its
-    declared symmetries. Every grid point is isomorphic to one of them, so
-    a sweep over these is as exhaustive as one over the grid."""
+def parameter_orbits(family_type: int, k: int) -> list[tuple]:
+    """Pairs (p, m) over the (r, s) grid of one family, sorted: p is the
+    minimum of a fine orbit (an orbit under the fine declared symmetries)
+    and m the minimum of its unit orbit (the orbit under all of them, a
+    union of fine orbits). Every grid point is isomorphic to some p, and
+    the covers of one unit orbit to each other. One walk finds both."""
     n = 2 * k
     if family_type == 3:
         grid = [(r, None) for r in range(n)]
     else:
         grid = list(product(range(n), repeat=2))
-    images = [sym.image for sym in parameter_symmetries(family_type, k)]
-    seen: set = set()
-    reps = []
-    for p in grid:  # ascending, so each orbit is met first at its minimum
-        if p in seen:
+    fine, coarse = [], []
+    for sym in parameter_symmetries(family_type, k):
+        (fine if sym.fine else coarse).append(sym.image)
+    unit: dict = {}  # grid point -> its unit orbit's minimum
+    in_fine: set = set()
+    pairs = []
+    for p in grid:  # ascending, so each unit orbit is met first at its minimum
+        if p in unit:
             continue
-        reps.append(p)
-        seen.add(p)
-        stack = [p]
-        while stack:
-            q = stack.pop()
-            for image in images:
-                x = image(*q)
-                if x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-    return reps
+        unit[p] = p
+        pending = [p]
+        while pending:
+            q = pending.pop()
+            if q in in_fine:
+                continue
+            in_fine.add(q)
+            orbit = [q]
+            for x in orbit:  # the fine orbit of q
+                for image in fine:
+                    y = image(*x)
+                    if y not in in_fine:
+                        in_fine.add(y)
+                        orbit.append(y)
+            pairs.append((min(orbit), p))
+            for x in orbit:
+                unit[x] = p
+                for image in coarse:
+                    y = image(*x)
+                    if y not in unit:
+                        unit[y] = p
+                        pending.append(y)
+    return sorted(pairs)
+
+
+def parameter_representatives(family_type: int, k: int) -> list[tuple]:
+    """The sorted fine orbit minima of `parameter_orbits`. A sweep over
+    these is as exhaustive as one over the grid."""
+    return [p for p, _ in parameter_orbits(family_type, k)]
 
 
 def r_star(k: int) -> int:

@@ -5,13 +5,17 @@ evidence, not restatements.
 
 The sweep and the census share one funnel, `_funnel`, over the covers at
 the parameter representatives that `families` derives from the declared
-symmetries. At one k it reads off each voltage assignment whether its cover
-is simple and connected, whether it passes the degree/BFS-layer screen at
-the three fibre roots u_0, v_0 and w_0, and, by rooted extension on the
-lifted adjacency, whether it is vertex-transitive. It names each VT cover by
-extension onto the family graphs X(k), Y(k), prism(3k) and moebius(3k) and
-records the name at the match, the only place a class is named; it builds
-and searches for a canonical form only a VT cover that matches none.
+symmetries. Each stage is an isomorphism invariant, so it is decided once
+per unit orbit (the covers joined by scaling the voltages by units of
+Z_2k) and counted per fine representative, the reported unit. At one k
+it reads off each voltage assignment whether its cover is simple and
+connected, whether it passes the degree/BFS-layer screen at the three
+fibre roots u_0, v_0 and w_0, and, by rooted extension on the lifted
+adjacency, whether it is vertex-transitive. It names each VT cover by
+extension onto the family graphs X(k), Y(k), prism(3k) and moebius(3k)
+and records the name at the match, the only place a class is named; it
+builds and searches for a canonical form only a VT cover that matches
+none.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .families import (
     fibre_indexers,
     fibre_map,
     moebius,
-    parameter_representatives,
+    parameter_orbits,
     prism,
     t1,
     t4,
@@ -256,9 +260,10 @@ def _is_vt_cover(adj: tuple[tuple[int, ...], ...], n: int) -> bool:
     )
 
 
-def _funnel(k: int, family: dict[str, SimpleGraph]) -> tuple[dict, dict]:
-    """Voltages -> simple -> connected -> screen -> VT -> name -> dedup at
-    order 6k, over the parameter representatives of all four types.
+def _decide(params: FamilyParams, family: dict[str, SimpleGraph]) -> tuple:
+    """(passed, cls) for the cover at params: passed is how many of the
+    stages after "grid" in `_STAGES` it reaches, and cls is None or, for a
+    VT cover, (canonical form as ascii, name, graph).
 
     Every stage up to VT reads the voltage assignment or the adjacency
     lifted from it once (`cover_is_simple`, `cover_connected`,
@@ -267,36 +272,51 @@ def _funnel(k: int, family: dict[str, SimpleGraph]) -> tuple[dict, dict]:
     graph, `_family_graphs(k)`): it is VT, so if any isomorphism exists one
     sends 0 to 0. Its class is the canonical form of the graph matched, and
     the name matched is recorded there; only a cover that matches none is
-    built and searched, and its name is None. Returns the per-type count of
-    each stage in `_STAGES` ("constructed" counts the simple covers), and
-    the VT classes by canonical form (ascii), each with its name, types, up
-    to three example parameter tuples and a graph of the class."""
+    built and searched, and its name is None."""
+    va = params.voltages()
+    if not cover_is_simple(va):
+        return 0, None
+    if not cover_connected(va):
+        return 1, None
+    adj = lifted_adjacency(va)
+    if not (_passes_vt_screen(adj, va.n) and _is_vt_cover(adj, va.n)):
+        return 2, None
+    name = next((name for name, f in family.items() if
+                 _rooted_isomorphism(adj, 0, f.adjacency(), 0)[0] is not None),
+                None)
+    g = params.build() if name is None else family[name]
+    return 3, (canonical_form(g).decode("ascii"), name, g)
+
+
+def _funnel(k: int, family: dict[str, SimpleGraph]) -> tuple[dict, dict]:
+    """Voltages -> simple -> connected -> screen -> VT -> name -> dedup at
+    order 6k, over the parameter representatives of all four types.
+
+    The stages are decided once per unit orbit (`parameter_orbits`), by
+    `_decide` at its minimum, the first of its fine representatives met;
+    each is an isomorphism invariant, so every fine representative of the
+    orbit shares the verdict. They are counted per fine representative.
+    Returns the per-type count of each stage in `_STAGES` ("constructed"
+    counts the simple covers), and the VT classes by canonical form
+    (ascii), each with its name, types, up to three example parameter
+    tuples and a graph of the class."""
     counts = {stage: dict.fromkeys((1, 2, 3, 4), 0) for stage in _STAGES}
     classes: dict[str, dict] = {}
     for t in (1, 2, 3, 4):
-        reps = parameter_representatives(t, k)
-        counts["grid"][t] = len(reps)
-        for r, s in reps:
-            params = FamilyParams(t, k, r, s)
-            va = params.voltages()
-            if not cover_is_simple(va):
+        orbits = parameter_orbits(t, k)
+        counts["grid"][t] = len(orbits)
+        verdicts: dict = {}  # unit orbit minimum -> _decide there
+        for (r, s), unit in orbits:
+            if unit not in verdicts:
+                verdicts[unit] = _decide(FamilyParams(t, k, r, s), family)
+            passed, cls = verdicts[unit]
+            for stage in _STAGES[1:1 + passed]:
+                counts[stage][t] += 1
+            if cls is None:
                 continue
-            counts["constructed"][t] += 1
-            if not cover_connected(va):
-                continue
-            counts["connected"][t] += 1
-            adj = lifted_adjacency(va)
-            if not (_passes_vt_screen(adj, va.n) and _is_vt_cover(adj, va.n)):
-                continue
-            counts["vt_instances"][t] += 1
-            name = next((name for name, f in family.items() if
-                         _rooted_isomorphism(adj, 0, f.adjacency(), 0)[0]
-                         is not None), None)
-            g = params.build() if name is None else family[name]
+            canon, name, g = cls
             slot = classes.setdefault(
-                canonical_form(g).decode("ascii"),
-                {"name": name, "types": set(), "params": [], "graph": g},
-            )
+                canon, {"name": name, "types": set(), "params": [], "graph": g})
             slot["types"].add(t)
             if len(slot["params"]) < 3:
                 slot["params"].append((t, k, r, s))

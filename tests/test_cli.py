@@ -340,6 +340,15 @@ def test_quotient_prints_pregraph(tmp_path, capsys):
     assert len([ln for ln in lines if ln.startswith("dart ")]) == 9
 
 
+def test_quotient_refuses_an_input_of_several_graphs(tmp_path, capsys):
+    from tricirc.families import gp, t2
+    p = tmp_path / "two.g6"
+    p.write_bytes(b"\n".join([encode_graph6(t2(5, 2, 1)), encode_graph6(gp(7, 1))]))
+    code, out, err = run(capsys, "quotient", str(p), "--order", "10")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"{p} holds 2 graphs, not one" in err
+
+
 def test_quotient_without_matching_symmetry(tmp_path, capsys):
     from tricirc.graphs import SimpleGraph
     # the paw's only symmetry swaps two vertices and fixes the other two

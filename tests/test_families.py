@@ -1,5 +1,7 @@
 """Parametrized cover families, named graphs and their explicit symmetries."""
 
+from math import gcd
+
 import pytest
 
 from tricirc.families import (
@@ -8,6 +10,8 @@ from tricirc.families import (
     fibre_map,
     gp,
     moebius,
+    parameter_orbits,
+    parameter_representatives,
     parameter_symmetries,
     prism,
     r_star,
@@ -16,6 +20,7 @@ from tricirc.families import (
     t3,
     t4,
     torus_cycle_decomposition,
+    unit_generators,
     x_graph,
     y_graph,
 )
@@ -193,6 +198,96 @@ def test_declared_symmetries_are_cover_isomorphisms():
                     assert (g is None) == (h is None), (t, k, r, s)
                     if g is not None:
                         assert g.relabel(vmap) == h, (t, k, r, s, sym)
+
+
+def _orbit_minima(grid, images):
+    """Grid point -> the minimum of its orbit under the maps `images`."""
+    least = {}
+    for p in grid:  # ascending
+        if p in least:
+            continue
+        least[p] = p
+        stack = [p]
+        while stack:
+            q = stack.pop()
+            for image in images:
+                x = image(*q)
+                if x not in least:
+                    least[x] = p
+                    stack.append(x)
+    return least
+
+
+def _orbit_pairs(grid, fine, coarse):
+    """The sorted (fine orbit minimum, unit orbit minimum) pairs, walked
+    once per map set."""
+    fine_min = _orbit_minima(grid, fine)
+    unit_min = _orbit_minima(grid, fine + coarse)
+    return sorted({(fine_min[p], unit_min[p]) for p in grid})
+
+
+def test_unit_generators_generate_every_unit():
+    for n in range(1, 201):
+        units = {a % n for a in range(1, n + 1) if gcd(a, n) == 1}
+        gens = unit_generators(n)
+        group, stack = {1 % n}, [1 % n]
+        while stack:
+            x = stack.pop()
+            for a in gens:
+                if x * a % n not in group:
+                    group.add(x * a % n)
+                    stack.append(x * a % n)
+        assert group == units, n
+    assert len(unit_generators(200)) <= 3
+
+
+def test_unit_orbit_counts_are_pinned():
+    for k, want in ((15, 225), (50, 519)):
+        got = sum(len({m for _, m in parameter_orbits(t, k)})
+                  for t in (1, 2, 3, 4))
+        assert got == want, k
+
+
+def test_unit_orbits_are_unions_of_fine_orbits():
+    """Each fine orbit of the declared fine maps lies in one orbit of all
+    the declared maps, and `parameter_orbits` pairs their minima."""
+    for k in range(1, 13):
+        for t in (1, 2, 3, 4):
+            grid = _grid(t, k)
+            syms = parameter_symmetries(t, k)
+            fine = [sym.image for sym in syms if sym.fine]
+            coarse = [sym.image for sym in syms if not sym.fine]
+            fine_min = _orbit_minima(grid, fine)
+            unit_min = _orbit_minima(grid, fine + coarse)
+            for p in grid:
+                assert unit_min[p] == unit_min[fine_min[p]], (t, k, p)
+            assert parameter_orbits(t, k) == _orbit_pairs(grid, fine, coarse)
+
+
+def test_orbits_match_a_walk_over_all_units():
+    """The same orbits as scaling by every unit of Z_2k, not generators:
+    type 1 reports its unit orbits, the others only join by them."""
+    for k in range(1, 21):
+        n = 2 * k
+        units = [lambda r, s, a=a: (a * r % n, None if s is None else a * s % n)
+                 for a in range(1, n) if gcd(a, n) == 1]
+
+        def neg_r(r, s):
+            return (-r % n, s)
+
+        def neg_s(r, s):
+            return (r, -s % n)
+
+        def swap(r, s):
+            return (s, r)
+
+        for t, fine, coarse in ((1, [swap] + units, []),
+                                (2, [neg_r, neg_s], units),
+                                (3, [neg_r], units),
+                                (4, [neg_r, neg_s, swap], units)):
+            pairs = _orbit_pairs(_grid(t, k), fine, coarse)
+            assert parameter_orbits(t, k) == pairs, (t, k)
+            assert parameter_representatives(t, k) == [p for p, _ in pairs]
 
 
 def test_gcd_rule_matches_cover_connectivity():

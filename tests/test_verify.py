@@ -5,8 +5,19 @@ import json
 
 import pytest
 
-from tricirc.families import FamilyParams, gp, prism, r_star, t3, x_graph, y_graph
+from tricirc.families import (
+    FamilyParams,
+    gp,
+    parameter_orbits,
+    parameter_representatives,
+    prism,
+    r_star,
+    t3,
+    x_graph,
+    y_graph,
+)
 from tricirc.symmetry import (
+    _rooted_isomorphism,
     are_isomorphic,
     canonical_form,
     girth,
@@ -14,8 +25,10 @@ from tricirc.symmetry import (
     uniform_local_profile,
 )
 from tricirc.verify import (
+    _STAGES,
     _family_graphs,
     _funnel,
+    _is_vt_cover,
     _passes_vt_screen,
     check_t1_conditions,
     classification_sweep,
@@ -25,7 +38,13 @@ from tricirc.verify import (
     sweep_one_k,
     walk_table,
 )
-from tricirc.voltage import NonSimpleCover, derived_cover, lifted_adjacency
+from tricirc.voltage import (
+    NonSimpleCover,
+    cover_connected,
+    cover_is_simple,
+    derived_cover,
+    lifted_adjacency,
+)
 
 
 def test_conditions_on_the_x_family():
@@ -224,10 +243,53 @@ def test_representatives_give_the_classes_of_the_full_grid():
         assert got == _full_grid_classes(k), k
 
 
+def _reference_funnel(k, family):
+    """Reference: the funnel deciding every fine representative on its own,
+    with no unit orbit shared."""
+    counts = {stage: dict.fromkeys((1, 2, 3, 4), 0) for stage in _STAGES}
+    classes = {}
+    for t in (1, 2, 3, 4):
+        reps = parameter_representatives(t, k)
+        counts["grid"][t] = len(reps)
+        for r, s in reps:
+            params = FamilyParams(t, k, r, s)
+            va = params.voltages()
+            if not cover_is_simple(va):
+                continue
+            counts["constructed"][t] += 1
+            if not cover_connected(va):
+                continue
+            counts["connected"][t] += 1
+            adj = lifted_adjacency(va)
+            if not (_passes_vt_screen(adj, va.n) and _is_vt_cover(adj, va.n)):
+                continue
+            counts["vt_instances"][t] += 1
+            name = next((name for name, f in family.items() if
+                         _rooted_isomorphism(adj, 0, f.adjacency(), 0)[0]
+                         is not None), None)
+            g = params.build() if name is None else family[name]
+            slot = classes.setdefault(canonical_form(g).decode("ascii"),
+                                      {"name": name, "types": set(), "params": []})
+            slot["types"].add(t)
+            if len(slot["params"]) < 3:
+                slot["params"].append((t, k, r, s))
+    return counts, classes
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_funnel_per_unit_orbit_equals_the_reference(k):
+    family = _family_graphs(k)
+    counts, classes = _funnel(k, family)
+    want_counts, want_classes = _reference_funnel(k, family)
+    assert counts == want_counts
+    assert {canon: {key: slot[key] for key in ("name", "types", "params")}
+            for canon, slot in classes.items()} == want_classes
+
+
 def test_funnel_builds_only_the_screened_covers(monkeypatch):
-    # Every connected cover is screened, and a cover is built only when it
-    # is vertex-transitive and matches no family graph: none at k = 9, so
-    # the only covers built are X(9) and Y(9) themselves.
+    # The screen runs once per connected unit orbit, and a cover is built
+    # only when it is vertex-transitive and matches no family graph: none
+    # at k = 9, so the only covers built are X(9) and Y(9) themselves.
     from tricirc import families, verify
 
     def recorded(fn, results):
@@ -236,13 +298,19 @@ def test_funnel_builds_only_the_screened_covers(monkeypatch):
             return results[-1]
         return wrapper
 
+    connected_orbits = {
+        (t, unit) for t in (1, 2, 3, 4) for _, unit in parameter_orbits(t, 9)
+        if cover_is_simple(FamilyParams(t, 9, *unit).voltages())
+        and cover_connected(FamilyParams(t, 9, *unit).voltages())
+    }
     built, screened = [], []
     monkeypatch.setattr(families, "derived_cover",
                         recorded(families.derived_cover, built))
     monkeypatch.setattr(verify, "_passes_vt_screen",
                         recorded(verify._passes_vt_screen, screened))
     counts, _ = _funnel(9, _family_graphs(9))
-    assert len(screened) == sum(counts["connected"].values())
+    assert len(screened) == len(connected_orbits)
+    assert len(screened) < sum(counts["connected"].values())
     assert 0 < sum(screened) < len(screened)
     assert [g.adjacency() for g in built] == [
         x_graph(9).adjacency(), y_graph(9).adjacency()]
