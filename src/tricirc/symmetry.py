@@ -7,9 +7,10 @@ generating set of the automorphism group (for transitivity and orbit work).
 Deterministic for a fixed vertex ordering.
 
 The search keeps its work near what changes (McKay & Piperno, Practical
-graph isomorphism II, 2014). Refinement re-keys only the cells that can
-split: after the root, those next to the individualized vertex, then those
-next to a cell that split. Each search node keeps one union-find of the
+graph isomorphism II, 2014). Refinement re-keys only the vertices next to
+what changed: after the root, those next to the individualized vertex, then
+those next to a part split off from a cell (not its largest); the others in
+a cell share one key. Each search node keeps one union-find of the
 orbits of the generators that fix its prefix, fed as generators arrive.
 A leaf's certificate is the graph6 of the graph relabelled by the leaf,
 packed from the edge list. Each of these returns exactly what the plain
@@ -20,10 +21,11 @@ their deepest common ancestor: the canonical labeling is the one the full
 tree gives, and the tree and the generator list are smaller.
 
 The cached search entry (generator tuples, canonical labeling, canonical
-graph6, stabiliser chain) answers every question below; `Permutation` is
-only the API edge. The chain is built when the first group question (order,
-elements, semiregular search) reaches the entry, so canonical forms and
-isomorphism tests never pay for it. An isomorphism test reaches the search
+graph6, stabiliser chain, base) answers every question below;
+`Permutation` is only the API edge. The chain is built when the first group
+question (order, elements, semiregular search) reaches the entry, so
+canonical forms and isomorphism tests never pay for it. It tests elements
+on the base, the first leaf's prefix, which only the identity fixes. An isomorphism test reaches the search
 only when a vertex-invariant multiset and a budgeted rooted extension leave
 it open (`are_isomorphic`). A semiregular element with cycles of
 length t maps each vertex orbit onto itself, semiregularly with the same t,
@@ -156,63 +158,93 @@ def _wl_refine(
     order, so equal inputs on isomorphic graphs produce matching codes.
 
     The input colors must be dense (0..m-1), as `_initial_colors` and
-    `_individualize` produce them. Rounds are synchronous. A cell is named
-    by its start in the ordered partition, which orders cells as their dense
-    codes do, and only the first part of a split cell keeps its name. After
-    a split, a cell can split next round only if it has a neighbor in a
-    part other than the largest, so a round re-keys just those cells; the
-    fixpoint and its numbering are those of re-keying every vertex in every
-    round. If `individualized` is given, `colors` is an equitable coloring
-    in which these vertices were just split off into singleton cells, and
-    the first round re-keys only the cells around them."""
-    n = len(adj)
-    sizes = [0] * n
-    for c in colors:
-        sizes[c] += 1
-    starts = [0] * n
-    acc = 0
-    for c in range(n):
-        starts[c] = acc
-        acc += sizes[c]
-    name = [starts[c] for c in colors]
-    cells: dict[int, list[int]] = {}
-    for v in range(n):
-        cells.setdefault(name[v], []).append(v)
+    `_individualize` produce them. Rounds are synchronous. A vertex's key
+    names each neighbor's cell by its start in the ordered partition, which
+    orders cells as their dense codes do; the fixpoint and its numbering are
+    those of re-keying every vertex in every round.
+
+    A round re-keys only the marked vertices: those with a neighbor in a
+    part split off last round other than the largest part of its cell. The
+    unmarked vertices of a cell had equal keys last round, and every renamed
+    part they touch is a largest part, which holds all of their old
+    neighbors there; so they still share one key, taken from one of them.
+    Cells are sets under an id, with the start kept per id, and the part
+    with the unmarked vertices keeps the id: it is never walked vertex by
+    vertex unless it is not the largest. If `individualized` is given,
+    `colors` is an equitable coloring in which these vertices were just
+    split off into singleton cells, and the first round marks their
+    neighbors; otherwise it marks every vertex of a cell of two or more."""
+    cid = list(colors)  # vertex -> cell id
+    members: list[set[int]] = [set() for _ in range(max(colors, default=-1) + 1)]
+    for v, c in enumerate(cid):
+        members[c].add(v)
+    start, pos = [], 0  # cell id -> start
+    for cell in members:
+        start.append(pos)
+        pos += len(cell)
+
+    def key(v: int) -> tuple:
+        return tuple(sorted([start[cid[w]] for w in adj[v]]))
+
+    def mark(vertices) -> dict[int, set[int]]:
+        """The neighbors of the vertices that lie in cells of two or more,
+        by cell id."""
+        marked: dict[int, set[int]] = {}
+        for v in vertices:
+            for w in adj[v]:
+                d = cid[w]
+                if len(members[d]) > 1:
+                    if d in marked:
+                        marked[d].add(w)
+                    else:
+                        marked[d] = {w}
+        return marked
+
     if individualized is None:
-        dirty = [s for s, members in cells.items() if len(members) > 1]
+        marked = {c: set(cell) for c, cell in enumerate(members) if len(cell) > 1}
     else:
-        dirty = {
-            name[w] for v in individualized for w in adj[v]
-            if len(cells[name[w]]) > 1
-        }
-    while dirty:
+        marked = mark(individualized)
+    while marked:
         splits = []
-        for s in dirty:
-            by_key: dict[tuple, list[int]] = {}
-            for v in cells[s]:
-                key = tuple(sorted([name[w] for w in adj[v]]))
-                by_key.setdefault(key, []).append(v)
-            if len(by_key) > 1:
-                splits.append((s, [by_key[k] for k in sorted(by_key)]))
+        for c, mk in marked.items():
+            cell = members[c]
+            parts: dict[tuple, list[int]] = {}
+            for v in mk:
+                parts.setdefault(key(v), []).append(v)
+            kept = None  # the key of the unmarked vertices
+            if len(mk) < len(cell):
+                kept = key(next(v for v in cell if v not in mk))
+                parts.setdefault(kept, [])
+            if len(parts) > 1:
+                splits.append((c, kept, sorted(parts.items())))
         touched = []
-        for s, parts in splits:
-            start = s
-            for part in parts:
-                cells[start] = part
-                if start != s:
-                    for v in part:
-                        name[v] = start
-                start += len(part)
-            largest = max(parts, key=len)
-            for part in parts:
-                if part is not largest:
-                    touched.extend(part)
-        dirty = {
-            name[w] for v in touched for w in adj[v]
-            if len(cells[name[w]]) > 1
-        }
-    code = {s: i for i, s in enumerate(sorted(cells))}
-    return [code[s] for s in name]
+        for c, kept, parts in splits:
+            if kept is None:
+                kept = max(parts, key=lambda part: len(part[1]))[0]
+            ids = []  # the parts' cell ids: the kept part keeps c
+            for k, part in parts:
+                if k == kept:
+                    ids.append(c)
+                    continue
+                ids.append(len(members))
+                members.append(set(part))
+                start.append(0)
+                members[c].difference_update(part)
+                for v in part:
+                    cid[v] = ids[-1]
+            sizes = [len(members[d]) for d in ids]
+            pos = start[c]
+            for d, size in zip(ids, sizes):
+                start[d] = pos
+                pos += size
+            del ids[sizes.index(max(sizes))]  # the largest part
+            for d in ids:
+                touched.extend(members[d])
+        marked = mark(touched)
+    rank = [0] * len(start)
+    for i, c in enumerate(sorted(range(len(start)), key=start.__getitem__)):
+        rank[c] = i
+    return [rank[c] for c in cid]
 
 
 def _individualize(colors: list[int], v: int) -> list[int]:
@@ -288,11 +320,14 @@ def _is_automorphism(adj: tuple[tuple[int, ...], ...], img: Sequence[int]) -> bo
 
 def _search(adj: tuple[tuple[int, ...], ...]):
     """IR search: returns (generator tuples, canonical labeling tuple,
-    canonical graph6).
+    canonical graph6, base).
 
     The canonical labeling maps vertex -> position; relabeling any isomorphic
     copy of the graph by its own canonical labeling yields the same graph,
-    whose graph6 is the best leaf's certificate.
+    whose graph6 is the best leaf's certificate. The base is the prefix of
+    the first leaf: individualizing it and refining gives a discrete
+    coloring, which an automorphism that fixes the prefix preserves, so only
+    the identity fixes it.
     """
     n = len(adj)
     state = {
@@ -402,18 +437,19 @@ def _search(adj: tuple[tuple[int, ...], ...]):
     # more cells than its parent: the depth is at most n - 1, which is below
     # Python's default recursion limit of 1000 under the size guard.
     explore(_initial_colors(adj), (), ())
-    return tuple(state["gens"]), tuple(state["best_lab"]), state["best_cert"]
+    return (tuple(state["gens"]), tuple(state["best_lab"]), state["best_cert"],
+            state["ref_prefix"])
 
 
 @lru_cache(maxsize=2048)
 def _search_cached(adj: tuple[tuple[int, ...], ...]):
     """`_search`, with each generator checked once to be an automorphism,
-    as a list whose last slot holds the stabiliser chain once `_chain` has
-    built it."""
-    gens, labeling, cert = _search(adj)
+    as the list [generators, labeling, graph6, chain, base] whose chain slot
+    `_chain` fills when it first builds the stabiliser chain."""
+    gens, labeling, cert, base = _search(adj)
     if not all(_is_automorphism(adj, img) for img in gens):
         raise AssertionError("internal error: invalid generator")
-    return [gens, labeling, cert, None]
+    return [gens, labeling, cert, None, base]
 
 
 def _check_size(g: SimpleGraph):
@@ -550,18 +586,31 @@ def _rooted_isomorphism(adj, a: int, adj_h, b: int, limit: Optional[int] = None)
 
 # -- group machinery ---------------------------------------------------------
 #
-# One stabiliser chain on the base 0..n-1 answers every group question (Seress,
-# Permutation Group Algorithms, 2003): level p is the pointwise stabiliser G_p
-# of 0..p-1, with one u_x in G_p mapping p to each x of its orbit under G_p.
-# The same walk serves the chain of Aut and that of the group Aut induces on
-# one orbit, which the semiregular search builds for its refutation and drops.
+# One stabiliser chain with its levels on 0..n-1 answers every group question
+# (Seress, Permutation Group Algorithms, 2003): level p is the pointwise
+# stabiliser G_p of 0..p-1, with one u_x in G_p mapping p to each x of its
+# orbit under G_p. The same walk serves the chain of Aut and that of the group
+# Aut induces on one orbit, which the semiregular search builds for its
+# refutation and drops.
 
-def _stabiliser_chain(n: int, gens: Iterable[Sequence[int]]) -> list[dict]:
-    """Schreier-Sims with sifting: per level, {x: image tuple of u_x}."""
+def _stabiliser_chain(
+    n: int, gens: Iterable[Sequence[int]], base: Optional[Sequence[int]] = None
+) -> list[dict]:
+    """Schreier-Sims with sifting: per level, {x: image tuple of u_x}.
+
+    `base`, if given, is a base of the group: only the identity fixes each
+    of its points. Two elements that agree on it are equal, so a Schreier
+    generator u_{sx}^-1·s·u_x is the identity when s(u_x(b)) = u_{sx}(b) for
+    each b of the base, and an element that fixes 0..max(base) is the
+    identity, so sifting stops there. Without it the base is 0..n-1. The
+    chain is the same either way. Inverses of the u_x are made when sifting
+    first strips with them."""
+    points = range(n) if base is None else base
+    top = max(points, default=-1) + 1
     strong: list[list[tuple]] = [[] for _ in range(n)]  # generators in G_p
     identity = tuple(range(n))
     trans = [{p: identity} for p in range(n)]
-    inverse = [{p: identity} for p in range(n)]
+    inverse: list[dict] = [{} for _ in range(n)]
 
     def add(g, lo, hi):
         """Make g a strong generator of levels lo..hi; extend their orbits."""
@@ -572,30 +621,37 @@ def _stabiliser_chain(n: int, gens: Iterable[Sequence[int]]) -> list[dict]:
             for x in queue:
                 for s in strong[p]:
                     if s[x] not in u_of:
-                        u_of[s[x]] = u = tuple([s[v] for v in u_of[x]])
-                        inverse[p][s[x]] = tuple(sorted(identity, key=u.__getitem__))
+                        u_of[s[x]] = tuple([s[v] for v in u_of[x]])
                         queue.append(s[x])
 
     def sift(g, p):
-        """g stripped through levels p.., and the level where it leaves."""
-        for q in range(p, n):
-            if g[q] != q:
-                w = inverse[q].get(g[q])
+        """g, or its images of 0..top-1, stripped through levels p.., and
+        the level where it leaves."""
+        for q in range(p, top):
+            x = g[q]
+            if x != q:
+                w = inverse[q].get(x)
                 if w is None:
-                    return g, q
+                    u = trans[q].get(x)
+                    if u is None:
+                        return g, q
+                    w = inverse[q][x] = tuple(sorted(identity, key=u.__getitem__))
                 g = tuple([w[v] for v in g])
         return g, n  # the identity
 
     def residue(p):
         """A Schreier generator of level p that leaves the chain below p."""
-        for x, u in trans[p].items():
+        u_of = trans[p]
+        for x, u in u_of.items():
             for s in strong[p]:
-                su = tuple([s[v] for v in u])
-                if su != trans[p][s[x]]:  # else it is the identity
-                    w = inverse[p][s[x]]
-                    h, j = sift(tuple([w[v] for v in su]), p + 1)
+                w = u_of[s[x]]
+                if any(s[u[b]] != w[b] for b in points):  # else the identity
+                    # Sifting s·u_x strips level p with u_{sx}^-1. It reads
+                    # only the images of 0..top-1, so those go first, and the
+                    # whole element only if it leaves the chain.
+                    h, j = sift(tuple([s[v] for v in u[:top]]), p)
                     if j < n:
-                        return h, j
+                        return sift(tuple([s[v] for v in u]), p) if top < n else (h, j)
         return None, n
 
     for g in gens:
@@ -616,7 +672,7 @@ def _chain(g: SimpleGraph) -> list[dict]:
     """The stabiliser chain of Aut(g), built once per cached search entry."""
     entry = _searched(g)
     if entry[3] is None:
-        entry[3] = _stabiliser_chain(g.n, entry[0])
+        entry[3] = _stabiliser_chain(g.n, entry[0], entry[4])
     return entry[3]
 
 

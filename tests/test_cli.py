@@ -418,9 +418,9 @@ def test_one_stabiliser_chain_per_graph(tmp_path, capsys, monkeypatch):
     built = []
     original = symmetry._stabiliser_chain
 
-    def counted(n, gens):
+    def counted(n, gens, base=None):
         built.append(n)
-        return original(n, gens)
+        return original(n, gens, base)
 
     monkeypatch.setattr(symmetry, "_stabiliser_chain", counted)
     symmetry._search_cached.cache_clear()

@@ -4,7 +4,9 @@
 Schreier-Sims chain and one walk over it. The references below build the
 whole group by closure and scan it in sorted order. The chain must give the
 same order, the same element list, the same least semiregular element for
-every orbit count, and the same cap behaviour. The orbits of vertices,
+every orbit count, and the same cap behaviour. The chain of Aut tests
+Schreier generators on the search's base; it must be the chain built
+without it, and the base must leave only the identity. The orbits of vertices,
 edges and arcs, and the cycles of each element, must be the ones read off
 the element list. On graphs with several vertex orbits, the semiregular
 search may answer None from the orbit sizes or the groups induced on the
@@ -12,18 +14,22 @@ orbits; that answer, too, must be the reference's.
 """
 
 from collections import deque
+from math import prod
 from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tricirc.families import FamilyParams
+from tricirc.families import FamilyParams, gp, moebius, prism, t3, x_graph, y_graph
 from tricirc.graphs import SimpleGraph
 from tricirc import symmetry
 from tricirc.symmetry import (
     EnumerationCapExceeded,
     Permutation,
+    _individualize,
+    _initial_colors,
+    _wl_refine,
     arc_orbit_count,
     automorphism_group,
     edge_orbits,
@@ -253,3 +259,117 @@ def test_necklace_circulants_refuted_fast(time_limit):
         assert find_k_circulant(g, 1) is None
         assert find_k_circulant(g, 2) is None
         assert perf_counter() - start < 0.1
+
+
+# -- the search's base -------------------------------------------------------
+
+FAMILY = {
+    **{f"x_graph({k})": x_graph(k) for k in (9, 15, 25, 35, 49)},
+    **{f"y_graph({k})": y_graph(k) for k in (9, 15, 25, 35, 49)},
+    **{f"{f.__name__}({m})": f(m) for f in (prism, moebius) for m in (9, 27)},
+    "gp(24, 5)": gp(24, 5),
+    "t3(12, 6)": t3(12, 6),  # |Aut| = 137 594 142 720, above the cap
+}
+
+
+def base_refinement(g):
+    """The search's base individualized in turn, each time refined."""
+    adj = g.adjacency()
+    colors = _wl_refine(adj, _initial_colors(adj))
+    for b in symmetry._searched(g)[4]:
+        colors = _wl_refine(adj, _individualize(colors, b), [b])
+    return colors
+
+
+def automorphisms_fixing(g, base):
+    """Every automorphism of g that fixes each base point: the other
+    vertices are placed in turn, each where its adjacency to those already
+    placed is kept."""
+    adj = [set(g.neighbors(v)) for v in range(g.n)]
+    img = {b: b for b in base}
+    rest = [v for v in range(g.n) if v not in img]
+    out = []
+
+    def place(i):
+        if i == len(rest):
+            out.append([img[v] for v in range(g.n)])
+            return
+        v = rest[i]
+        for y in set(range(g.n)).difference(img.values()):
+            if all((u in adj[v]) == (img[u] in adj[y]) for u in img):
+                img[v] = y
+                place(i + 1)
+                del img[v]
+
+    place(0)
+    return out
+
+
+@given(small_graphs())
+@settings(max_examples=200, deadline=None)
+def test_the_base_is_discrete_and_fixed_only_by_the_identity(g):
+    assert sorted(base_refinement(g)) == list(range(g.n))
+    assert automorphisms_fixing(g, symmetry._searched(g)[4]) == [list(range(g.n))]
+
+
+@pytest.mark.parametrize("name", list(FAMILY))
+def test_the_base_is_discrete_on_family_graphs(name):
+    g = FAMILY[name]
+    assert sorted(base_refinement(g)) == list(range(g.n))
+
+
+@pytest.mark.parametrize("name", list(FAMILY))
+def test_the_chain_with_the_base_is_the_chain_without(name):
+    g = FAMILY[name]
+    gens, base = symmetry._searched(g)[0], symmetry._searched(g)[4]
+    with_base = symmetry._stabiliser_chain(g.n, gens, base)
+    without = symmetry._stabiliser_chain(g.n, gens)
+    assert [set(level) for level in with_base] == [set(level) for level in without]
+    assert with_base == without
+
+
+@st.composite
+def groups_with_a_base(draw):
+    """Generators of a permutation group on at most 7 points, and a base of
+    it in a drawn order: each point is kept while some element that fixes
+    the points kept so far moves it."""
+    n = draw(st.integers(1, 7))
+    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    elements = reference_closure(n, [Permutation(g) for g in gens], 5040)
+    base = []
+    for x in draw(st.permutations(range(n))):
+        if any(e[x] != x for e in elements if all(e[b] == b for b in base)):
+            base.append(x)
+    return n, [tuple(g) for g in gens], base, len(elements)
+
+
+@given(groups_with_a_base())
+@settings(max_examples=200, deadline=None)
+def test_the_chain_with_any_base_is_the_chain_without(group):
+    n, gens, base, order = group
+    with_base = symmetry._stabiliser_chain(n, gens, base)
+    assert with_base == symmetry._stabiliser_chain(n, gens)
+    assert prod(map(len, with_base)) == order
+
+
+def group_answers(g, base_known):
+    """|Aut(g)| and the least semiregular element for m = 1, 2, 3, from a
+    fresh search whose chain is built with or without the base."""
+    symmetry._search_cached.cache_clear()
+    if not base_known:
+        symmetry._searched(g)[4] = None
+    out = [group_order(g)]
+    for m in (1, 2, 3):
+        try:
+            found = find_k_circulant(g, m)
+            out.append(None if found is None else found.img)
+        except EnumerationCapExceeded:
+            out.append("cap")
+    symmetry._search_cached.cache_clear()
+    return out
+
+
+@pytest.mark.parametrize("name", list(FAMILY))
+def test_group_answers_agree_with_and_without_the_base(name):
+    g = FAMILY[name]
+    assert group_answers(g, True) == group_answers(g, False)

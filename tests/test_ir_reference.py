@@ -1,7 +1,8 @@
 """The IR search's hot spots against their plain reference versions.
 
-`_wl_refine` re-keys only the cells that can split, and `_leaf_certificate`
-packs the graph6 of the relabelled graph from the edge list. Both must
+`_wl_refine` re-keys only the vertices next to a part that split off, and
+`_leaf_certificate` packs the graph6 of the relabelled graph from the edge
+list. Both must
 return exactly what the plain versions below return, so that the search
 tree, every canonical form and every generator stay the same. The frozen
 canonical-form and canonical-labeling digests pin the search output on
@@ -13,10 +14,12 @@ import hashlib
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_group_reference import necklace
 
 from tricirc.families import gp, moebius, prism, x_graph, y_graph
 from tricirc.symmetry import (
     _individualize,
+    _initial_colors,
     _leaf_certificate,
     _wl_refine,
     canonical_form,
@@ -110,6 +113,38 @@ def test_refine_after_individualizing_matches_reference(adj, data):
     v = data.draw(st.sampled_from(shared))
     colors = _individualize(equitable, v)
     assert _wl_refine(adj, list(colors), [v]) == reference_refine(adj, list(colors))
+
+
+# One vertex per fibre of the covers (fibre-major, 2k = 98 a fibre), per
+# cycle of the prism and per vertex class of the necklace's beads. There the
+# cell that splits holds most of the graph and the marked vertices are few,
+# which graphs of 20 vertices seldom reach.
+LARGE = {
+    "x_graph(49)": (x_graph(49), [0, 98, 196]),
+    "y_graph(49)": (y_graph(49), [0, 98, 196]),
+    "prism(147)": (prism(147), [0, 147]),
+    "necklace(10)": (necklace(10), [0, 2]),
+}
+
+
+@pytest.mark.parametrize("name", list(LARGE))
+def test_refine_matches_reference_on_large_graphs(name):
+    """The root refinement, each vertex individualized in it, and below
+    that the first vertex of the smallest cell, as the search picks it."""
+    g, roots = LARGE[name]
+    adj = g.adjacency()
+    initial = _initial_colors(adj)
+    equitable = reference_refine(adj, initial)
+    assert _wl_refine(adj, list(initial)) == equitable
+    for v in roots:
+        colors = _individualize(equitable, v)
+        refined = reference_refine(adj, colors)
+        assert _wl_refine(adj, list(colors), [v]) == refined
+        sizes = {c: refined.count(c) for c in set(refined)}
+        target = min(c for c, size in sizes.items() if size > 1)
+        w = refined.index(target)
+        colors = _individualize(refined, w)
+        assert _wl_refine(adj, list(colors), [w]) == reference_refine(adj, colors)
 
 
 @given(graphs(), st.data())

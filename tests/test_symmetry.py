@@ -374,6 +374,24 @@ def test_group_order_of_six_prisms(time_limit):
     assert order == 24**6 * factorial(6) == 137_594_142_720
 
 
+@pytest.mark.parametrize("make, circulant", [
+    (lambda: prism(297), (True, True, True)),  # C_297 x K_2 is cyclic
+    (lambda: x_graph(99), (False, False, True)),  # a tricirculant only
+], ids=["prism(297)", "x_graph(99)"])
+def test_group_questions_at_the_size_guard(time_limit, make, circulant):
+    # 594 vertices, under the guard of 600. Searching, ordering and the
+    # semiregular search took about 0.3 s a graph before refinement re-keyed
+    # only the marked vertices and the chain tested on the search's base,
+    # and about 0.1-0.2 s after.
+    g = make()
+    symmetry._search_cached.cache_clear()
+    with time_limit(2):
+        canonical_form(g)
+        assert group_order(g) == 2 * g.n
+        found = tuple(find_k_circulant(g, m) is not None for m in (1, 2, 3))
+    assert found == circulant
+
+
 @pytest.mark.parametrize("complete", [False, True], ids=["edgeless", "complete"])
 def test_search_on_the_full_symmetric_group(time_limit, complete):
     # Every relabeling of these graphs is an automorphism. Without the jump
