@@ -2,14 +2,15 @@
 
 `_wl_refine` re-keys only the vertices next to a part that split off, and
 `_leaf_certificate` packs the graph6 of the relabelled graph from the edge
-list. Both must
-return exactly what the plain versions below return, so that the search
-tree, every canonical form and every generator stay the same. The frozen
+list. Both must return exactly what the plain versions below return, so
+that the search tree, every canonical form and every generator stay the
+same. The frozen
 canonical-form and canonical-labeling digests pin the search output on
 family graphs as a whole.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -140,8 +141,7 @@ def test_refine_matches_reference_on_large_graphs(name):
         colors = _individualize(equitable, v)
         refined = reference_refine(adj, colors)
         assert _wl_refine(adj, list(colors), [v]) == refined
-        sizes = {c: refined.count(c) for c in set(refined)}
-        target = min(c for c, size in sizes.items() if size > 1)
+        target = min(c for c, size in Counter(refined).items() if size > 1)
         w = refined.index(target)
         colors = _individualize(refined, w)
         assert _wl_refine(adj, list(colors), [w]) == reference_refine(adj, colors)
