@@ -8,8 +8,6 @@ bytes 126 plus six 6-bit bytes up to 2^36 - 1.
 
 from __future__ import annotations
 
-import re
-from math import isqrt
 from typing import Iterable
 
 from .graphs import SimpleGraph
@@ -17,7 +15,7 @@ from .graphs import SimpleGraph
 _HEADER = b">>graph6<<"
 _MAX_N = (1 << 36) - 1
 _OFFSET = bytes((b + 63) & 255 for b in range(256))  # 6-bit value -> byte
-_SET_BYTE = re.compile(rb"[^?]")  # a body byte with at least one set bit
+_VALUE = bytes((b - 63) & 255 for b in range(256))  # byte -> 6-bit value
 
 
 class Graph6Error(ValueError):
@@ -111,14 +109,19 @@ def decode_graph6(blob) -> SimpleGraph:
         if extra and pad & ((1 << extra) - 1):
             raise Graph6Error("nonzero padding bits")
     # Column-major upper triangle: bit t = j(j-1)/2 + i covers pair (i, j).
-    # Only bytes other than 63 ("?") carry set bits.
+    # As 8-bit bytes the body reads as one bit string in which character p
+    # is body bit 6(p // 8) + p % 8 - 2 (each byte's top two bits are 0).
+    # The set bits come in increasing t, so the column j only grows.
+    bits = format(int.from_bytes(body.translate(_VALUE), "big"),
+                  f"0{8 * len(body)}b")
     edges = []
-    for match in _SET_BYTE.finditer(body):
-        k = match.start()
-        byte = body[k] - 63
-        for b in range(6):
-            if byte & (32 >> b):
-                t = 6 * k + b
-                j = (1 + isqrt(8 * t + 1)) // 2
-                edges.append((t - j * (j - 1) // 2, j))
+    j = first = 0  # column j holds bits first .. first + j - 1
+    p = bits.find("1")
+    while p >= 0:
+        t = 6 * (p >> 3) + (p & 7) - 2
+        while t >= first + j:
+            first += j
+            j += 1
+        edges.append((t - first, j))
+        p = bits.find("1", p + 1)
     return SimpleGraph(n, edges)

@@ -124,7 +124,12 @@ class Permutation:
 # -- individualization-refinement search -------------------------------------
 
 def _bfs_key(adj: tuple[tuple[int, ...], ...], v: int) -> tuple:
-    """The degree/distance invariant of v: (degree, BFS layer sizes to depth 4)."""
+    """The degree/distance invariant of v: (degree, BFS layer sizes to depth 4).
+
+    `_bfs_keys` gives the same key for every vertex at once. This
+    single-root form stays for `verify._passes_vt_screen`, which needs the
+    key at three roots only, where building every vertex's ball would cost
+    more than the three searches."""
     dist = [-1] * len(adj)
     dist[v] = 0
     layer_sizes = []
@@ -143,9 +148,38 @@ def _bfs_key(adj: tuple[tuple[int, ...], ...], v: int) -> tuple:
     return len(adj[v]), tuple(layer_sizes)
 
 
+def _bfs_keys(adj: tuple[tuple[int, ...], ...]) -> list[tuple]:
+    """`[_bfs_key(adj, v) for v in range(len(adj))]` in one pass.
+
+    The ball of radius d about v, as an int bitset, is the union of the
+    balls of radius d-1 about v and its neighbours, and its layer is the
+    growth of its bit count. A vertex whose layer comes out empty has
+    reached its component, so its ball stays fixed and it drops out of
+    later rounds: `_bfs_key` stops at that layer too."""
+    ball = [1 << v for v in range(len(adj))]
+    reached = [1] * len(adj)
+    layers = [[] for _ in adj]
+    live = range(len(adj))
+    for _ in range(4):
+        grown = ball[:]
+        still = []
+        for v in live:
+            b = ball[v]
+            for u in adj[v]:
+                b |= ball[u]
+            size = b.bit_count()
+            if size > reached[v]:
+                layers[v].append(size - reached[v])
+                reached[v] = size
+                grown[v] = b
+                still.append(v)
+        ball, live = grown, still
+    return [(len(nbrs), tuple(sizes)) for nbrs, sizes in zip(adj, layers)]
+
+
 def _initial_colors(adj: tuple[tuple[int, ...], ...]) -> list[int]:
     """Degree/distance invariant coloring: `_bfs_key` ranked densely."""
-    keys = [_bfs_key(adj, v) for v in range(len(adj))]
+    keys = _bfs_keys(adj)
     code = {key: i for i, key in enumerate(sorted(set(keys)))}
     return [code[k] for k in keys]
 
@@ -487,8 +521,8 @@ def are_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
     """Whether g and h are isomorphic. Raises SizeGuardError above the size
     guard. Equal order and edge count are checked first; then:
 
-    1. The multiset of `_bfs_key` over all vertices is an isomorphism
-       invariant, so if the two differ the answer is False.
+    1. The multiset of `_bfs_key` over all vertices (`_bfs_keys`) is an
+       isomorphism invariant, so if the two differ the answer is False.
     2. If g is connected and not empty, a is the least vertex of its rarest
        key class, and `_rooted_isomorphism` tries each b of h with a's key
        in turn. An image found is an isomorphism, so the answer is True. Any
@@ -501,8 +535,7 @@ def are_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
         return False
     _check_size(g)
     adj, adj_h = g.adjacency(), h.adjacency()
-    keys = [_bfs_key(adj, v) for v in range(g.n)]
-    keys_h = [_bfs_key(adj_h, v) for v in range(h.n)]
+    keys, keys_h = _bfs_keys(adj), _bfs_keys(adj_h)
     count = Counter(keys)
     if count != Counter(keys_h):
         return False

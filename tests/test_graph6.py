@@ -90,7 +90,7 @@ def reference_edges(n, body):
     ]
 
 
-@given(st.sampled_from([0, 1, 2, 7, 13, 62, 63, 64, 90]), st.data())
+@given(st.sampled_from([0, 1, 2, 7, 13, 62, 63, 64, 90, 150, 600]), st.data())
 @settings(max_examples=60, deadline=None)
 def test_coding_matches_pairwise_reference(n, data):
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from test_oracles import ROOK_4X4, SHRIKHANDE, small_graphs
 
 from tricirc import symmetry
-from tricirc.families import gp, moebius, prism, t3, x_graph, y_graph
+from tricirc.families import FamilyParams, gp, moebius, prism, t3, x_graph, y_graph
 from tricirc.graph6 import encode_graph6
 from tricirc.graphs import SimpleGraph
 from tricirc.symmetry import (
@@ -141,6 +141,34 @@ def test_uniform_local_profile_screen():
     assert not uniform_local_profile(path(4))
 
 
+def complete(n):
+    return SimpleGraph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+
+
+def per_vertex_keys(g):
+    adj = g.adjacency()
+    return [symmetry._bfs_key(adj, v) for v in range(g.n)]
+
+
+@pytest.mark.parametrize("g", [
+    SimpleGraph(0, []),
+    SimpleGraph(3, [(0, 1)]),                  # an isolated vertex
+    SimpleGraph(4, []),
+    path(3),                                   # layers stop before depth 4
+    SimpleGraph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]),  # C_3 + C_4
+    complete(30),
+    FamilyParams(2, 25, 1, 3).build(),         # 150 vertices: three words a ball
+], ids=["empty", "isolated", "edgeless", "P3", "C3+C4", "K30", "t2(25,1,3)"])
+def test_bfs_keys_equal_the_per_vertex_keys(g):
+    assert symmetry._bfs_keys(g.adjacency()) == per_vertex_keys(g)
+
+
+@given(small_graphs())
+@settings(max_examples=150, deadline=None)
+def test_bfs_keys_equal_the_per_vertex_keys_on_small_graphs(g):
+    assert symmetry._bfs_keys(g.adjacency()) == per_vertex_keys(g)
+
+
 # -- canonical forms ----------------------------------------------------------
 
 def test_canonical_form_is_a_valid_encoding():
@@ -254,9 +282,10 @@ def test_are_isomorphic_size_guard_comes_before_the_extension(deciders):
 
 
 def test_are_isomorphic_on_a_complete_graph(time_limit):
-    k100 = SimpleGraph(100, [(a, b) for a in range(100) for b in range(a + 1, 100)])
-    with time_limit(1):
-        assert are_isomorphic(k100, relabelled(k100, 5))
+    for n, seconds in ((100, 1), (600, 3)):  # 600: the size guard
+        k_n = complete(n)
+        with time_limit(seconds):
+            assert are_isomorphic(k_n, relabelled(k_n, 5))
 
 
 @given(small_graphs(), small_graphs(), st.randoms(use_true_random=False))
