@@ -20,7 +20,7 @@ from math import gcd
 from typing import Callable, NamedTuple, Optional
 
 from .graphs import SimpleGraph
-from .symmetry import Permutation
+from .symmetry import Permutation, _orbits
 from .voltage import (
     NotAutomorphism,
     VoltageAssignment,
@@ -144,8 +144,9 @@ def parameter_symmetries(family_type: int, k: int) -> list[ParamSymmetry]:
     generators of the unit group of Z_{2k}. A loop lifts to the same edges
     under s and -s. Swapping the two edges of a double bridge, or two
     fibres that play the same part, permutes the pregraph. The scalings are
-    fine (they define the reported orbits) only for type 1. Parameters are
-    residues mod 2k; s is None for type 3."""
+    fine (they define the reported orbits) only for type 1, and commute
+    with every sign flip and swap, which `parameter_orbits` relies on.
+    Parameters are residues mod 2k; s is None for type 3."""
     n = 2 * k
 
     def neg_r(r, s):
@@ -176,44 +177,28 @@ def parameter_orbits(family_type: int, k: int) -> list[tuple]:
     minimum of a fine orbit (an orbit under the fine declared symmetries)
     and m the minimum of its unit orbit (the orbit under all of them, a
     union of fine orbits). Every grid point is isomorphic to some p, and
-    the covers of one unit orbit to each other. One walk finds both."""
+    the covers of one unit orbit to each other.
+
+    Grid points are numbered in tuple order, so an orbit's least number is
+    its least point. A non-fine map commutes with the fine ones, so it
+    carries a fine orbit onto the fine orbit of its minimum's image: the
+    unit orbits are orbits on fine-orbit numbers, and each one's minimum is
+    that of its least fine orbit."""
     n = 2 * k
     if family_type == 3:
         grid = [(r, None) for r in range(n)]
     else:
         grid = list(product(range(n), repeat=2))
+    at = {p: i for i, p in enumerate(grid)}
     fine, coarse = [], []
     for sym in parameter_symmetries(family_type, k):
         (fine if sym.fine else coarse).append(sym.image)
-    unit: dict = {}  # grid point -> its unit orbit's minimum
-    in_fine: set = set()
-    pairs = []
-    for p in grid:  # ascending, so each unit orbit is met first at its minimum
-        if p in unit:
-            continue
-        unit[p] = p
-        pending = [p]
-        while pending:
-            q = pending.pop()
-            if q in in_fine:
-                continue
-            in_fine.add(q)
-            orbit = [q]
-            for x in orbit:  # the fine orbit of q
-                for image in fine:
-                    y = image(*x)
-                    if y not in in_fine:
-                        in_fine.add(y)
-                        orbit.append(y)
-            pairs.append((min(orbit), p))
-            for x in orbit:
-                unit[x] = p
-                for image in coarse:
-                    y = image(*x)
-                    if y not in unit:
-                        unit[y] = p
-                        pending.append(y)
-    return sorted(pairs)
+    orbits = _orbits(len(grid), ([at[image(*p)] for p in grid] for image in fine))
+    number = {x: i for i, orbit in enumerate(orbits) for x in orbit}
+    least = [grid[orbit[0]] for orbit in orbits]
+    units = _orbits(len(orbits), ([number[at[image(*p)]] for p in least]
+                                  for image in coarse))
+    return sorted((least[i], least[unit[0]]) for unit in units for i in unit)
 
 
 def parameter_representatives(family_type: int, k: int) -> list[tuple]:

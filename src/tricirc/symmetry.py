@@ -627,19 +627,17 @@ def _rooted_isomorphism(adj, a: int, adj_h, b: int, limit: Optional[int] = None)
 # refutation and drops.
 
 def _stabiliser_chain(
-    n: int, gens: Iterable[Sequence[int]], base: Optional[Sequence[int]] = None
+    n: int, gens: Iterable[Sequence[int]], base: Sequence[int]
 ) -> list[dict]:
     """Schreier-Sims with sifting: per level, {x: image tuple of u_x}.
 
-    `base`, if given, is a base of the group: only the identity fixes each
-    of its points. Two elements that agree on it are equal, so a Schreier
+    `base` is a base of the group: only the identity fixes each of its
+    points. Two elements that agree on it are equal, so a Schreier
     generator u_{sx}^-1·s·u_x is the identity when s(u_x(b)) = u_{sx}(b) for
     each b of the base, and an element that fixes 0..max(base) is the
-    identity, so sifting stops there. Without it the base is 0..n-1. The
-    chain is the same either way. Inverses of the u_x are made when sifting
-    first strips with them."""
-    points = range(n) if base is None else base
-    top = max(points, default=-1) + 1
+    identity, so sifting stops there. The chain is the same for every base.
+    Inverses of the u_x are made when sifting first strips with them."""
+    top = max(base, default=-1) + 1
     strong: list[list[tuple]] = [[] for _ in range(n)]  # generators in G_p
     identity = tuple(range(n))
     trans = [{p: identity} for p in range(n)]
@@ -678,7 +676,7 @@ def _stabiliser_chain(
         for x, u in u_of.items():
             for s in strong[p]:
                 w = u_of[s[x]]
-                if any(s[u[b]] != w[b] for b in points):  # else the identity
+                if any(s[u[b]] != w[b] for b in base):  # else the identity
                     # Sifting s·u_x strips level p with u_{sx}^-1. It reads
                     # only the images of 0..top-1, so those go first, and the
                     # whole element only if it leaves the chain.
@@ -851,7 +849,7 @@ def find_k_circulant(
             own.discard(tuple(range(len(orbit))))
             induced.append((len(own), len(orbit), sorted(own)))
         for _, size, own in sorted(induced):
-            if next(_walk(_stabiliser_chain(size, own), keep), None) is None:
+            if next(_walk(_stabiliser_chain(size, own, range(size)), keep), None) is None:
                 return None
     img = next(_walk(trans, keep), None)
     return None if img is None else Permutation(img)

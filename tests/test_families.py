@@ -264,6 +264,31 @@ def test_unit_orbits_are_unions_of_fine_orbits():
             assert parameter_orbits(t, k) == _orbit_pairs(grid, fine, coarse)
 
 
+def test_non_fine_maps_commute_with_fine_maps():
+    """`parameter_orbits` moves each fine orbit by a non-fine map as a
+    whole, which is sound only while the maps commute on the grid."""
+    for k in range(1, 21):
+        for t in (1, 2, 3, 4):
+            syms = parameter_symmetries(t, k)
+            for c in (sym.image for sym in syms if not sym.fine):
+                for f in (sym.image for sym in syms if sym.fine):
+                    for p in _grid(t, k):
+                        assert c(*f(*p)) == f(*c(*p)), (t, k, p)
+
+
+@pytest.mark.parametrize("k", [49, 50, 99, 100])
+def test_orbits_match_the_oracle_at_the_guards(k):
+    """Odd and even k at the sweep's guard (order 300) and at the size
+    guard (order 600)."""
+    for t in (1, 2, 3, 4):
+        syms = parameter_symmetries(t, k)
+        fine = [sym.image for sym in syms if sym.fine]
+        coarse = [sym.image for sym in syms if not sym.fine]
+        pairs = _orbit_pairs(_grid(t, k), fine, coarse)
+        assert parameter_orbits(t, k) == pairs, t
+        assert parameter_representatives(t, k) == [p for p, _ in pairs], t
+
+
 def test_orbits_match_a_walk_over_all_units():
     """The same orbits as scaling by every unit of Z_2k, not generators:
     type 1 reports its unit orbits, the others only join by them."""

@@ -322,9 +322,10 @@ def test_the_base_is_discrete_on_family_graphs(name):
 def test_the_chain_with_the_base_is_the_chain_without(name):
     g = FAMILY[name]
     entry = symmetry._searched(g)
-    # Equal per level: the same points, each with the same u_x.
+    # Equal per level: the same points, each with the same u_x. "Without"
+    # is the base 0..n-1.
     assert (symmetry._stabiliser_chain(g.n, entry[0], entry[4])
-            == symmetry._stabiliser_chain(g.n, entry[0]))
+            == symmetry._stabiliser_chain(g.n, entry[0], range(g.n)))
 
 
 @st.composite
@@ -347,16 +348,16 @@ def groups_with_a_base(draw):
 def test_the_chain_with_any_base_is_the_chain_without(group):
     n, gens, base, order = group
     with_base = symmetry._stabiliser_chain(n, gens, base)
-    assert with_base == symmetry._stabiliser_chain(n, gens)
+    assert with_base == symmetry._stabiliser_chain(n, gens, range(n))
     assert prod(map(len, with_base)) == order
 
 
 def group_answers(g, base_known):
     """|Aut(g)| and the least semiregular element for m = 1, 2, 3, from a
-    fresh search whose chain is built with or without the base."""
+    fresh search whose chain is built on the search's base or on 0..n-1."""
     symmetry._search_cached.cache_clear()
     if not base_known:
-        symmetry._searched(g)[4] = None
+        symmetry._searched(g)[4] = range(g.n)
     out = [group_order(g)]
     for m in (1, 2, 3):
         try:
