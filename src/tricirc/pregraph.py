@@ -27,7 +27,8 @@ class Pregraph:
     """
 
     __slots__ = ("n_vertices", "n_darts", "beg", "inv", "dart_names",
-                 "vertex_names", "edge_tags", "_name_to_dart")
+                 "vertex_names", "edge_tags", "_name_to_dart", "_edges",
+                 "_darts_at")
 
     def __init__(
         self,
@@ -51,6 +52,10 @@ class Pregraph:
         self.n_darts = n_darts
         self.beg = tuple(beg)
         self.inv = tuple(inv)
+        # computed once: the pregraph never changes, and callers get copies
+        self._edges = tuple(sorted({min(d, inv[d]) for d in range(n_darts)}))
+        self._darts_at = {v: tuple(d for d in range(n_darts) if beg[d] == v)
+                          for v in range(n_vertices)}
         self.vertex_names = (
             tuple(vertex_names) if vertex_names is not None
             else tuple(str(v) for v in range(n_vertices))
@@ -79,7 +84,7 @@ class Pregraph:
         return self.beg[self.inv[d]]
 
     def darts_at(self, v: int) -> list[int]:
-        return [d for d in range(self.n_darts) if self.beg[d] == v]
+        return list(self._darts_at.get(v, ()))
 
     def edge_kind(self, d: int) -> str:
         """Kind of the edge containing dart d: semi-edge, loop or link."""
@@ -94,7 +99,7 @@ class Pregraph:
 
     def edges(self) -> list[int]:
         """One representative dart per edge: min(d, inv d), sorted."""
-        return sorted({min(d, self.inv[d]) for d in range(self.n_darts)})
+        return list(self._edges)
 
     def edge_tag(self, d: int) -> Optional[str]:
         return self.edge_tags.get(min(d, self.inv[d]))

@@ -27,7 +27,10 @@ question (order, elements, semiregular search) reaches the entry, so
 canonical forms and isomorphism tests never pay for it. It tests elements
 on the base, the first leaf's prefix, which only the identity fixes. An isomorphism test reaches the search
 only when a vertex-invariant multiset and a budgeted rooted extension leave
-it open (`are_isomorphic`). A semiregular element with cycles of
+it open (`are_isomorphic`). The rooted extension is a loop over
+placement positions, with a plan of the positions cached per (adjacency,
+root), so the sweep's VT test and naming and every candidate image of
+`are_isomorphic` place from one plan. A semiregular element with cycles of
 length t maps each vertex orbit onto itself, semiregularly with the same t,
 so the semiregular search first asks the orbit sizes and the groups induced
 on the orbits, and walks Aut only if none of them refutes t. Cycle counts
@@ -556,21 +559,13 @@ def are_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
     return canonical_form(g) == canonical_form(h)
 
 
-def _rooted_isomorphism(adj, a: int, adj_h, b: int, limit: Optional[int] = None):
-    """(an isomorphism from the connected graph adj onto adj_h that sends a
-    to b, as an image list, or None; the vertices placed).
-
-    Individualise a and extend, with no refinement and no tree (McKay &
-    Piperno 2014). Vertices are placed in BFS order from a, except that one
-    reached by a second placed vertex goes next, so a cycle is checked as
-    soon as it closes. Each goes on an unused neighbour, of its own degree,
-    of the image of the vertex that first reached it, and its edges to placed
-    vertices must land on edges (forward checking).
-
-    None means there is no such isomorphism, or that the search stopped at
-    `limit` placements without deciding: with a limit, a None whose count
-    equals the limit decides nothing."""
-    n = len(adj)
+@lru_cache(maxsize=8)
+def _extension_plan(adj, a: int) -> tuple:
+    """The placements of `_rooted_isomorphism` from a, computed once per
+    (adjacency, root) and shared by every target it extends onto: per
+    position, (the vertex placed there, the vertex that first reached it,
+    its other placed neighbours, its degree). Raises ValueError when adj is
+    not connected."""
     parent, rank = {a: a}, {}  # who first reached each vertex; the order
     queue, forced = deque([a]), []
     while forced or queue:
@@ -583,38 +578,69 @@ def _rooted_isomorphism(adj, a: int, adj_h, b: int, limit: Optional[int] = None)
                 else:
                     parent[w] = v
                     queue.append(w)
-    if len(rank) != n:
+    if len(rank) != len(adj):
         raise ValueError("the graph must be connected")
+    return tuple(
+        (v, parent[v],
+         tuple(w for w in adj[v] if rank[w] < rank[v] and w != parent[v]),
+         len(adj[v]))
+        for v in rank)
+
+
+def _rooted_isomorphism(adj, a: int, adj_h, b: int, limit: Optional[int] = None):
+    """(an isomorphism from the connected graph adj onto adj_h that sends a
+    to b, as an image list, or None; the vertices placed).
+
+    Individualise a and extend, with no refinement and no tree (McKay &
+    Piperno 2014). Vertices are placed in BFS order from a, except that one
+    reached by a second placed vertex goes next, so a cycle is checked as
+    soon as it closes. Each goes on an unused neighbour, of its own degree,
+    of the image of the vertex that first reached it, and its edges to placed
+    vertices must land on edges (forward checking). The order comes from
+    `_extension_plan`, cached per (adj, a), and the backtrack is a loop over
+    its positions with the next candidate index kept per position, so no
+    depth is too deep.
+
+    None means there is no such isomorphism, or that the search stopped at
+    `limit` placements without deciding: with a limit, a None whose count
+    equals the limit decides nothing."""
+    plan = _extension_plan(adj, a)
+    n = len(adj)
     if len(adj_h) != n or len(adj[a]) != len(adj_h[b]):
         return None, 0
-    order = list(rank)
-    back = {v: [w for w in adj[v] if rank[w] < rank[v] and w != parent[v]]
-            for v in order}
     img = [-1] * n
     used = [False] * n
     img[a], used[b] = b, True
     nodes = 0
     stop = -1 if limit is None else limit
-
-    def place(i: int) -> bool:
-        nonlocal nodes
-        if i == n:
-            return True
-        v = order[i]
-        for y in adj_h[img[parent[v]]]:
-            if used[y] or len(adj_h[y]) != len(adj[v]) or any(
-                    img[w] not in adj_h[y] for w in back[v]):
+    tried = [0] * n  # per position, the candidates already tried there
+    i = 1
+    while 0 < i < n:
+        v, p, back, degree = plan[i]
+        targets = adj_h[img[p]]
+        j = tried[i]
+        while j < len(targets):
+            y = targets[j]
+            j += 1
+            if used[y] or len(adj_h[y]) != degree:
                 continue
-            if nodes == stop:  # every caller up the stack stops here too
-                return False
-            nodes += 1
-            img[v], used[y] = y, True
-            if place(i + 1):
-                return True
-            used[y] = False
-        return False
-
-    return (img if place(1) else None), nodes
+            for w in back:
+                if img[w] not in adj_h[y]:
+                    break
+            else:
+                break
+        else:  # none left here: back to the previous position's next
+            tried[i] = 0
+            i -= 1
+            used[img[plan[i][0]]] = False
+            continue
+        if nodes == stop:
+            return None, nodes
+        nodes += 1
+        tried[i] = j
+        img[v], used[y] = y, True
+        i += 1
+    return (img if i == n else None), nodes
 
 
 # -- group machinery ---------------------------------------------------------

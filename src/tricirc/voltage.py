@@ -81,15 +81,14 @@ def zeta_for(delta_index: int, k: int, r: int = 0, s: int = 0) -> VoltageAssignm
     """The standard voltage assignment on delta(delta_index) over Z_{2k}.
 
     Semi-edges carry k, tree links carry 0, and the remaining edges carry
-    r and s as named in the dart labels.
+    r and s as named in the dart labels: each dart's (eps, a, b) of
+    `symbolic_dart_voltage` is read from a table made once per delta(i).
     """
     if k < 1:
         raise ValueError("k must be positive")
     base = delta(delta_index)
-    zeta = {
-        d: symbolic_dart_voltage(base, d).evaluate(k, r, s)
-        for d in range(base.n_darts)
-    }
+    zeta = {d: (eps * k + a * r + b * s) % (2 * k)
+            for d, (eps, a, b) in enumerate(_DART_SYMBOLS[delta_index])}
     return VoltageAssignment(base, 2 * k, zeta)
 
 
@@ -166,6 +165,14 @@ def symbolic_dart_voltage(base: Pregraph, dart: int) -> SymbolicVoltage:
         raise ValueError("dart carries no voltage symbol")
     sym = name[name.index(")_") + 2:]
     return -_SYMBOLIC[sym[1:]] if sym.startswith("-") else _SYMBOLIC[sym]
+
+
+# Each dart's (eps, a, b) per delta(i), read off its name once for `zeta_for`.
+_DART_SYMBOLS = {
+    i: tuple((v.eps, v.a, v.b) for v in
+             [symbolic_dart_voltage(delta(i), d) for d in range(delta(i).n_darts)])
+    for i in (1, 2, 3, 4)
+}
 
 
 def symbolic_net_voltage(base: Pregraph, walk: Walk) -> SymbolicVoltage:

@@ -253,6 +253,18 @@ def test_verify_default_check_output_is_pinned(capsys):
     )
 
 
+def test_verify_guarded_range_output_is_pinned(capsys, time_limit):
+    # The whole range the sweep's guard allows, on two processes: every
+    # change to the funnel keeps it byte-identical.
+    with time_limit(20):
+        code, out, _ = run(capsys, "verify", "--kmin", "9", "--kmax", "50",
+                           "--workers", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a7a0452c1f8ad2628de58d10895baef68b57f8c5a11ff9f865de98ddfa3d1c98"
+    )
+
+
 # sha256 of stdout, recorded before the group functions read the search
 # result themselves.
 ANALYZE_DIGESTS = [

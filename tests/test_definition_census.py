@@ -10,7 +10,7 @@ rule of `cover_connected` holds only for normalised assignments."""
 
 from itertools import product
 
-from tricirc.pregraph import Pregraph, pregraphs_isomorphic
+from tricirc.pregraph import Pregraph, delta, pregraphs_isomorphic
 from tricirc.symmetry import canonical_form, is_vertex_transitive
 from tricirc.verify import small_census
 from tricirc.voltage import VoltageAssignment, cover_is_simple, derived_cover
@@ -58,6 +58,18 @@ def assignments(base, k):
 
 def test_there_are_seven_cubic_pregraphs_on_three_vertices():
     assert len(cubic_pregraphs_3v()) == 7
+
+
+def test_edges_and_darts_at_are_computed_once_and_copied():
+    for p in cubic_pregraphs_3v() + [delta(i) for i in range(1, 5)]:
+        edges = sorted({min(d, p.inv[d]) for d in range(p.n_darts)})
+        darts_at = [[d for d in range(p.n_darts) if p.beg[d] == v]
+                    for v in range(p.n_vertices)]
+        assert p.edges() == edges
+        assert [p.darts_at(v) for v in range(p.n_vertices)] == darts_at
+        p.edges().append(-1)
+        p.darts_at(0).clear()
+        assert p.edges() == edges and p.darts_at(0) == darts_at[0]
 
 
 def test_every_assignment_gives_the_census_classes(time_limit):

@@ -1,13 +1,18 @@
 """The rooted extension search: the sweep's vertex-transitivity decider and
 its naming of classes, against the IR search, with every map it returns
-checked by adjacency alone."""
+checked by adjacency alone, and the iterative search against the recursive
+one it replaced."""
 
 import random
+import sys
+from collections import deque
 
 import pytest
 
+from tricirc import symmetry
 from tricirc.families import (
     FamilyParams,
+    gp,
     moebius,
     parameter_representatives,
     prism,
@@ -17,11 +22,13 @@ from tricirc.families import (
 )
 from tricirc.graphs import SimpleGraph
 from tricirc.symmetry import (
+    EXTENSION_BUDGET,
     _rooted_isomorphism,
+    are_isomorphic,
     canonical_form,
     is_vertex_transitive,
 )
-from tricirc.verify import _family_graphs, _is_vt_cover
+from tricirc.verify import _family_graphs, _is_vt_cover, _passes_vt_screen
 from tricirc.voltage import cover_connected, cover_is_simple, lifted_adjacency
 
 
@@ -115,3 +122,106 @@ def test_node_counts_on_girth_eight_non_vt_covers(time_limit, k, r, s):
                 img, nodes = _rooted_isomorphism(adj, 0, adj, x * va.n)
                 assert img is None
                 assert nodes <= 2500
+
+
+def reference_rooted_isomorphism(adj, a, adj_h, b, limit=None):
+    """The recursive extension that `_rooted_isomorphism` replaced, with one
+    Python frame per placed vertex: the same order, the same candidates in
+    the same order, the same count and the same stop at `limit`."""
+    n = len(adj)
+    parent, rank = {a: a}, {}
+    queue, forced = deque([a]), []
+    while forced or queue:
+        v = forced.pop() if forced else queue.popleft()
+        if v not in rank:
+            rank[v] = len(rank)
+            for w in adj[v]:
+                if w in parent:
+                    forced.append(w)
+                else:
+                    parent[w] = v
+                    queue.append(w)
+    if len(rank) != n:
+        raise ValueError("the graph must be connected")
+    if len(adj_h) != n or len(adj[a]) != len(adj_h[b]):
+        return None, 0
+    order = list(rank)
+    back = {v: [w for w in adj[v] if rank[w] < rank[v] and w != parent[v]]
+            for v in order}
+    img = [-1] * n
+    used = [False] * n
+    img[a], used[b] = b, True
+    nodes = 0
+    stop = -1 if limit is None else limit
+
+    def place(i):
+        nonlocal nodes
+        if i == n:
+            return True
+        v = order[i]
+        for y in adj_h[img[parent[v]]]:
+            if used[y] or len(adj_h[y]) != len(adj[v]) or any(
+                    img[w] not in adj_h[y] for w in back[v]):
+                continue
+            if nodes == stop:
+                return False
+            nodes += 1
+            img[v], used[y] = y, True
+            if place(i + 1):
+                return True
+            used[y] = False
+        return False
+
+    return (img if place(1) else None), nodes
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_iterative_extension_matches_the_recursive_one(k):
+    # Every call the funnel makes on a screened cover: u_0 onto v_0 and
+    # w_0, and vertex 0 onto vertex 0 of each family graph, unbounded and
+    # stopped at 1, 37 and the budget of are_isomorphic.
+    family = [f.adjacency() for f in _family_graphs(k).values()]
+    found = refuted = 0
+    for _, va in simple_connected_covers(k):
+        adj = lifted_adjacency(va)
+        if not _passes_vt_screen(adj, va.n):
+            continue
+        targets = [(adj, va.n), (adj, 2 * va.n)] + [(f, 0) for f in family]
+        for limit in (None, 1, 37, EXTENSION_BUDGET * len(adj)):
+            for adj_h, b in targets:
+                got = _rooted_isomorphism(adj, 0, adj_h, b, limit)
+                assert got == reference_rooted_isomorphism(adj, 0, adj_h, b, limit)
+                found += got[0] is not None
+                refuted += got[0] is None and got[1] != limit
+    assert found and refuted
+
+
+def test_are_isomorphic_still_spends_the_budget_on_the_outer_rim(monkeypatch):
+    # The images b are tried in index order, so on gp(7, 2) against
+    # gp(7, 3) the outer rim b = 0..6 uses up the 16·14 placements and the
+    # pair goes to the two IR searches, although b = 7 would succeed.
+    calls = []
+    original = symmetry._rooted_isomorphism
+
+    def counted(adj, a, adj_h, b, limit=None):
+        img, nodes = original(adj, a, adj_h, b, limit)
+        calls.append((a, b, limit, img is not None, nodes))
+        return img, nodes
+
+    monkeypatch.setattr(symmetry, "_rooted_isomorphism", counted)
+    symmetry._search_cached.cache_clear()
+    assert are_isomorphic(gp(7, 2), gp(7, 3))
+    assert symmetry._search_cached.cache_info().misses == 2
+    assert calls == [(0, b, 224 - 37 * b, False, 37) for b in range(6)] + [
+        (0, 6, 2, False, 2)]
+
+
+def test_extension_runs_above_the_recursion_limit(time_limit):
+    g, h = prism(700), moebius(700)
+    assert g.n > sys.getrecursionlimit()
+    with time_limit(5):
+        img, nodes = _rooted_isomorphism(g.adjacency(), 0, g.adjacency(), 5)
+        assert img is not None and nodes == g.n - 1
+        assert sorted(img) == list(range(g.n))
+        assert {tuple(sorted((img[x], img[y]))) for x, y in g.edges()} == set(g.edges())
+        assert _rooted_isomorphism(g.adjacency(), 0, h.adjacency(), 0)[0] is None

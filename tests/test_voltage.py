@@ -17,6 +17,7 @@ from tricirc.voltage import (
     net_voltage,
     quotient,
     quotient_with_voltages,
+    symbolic_dart_voltage,
     symbolic_net_voltage,
     zeta_for,
 )
@@ -39,6 +40,19 @@ def test_zeta_for_standard_values():
     assert va.voltage(base.dart("(wv)_-r")) == 12
     assert va.voltage(base.dart("(uv)_0")) == 0
     assert va.is_normalised()
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_zeta_for_evaluates_each_dart_symbol(t):
+    base = delta(t)
+    for k in range(1, 9):
+        for r in range(2 * k):
+            for s in range(2 * k):
+                va = zeta_for(t, k, r, s)
+                assert va.base is base and va.n == 2 * k
+                assert va.zeta == {
+                    d: symbolic_dart_voltage(base, d).evaluate(k, r, s)
+                    for d in range(base.n_darts)}
 
 
 def test_cover_shape_and_valence():
