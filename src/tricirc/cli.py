@@ -153,7 +153,8 @@ def _analyze_one(g: SimpleGraph, extra_cycles: int, cap: int) -> dict:
         "canonical": canonical_form(g).decode("ascii"),
     }
     report["aut_order"] = group_order(g)
-    report["vertex_orbit_count"] = len(vertex_orbits(g))
+    orbits = vertex_orbits(g)
+    report["vertex_orbit_count"] = len(orbits)
     report["edge_orbit_count"] = len(edge_orbits(g))
     report["arc_orbit_count"] = arc_orbit_count(g)
     # At most one orbit, as in `is_vertex_transitive` and its siblings.
@@ -161,12 +162,12 @@ def _analyze_one(g: SimpleGraph, extra_cycles: int, cap: int) -> dict:
     report["edge_transitive"] = report["edge_orbit_count"] <= 1
     report["arc_transitive"] = report["arc_orbit_count"] <= 1
 
-    gi = girth(g)
+    gi = girth(g, [orbit[0] for orbit in orbits])
     report["girth"] = gi
     cycles = {}
-    if gi is not None:
-        for c in range(gi, gi + extra_cycles + 1):
-            per_vertex, per_edge, total = cycle_counts(g, c)
+    try:
+        for c in range(gi, gi + extra_cycles + 1) if gi is not None else ():
+            per_vertex, per_edge, total = cycle_counts(g, c, cap)
             vertex_regular = len(set(per_vertex)) <= 1
             signatures = set(_signatures(g, per_edge))
             cycle_regular = len(signatures) <= 1
@@ -176,6 +177,8 @@ def _analyze_one(g: SimpleGraph, extra_cycles: int, cap: int) -> dict:
                 "cycle_regular": cycle_regular,
                 "signature": sorted(signatures.pop()) if cycle_regular and signatures else None,
             }
+    except EnumerationCapExceeded:
+        cycles = "cap_exceeded"
     report["cycles"] = cycles
 
     circ = {}
@@ -293,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cycle lengths analyzed: girth .. girth+N, "
                         f"N in 0..{_MAX_EXTRA_CYCLES}")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help="largest |Aut| the semiregular search takes on "
+                   help="largest |Aut| the semiregular search takes on, and "
+                        "most path steps counted per cycle length "
                         "(default %(default)s)")
     p.set_defaults(func=_cmd_analyze)
 

@@ -21,28 +21,31 @@ their deepest common ancestor: the canonical labeling is the one the full
 tree gives, and the tree and the generator list are smaller.
 
 The cached search entry (generator tuples, canonical labeling, canonical
-graph6, stabiliser chain, base) answers every question below;
-`Permutation` is only the API edge. The chain is built when the first group
-question (order, elements, semiregular search) reaches the entry, so
-canonical forms and isomorphism tests never pay for it. It tests elements
-on the base, the first leaf's prefix, which only the identity fixes. An isomorphism test reaches the search
-only when a vertex-invariant multiset and a budgeted rooted extension leave
-it open (`are_isomorphic`). The rooted extension is a loop over
-placement positions, with a plan of the positions cached per (adjacency,
-root), so the sweep's VT test and naming and every candidate image of
-`are_isomorphic` place from one plan. A semiregular element with cycles of
+graph6, stabiliser chain, base, |Aut|) answers every question below;
+`Permutation` is only the API edge. |Aut| comes from the search itself, as
+the product of the first path's stabiliser orbit sizes, so the order, the
+orbits and the cap need no chain. The chain is built only for a walk over
+the group (the elements, the semiregular search on Aut), when the first one
+reaches the entry; it tests elements on the base, the first leaf's prefix,
+which only the identity fixes, and stops once its orbits multiply to |Aut|.
+An isomorphism test reaches the search only when a vertex-invariant
+multiset and a budgeted rooted extension leave it open (`are_isomorphic`).
+The rooted extension is a loop over placement positions, with a plan of the
+positions cached per (adjacency, root), so the sweep's VT test and naming
+and every candidate image of `are_isomorphic` place from one plan. A semiregular element with cycles of
 length t maps each vertex orbit onto itself, semiregularly with the same t,
 so the semiregular search first asks the orbit sizes and the groups induced
 on the orbits, and walks Aut only if none of them refutes t. Cycle counts
 are taken at one edge per edge orbit, since an automorphism carries the
-cycles through an edge onto those through its image.
+cycles through an edge onto those through its image; `analyze` takes the
+girth at one root per vertex orbit for the same reason.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from functools import lru_cache
-from math import prod
+from math import inf, prod
 from typing import Iterable, Optional, Sequence
 
 from .graph6 import encode_graph6  # noqa: F401 -- perfbench/tracer.py wraps symmetry.encode_graph6
@@ -357,20 +360,23 @@ def _is_automorphism(adj: tuple[tuple[int, ...], ...], img: Sequence[int]) -> bo
 
 def _search(adj: tuple[tuple[int, ...], ...]):
     """IR search: returns (generator tuples, canonical labeling tuple,
-    canonical graph6, base).
+    canonical graph6, base, |Aut|).
 
     The canonical labeling maps vertex -> position; relabeling any isomorphic
     copy of the graph by its own canonical labeling yields the same graph,
     whose graph6 is the best leaf's certificate. The base is the prefix of
     the first leaf: individualizing it and refining gives a discrete
     coloring, which an automorphism that fixes the prefix preserves, so only
-    the identity fixes it.
+    the identity fixes it. |Aut| is the product, over the first path's
+    nodes, of the orbit of the first cell vertex under the generators that
+    fix the node's prefix (McKay & Piperno 2014; nauty's grpsize): that is
+    the index of the prefix's stabiliser in that of the parent prefix.
     """
     n = len(adj)
     state = {
         "ref_cert": None, "ref_lab": None, "ref_path": None, "ref_prefix": None,
         "best_cert": None, "best_lab": None, "best_path": None,
-        "gens": [],
+        "gens": [], "order": 1,
     }
 
     def add_automorphism(lab_a: list[int], lab_b: list[int]):
@@ -450,6 +456,7 @@ def _search(adj: tuple[tuple[int, ...], ...]):
         # union-find is made at the second cell vertex and is fed only the
         # generators found since the previous vertex.
         gens = state["gens"]
+        first_path = state["ref_cert"] is None
         uf = None
         fed = 0
         explored: list[int] = []
@@ -468,6 +475,17 @@ def _search(adj: tuple[tuple[int, ...], ...]):
             if back < depth:
                 return back
             explored.append(v)
+        if first_path:
+            # Every leaf below here shares this node's prefix, so no jump
+            # passed it: each cell vertex in the orbit of cell[0] under the
+            # prefix's stabiliser has given an automorphism onto the first
+            # path, and that orbit is now final. |Aut| is the product of
+            # these orbit sizes down the first path.
+            for g in gens[fed:]:
+                if all(g[x] == x for x in prefix):
+                    uf.union_perm(g)
+            root = uf.find(cell[0])
+            state["order"] *= sum(uf.find(v) == root for v in cell)
         return depth
 
     # Each level individualizes a vertex of a non-singleton cell, so it has
@@ -475,18 +493,18 @@ def _search(adj: tuple[tuple[int, ...], ...]):
     # Python's default recursion limit of 1000 under the size guard.
     explore(_initial_colors(adj), (), ())
     return (tuple(state["gens"]), tuple(state["best_lab"]), state["best_cert"],
-            state["ref_prefix"])
+            state["ref_prefix"], state["order"])
 
 
 @lru_cache(maxsize=2048)
 def _search_cached(adj: tuple[tuple[int, ...], ...]):
     """`_search`, with each generator checked once to be an automorphism,
-    as the list [generators, labeling, graph6, chain, base] whose chain slot
-    `_chain` fills when it first builds the stabiliser chain."""
-    gens, labeling, cert, base = _search(adj)
+    as the list [generators, labeling, graph6, chain, base, |Aut|] whose
+    chain slot `_chain` fills when it first builds the stabiliser chain."""
+    gens, labeling, cert, base, order = _search(adj)
     if not all(_is_automorphism(adj, img) for img in gens):
         raise AssertionError("internal error: invalid generator")
-    return [gens, labeling, cert, None, base]
+    return [gens, labeling, cert, None, base, order]
 
 
 def _check_size(g: SimpleGraph):
@@ -653,7 +671,8 @@ def _rooted_isomorphism(adj, a: int, adj_h, b: int, limit: Optional[int] = None)
 # refutation and drops.
 
 def _stabiliser_chain(
-    n: int, gens: Iterable[Sequence[int]], base: Sequence[int]
+    n: int, gens: Iterable[Sequence[int]], base: Sequence[int],
+    order: Optional[int] = None,
 ) -> list[dict]:
     """Schreier-Sims with sifting: per level, {x: image tuple of u_x}.
 
@@ -662,7 +681,13 @@ def _stabiliser_chain(
     generator u_{sx}^-1·s·u_x is the identity when s(u_x(b)) = u_{sx}(b) for
     each b of the base, and an element that fixes 0..max(base) is the
     identity, so sifting stops there. The chain is the same for every base.
-    Inverses of the u_x are made when sifting first strips with them."""
+    Inverses of the u_x are made when sifting first strips with them.
+
+    `order`, if given, is |G|, and the build stops once the orbits multiply
+    to it (Seress 2003, §4.5). Each orbit built so far lies in its level's
+    full orbit, so their product reaches |G| only when every one is full;
+    then every element sifts to the identity, nothing more would be added,
+    and the chain is the one the whole build gives."""
     top = max(base, default=-1) + 1
     strong: list[list[tuple]] = [[] for _ in range(n)]  # generators in G_p
     identity = tuple(range(n))
@@ -711,67 +736,118 @@ def _stabiliser_chain(
                         return sift(tuple([s[v] for v in u]), p) if top < n else (h, j)
         return None, n
 
+    def complete() -> bool:
+        return order is not None and prod(map(len, trans)) >= order
+
     for g in gens:
         h, p = sift(tuple(g), 0)
         if p < n:
             add(h, 0, p)
+            if complete():
+                return trans
         while 0 <= p < n:  # levels p+1.. are complete
             h, j = residue(p)
             if j == n:
                 p -= 1
             else:
                 add(h, p + 1, j)
+                if complete():
+                    return trans
                 p = j
     return trans
 
 
 def _chain(g: SimpleGraph) -> list[dict]:
-    """The stabiliser chain of Aut(g), built once per cached search entry."""
+    """The stabiliser chain of Aut(g), built once per cached search entry and
+    stopped at the search's |Aut|, which its orbits must multiply to."""
     entry = _searched(g)
     if entry[3] is None:
-        entry[3] = _stabiliser_chain(g.n, entry[0], entry[4])
+        trans = _stabiliser_chain(g.n, entry[0], entry[4], entry[5])
+        if prod(map(len, trans)) != entry[5]:
+            raise AssertionError("internal error: chain and search disagree on |Aut|")
+        entry[3] = trans
     return entry[3]
 
 
-def _capped_chain(g: SimpleGraph, cap: int) -> list[dict]:
-    """The stabiliser chain of Aut(g); raises EnumerationCapExceeded if
-    |Aut| > cap."""
-    trans = _chain(g)
-    if prod(map(len, trans)) > cap:
+def _check_cap(g: SimpleGraph, cap: int):
+    """Raises EnumerationCapExceeded if |Aut(g)| > cap, before any chain is
+    built."""
+    if group_order(g) > cap:
         raise EnumerationCapExceeded(f"group has more than {cap} elements")
-    return trans
 
 
-def _walk(trans: list[dict], keep=lambda img, known: True):
+def _cycles_fit(img: Sequence[int], known: int, target: int) -> bool:
+    """False once a cycle of img through the points below `known` closes at
+    a length other than target or runs target steps without closing. The
+    cycle through 0 is followed first, which is cheap and rejects only what
+    the scan of all known points would."""
+    if known:
+        x, steps = img[0], 1
+        while x and x < known and steps < target:
+            x, steps = img[x], steps + 1
+        if (x == 0) != (steps == target):
+            return False
+    seen = [False] * known
+    heads = set(range(known)).difference(img[:known])  # open chains
+    for v in [*heads, *range(known)]:
+        x, steps = v, 0
+        while x < known and not seen[x]:
+            seen[x] = True
+            x, steps = img[x], steps + 1
+        if steps and (steps >= target if x >= known else steps != target):
+            return False
+    return True
+
+
+def _walk(trans: list[dict], target: Optional[int] = None):
     """The elements of the group with stabiliser chain trans, as image
-    tuples, in increasing order. Below a prefix, the images of the points
-    before the next moved base point are final, and the prefix is dropped
-    if `keep(img, number of final images)` is False."""
+    tuples, in increasing order; with a target, only those whose cycles all
+    have length target. Below a prefix, the images of the points before the
+    next moved base point are final, and with a target the prefix is
+    dropped once `_cycles_fit` rules it out on them.
+
+    A child pi·u_x is composed only when it is needed. At the first level pi
+    is the identity and the child is u_x itself. At the last level, with a
+    target, the child's cycle through 0 is followed as pi(u_x(.)) first,
+    the test `_cycles_fit` applies first, and only a child that passes it
+    is composed."""
     n = len(trans)
     levels = [p for p in range(n) if len(trans[p]) > 1]
+    last = len(levels) - 1
 
     def descend(depth, pi):
-        if not keep(pi, levels[depth] if depth < len(levels) else n):
+        known = levels[depth] if depth <= last else n
+        if target is not None and not _cycles_fit(pi, known, target):
             return
-        if depth == len(levels):
+        if depth > last:
             yield pi
             return
         u_of = trans[levels[depth]]
         for x in sorted(u_of, key=pi.__getitem__):
-            yield from descend(depth + 1, tuple([pi[v] for v in u_of[x]]))
+            u = u_of[x]
+            if depth:
+                if depth == last and target is not None:
+                    y, steps = pi[u[0]], 1
+                    while y and steps < target:
+                        y, steps = pi[u[y]], steps + 1
+                    if (y == 0) != (steps == target):
+                        continue
+                u = tuple([pi[v] for v in u])
+            yield from descend(depth + 1, u)
 
     return descend(0, tuple(range(n)))
 
 
 def group_order(g: SimpleGraph) -> int:
-    """|Aut(g)|: the product of the basic orbit sizes."""
-    return prod(map(len, _chain(g)))
+    """|Aut(g)|, as the IR search found it: no chain is built."""
+    return _searched(g)[5]
 
 
 def group_elements(g: SimpleGraph, cap: int = DEFAULT_CAP) -> list[Permutation]:
     """All elements of Aut(g), sorted by image tuple. Raises
     EnumerationCapExceeded, before any is built, if there are more than cap."""
-    return [Permutation(img) for img in _walk(_capped_chain(g, cap))]
+    _check_cap(g, cap)
+    return [Permutation(img) for img in _walk(_chain(g))]
 
 
 def vertex_orbits(g: SimpleGraph) -> list[list[int]]:
@@ -831,38 +907,15 @@ def find_k_circulant(
     same length t = |V|/m. So t must divide every |O|, and when there are
     several orbits, each induced group must hold such an element; it is
     walked first, one orbit at a time, the orbit with the fewest distinct
-    restricted generators first. Only then is Aut(g) walked for the least
-    element, so a None can come without walking Aut(g)."""
+    restricted generators first. Only then is the chain of Aut(g) built and
+    walked for the least element, so a None can come without either. The cap
+    is checked against the search's |Aut| first."""
     if g.n == 0 or m < 1 or g.n % m:
         raise ValueError("orbit count must divide the vertex count")
     target = g.n // m
     if target == 1:
         return Permutation.identity(g.n)
-    trans = _capped_chain(g, cap)
-
-    def keep(img, known):
-        """False once a cycle through the points below `known` closes at a
-        length other than target or runs target steps without closing. The
-        points are those of the group walked: Aut(g), or the group it
-        induces on an orbit. The cycle through 0 is followed first, which
-        is cheap and rejects only what the scan of all known points would."""
-        if known:
-            x, steps = img[0], 1
-            while x and x < known and steps < target:
-                x, steps = img[x], steps + 1
-            if (x == 0) != (steps == target):
-                return False
-        seen = [False] * known
-        heads = set(range(known)).difference(img[:known])  # open chains
-        for v in [*heads, *range(known)]:
-            x, steps = v, 0
-            while x < known and not seen[x]:
-                seen[x] = True
-                x, steps = img[x], steps + 1
-            if steps and (steps >= target if x >= known else steps != target):
-                return False
-        return True
-
+    _check_cap(g, cap)
     gens = _searched(g)[0]
     orbits = _orbits(g.n, gens)
     if any(len(orbit) % target for orbit in orbits):
@@ -875,18 +928,22 @@ def find_k_circulant(
             own.discard(tuple(range(len(orbit))))
             induced.append((len(own), len(orbit), sorted(own)))
         for _, size, own in sorted(induced):
-            if next(_walk(_stabiliser_chain(size, own, range(size)), keep), None) is None:
+            if next(_walk(_stabiliser_chain(size, own, range(size)), target), None) is None:
                 return None
-    img = next(_walk(trans, keep), None)
+    img = next(_walk(_chain(g), target), None)
     return None if img is None else Permutation(img)
 
 
 # -- girth, cycles and signatures --------------------------------------------
 
-def girth(g: SimpleGraph) -> Optional[int]:
-    """Length of a shortest cycle; None for forests."""
+def girth(g: SimpleGraph, roots: Optional[Iterable[int]] = None) -> Optional[int]:
+    """Length of a shortest cycle; None for forests. A BFS from each root
+    (every vertex by default) finds the shortest cycle through it, and
+    bounds the girth from above. An automorphism carries a shortest cycle
+    through v onto one through any vertex of v's orbit, so one root per
+    vertex orbit gives the same minimum."""
     best: Optional[int] = None
-    for root in range(g.n):
+    for root in range(g.n) if roots is None else roots:
         dist = {root: 0}
         parent = {root: -1}
         queue = deque([root])
@@ -939,18 +996,20 @@ def cycles_of_length(g: SimpleGraph, c: int) -> list[tuple[int, ...]]:
     return out
 
 
-def cycle_counts(g: SimpleGraph, c: int):
+def cycle_counts(g: SimpleGraph, c: int, budget: float = inf):
     """(per-vertex counts, per-edge counts, total) for cycles of length c.
 
     Only the first edge (a, b) of each edge orbit is counted: its c-cycles
     are the simple paths of c vertices from b back to a. A cycle uses two
-    edges at each of its vertices and c edges in all."""
+    edges at each of its vertices and c edges in all. Raises
+    EnumerationCapExceeded once the paths' steps, the neighbours looked at,
+    exceed `budget`."""
     if c < 3:
         raise ValueError("cycle length must be at least 3")
     adj = g.adjacency()
     count_of = {}
     for orbit in edge_orbits(g):
-        count = _paths_back(adj, *orbit[0], c)
+        count, budget = _paths_back(adj, *orbit[0], c, budget)
         for e in orbit:
             count_of[e] = count
     per_edge = {e: count_of[e] for e in g.edges()}
@@ -961,15 +1020,28 @@ def cycle_counts(g: SimpleGraph, c: int):
     return per_vertex, per_edge, sum(per_edge.values()) // c
 
 
-def _paths_back(adj, a: int, b: int, c: int) -> int:
-    """The number of simple paths of c vertices from b to a."""
+def _paths_back(adj, a: int, b: int, c: int, budget: float = inf):
+    """(the number of simple paths of c >= 3 vertices from b to a, the
+    budget left). Each neighbour looked at is one step; raises
+    EnumerationCapExceeded when the steps exceed `budget`."""
     on_path = [False] * len(adj)
     on_path[a] = on_path[b] = True
+    near_a = [False] * len(adj)
+    for w in adj[a]:
+        near_a[w] = True
+    steps = 0
 
     def extend(v: int, left: int) -> int:  # left: edges still to take
-        if left == 1:
-            return a in adj[v]
+        nonlocal steps
+        steps += len(adj[v])
+        if steps > budget:
+            raise EnumerationCapExceeded("the cycle count is past its step budget")
         total = 0
+        if left == 2:  # the last vertex: a neighbour of a off the path
+            for w in adj[v]:
+                if near_a[w] and not on_path[w]:
+                    total += 1
+            return total
         for w in adj[v]:
             if not on_path[w]:
                 on_path[w] = True
@@ -977,7 +1049,8 @@ def _paths_back(adj, a: int, b: int, c: int) -> int:
                 on_path[w] = False
         return total
 
-    return extend(b, c - 1)
+    count = extend(b, c - 1)
+    return count, budget - steps
 
 
 def c_signature(g: SimpleGraph, v: int, c: int) -> tuple[int, ...]:

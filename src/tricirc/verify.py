@@ -54,7 +54,7 @@ from .symmetry import (
     is_c_vertex_regular,
     is_vertex_transitive,  # noqa: F401 -- perfbench/tracer.py wraps verify.is_vertex_transitive
     uniform_local_profile,  # noqa: F401 -- perfbench/tracer.py wraps verify.uniform_local_profile
-    vertex_orbits,  # noqa: F401 -- perfbench/tracer.py wraps verify.vertex_orbits
+    vertex_orbits,
 )
 from .voltage import (
     SymbolicVoltage,
@@ -391,7 +391,7 @@ def small_census(k_max: int) -> CensusTable:
         for canon, slot in _funnel(k, _family_graphs(k))[1].items():
             g = slot["graph"]
             at = arc_orbit_count(g) <= 1
-            gi = girth(g)
+            gi = girth(g, [orbit[0] for orbit in vertex_orbits(g)])
             entries.append(CensusEntry(
                 order=g.n,
                 canonical=canon,

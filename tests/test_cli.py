@@ -424,18 +424,26 @@ def test_analyze_complete_graph(tmp_path, capsys, time_limit, n):
     assert json.loads(out)["aut_order"] == factorial(n)
 
 
-def test_one_stabiliser_chain_per_graph(tmp_path, capsys, monkeypatch):
+def _count_chains(monkeypatch) -> list:
+    """The order of each stabiliser chain built from here on, from an empty
+    search cache."""
     from tricirc import symmetry
-    from tricirc.families import prism, y_graph
     built = []
     original = symmetry._stabiliser_chain
 
-    def counted(n, gens, base=None):
+    def counted(n, gens, base, order=None):
         built.append(n)
-        return original(n, gens, base)
+        return original(n, gens, base, order)
 
     monkeypatch.setattr(symmetry, "_stabiliser_chain", counted)
     symmetry._search_cached.cache_clear()
+    return built
+
+
+def test_one_stabiliser_chain_per_graph(tmp_path, capsys, monkeypatch):
+    from tricirc import symmetry
+    from tricirc.families import prism, y_graph
+    built = _count_chains(monkeypatch)
     p = tmp_path / "x9.g6"
     p.write_bytes(encode_graph6(x_graph(9)))
     code, out, _ = run(capsys, "analyze", str(p))
@@ -443,14 +451,26 @@ def test_one_stabiliser_chain_per_graph(tmp_path, capsys, monkeypatch):
     order = json.loads(out)["aut_order"]
     assert run(capsys, "quotient", "--order", "18", str(p))[0] == 0
     assert built == [54]
+    # |Aut| comes from the search: group_order builds no chain.
     symmetry._search_cached.cache_clear()
     assert symmetry.group_order(x_graph(9)) == order
-    assert built == [54, 54]
+    assert built == [54]
     g = y_graph(9)
     h = g.relabel(list(reversed(range(g.n))))
     assert symmetry.are_isomorphic(g, h)
     symmetry.canonical_form(prism(9))
-    assert built == [54, 54]
+    assert built == [54]
+
+
+def test_analyze_cap_below_the_order_builds_no_chain(tmp_path, capsys, monkeypatch):
+    built = _count_chains(monkeypatch)
+    p = tmp_path / "x9.g6"
+    p.write_bytes(encode_graph6(x_graph(9)))
+    code, out, _ = run(capsys, "analyze", "--cap", "1", str(p))
+    assert code == 0
+    assert json.loads(out)["k_circulant"] == {
+        "1": "cap_exceeded", "2": "cap_exceeded", "3": "cap_exceeded"}
+    assert built == []
 
 
 def test_usage_error_for_unknown_type(capsys):
@@ -485,6 +505,27 @@ def test_analyze_cycles_at_the_bound(tmp_path, capsys, time_limit):
     report = json.loads(out)
     assert report["aut_order"] == 1
     assert len(report["cycles"]) == 7
+
+
+def test_analyze_cycle_count_stops_at_the_cap(tmp_path, capsys, time_limit):
+    # G(200, 1/2): every edge is its own orbit, and the simple paths back
+    # to one edge number about 10^4 at c = 4 and 10^6 at c = 5. Counting
+    # c = 3..5 did not finish in 60 s before the step budget; the default
+    # --cap stops it in about 1 s.
+    import random
+    from tricirc.graphs import SimpleGraph
+    rng = random.Random(1)
+    n = 200
+    g = SimpleGraph(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                        if rng.random() < 0.5])
+    p = tmp_path / "dense.g6"
+    p.write_bytes(encode_graph6(g) + b"\n")
+    with time_limit(10):
+        code, out, _ = run(capsys, "analyze", str(p))
+    assert code == 0
+    report = json.loads(out)
+    assert report["girth"] == 3
+    assert report["cycles"] == "cap_exceeded"
 
 
 @pytest.mark.parametrize("extra", ["7", "-1"])

@@ -1,5 +1,7 @@
 """graph6 encoding round-trips."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,7 +97,10 @@ def reference_edges(n, body):
 def test_coding_matches_pairwise_reference(n, data):
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     density = data.draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
-    rng = data.draw(st.randoms(use_true_random=False))
+    # One drawn seed, not a Hypothesis random: that one takes a draw per
+    # pair from Hypothesis's buffer, 179 700 at n = 600, and can trip its
+    # entropy health check.
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     g = SimpleGraph(n, [e for e in pairs if rng.random() < density])
     blob = encode_graph6(g)
     header = 1 if n <= 62 else 4

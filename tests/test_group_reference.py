@@ -13,6 +13,7 @@ semiregular search may answer None from the orbit sizes or the groups
 induced on the orbits; that answer, too, must be the reference's.
 """
 
+import random
 from collections import deque
 from math import prod
 from time import perf_counter
@@ -39,6 +40,8 @@ from tricirc.symmetry import (
     vertex_orbits,
 )
 from tricirc.voltage import NonSimpleCover
+
+from test_oracles import LITERATURE_ORDERS
 
 CAP = 2000
 
@@ -373,3 +376,43 @@ def group_answers(g, base_known):
 def test_group_answers_agree_with_and_without_the_base(name):
     g = FAMILY[name]
     assert group_answers(g, True) == group_answers(g, False)
+
+
+# -- |Aut| from the search against the chain ---------------------------------
+
+def seeded_graph(n, p, seed):
+    """G(n, p) from a seeded random draw per vertex pair."""
+    rng = random.Random(seed)
+    return SimpleGraph(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                           if rng.random() < p])
+
+
+SEEDED = {f"G({n}, {p}) seed {seed}": seeded_graph(n, p, seed)
+          for n in (12, 25, 40) for p in (0.05, 0.2, 0.5, 0.9) for seed in (1, 2)}
+AGREEMENT = {**FAMILY, **MULTI_ORBIT, **SEEDED,
+             **{name: g for name, g, _ in LITERATURE_ORDERS}}
+
+
+def assert_orders_agree(g):
+    """The search's |Aut| is the product of the full chain's orbits, and the
+    chain stopped at that order is the full chain, level for level."""
+    entry = symmetry._searched(g)
+    full = symmetry._stabiliser_chain(g.n, entry[0], entry[4])
+    assert group_order(g) == prod(map(len, full))
+    assert symmetry._stabiliser_chain(g.n, entry[0], entry[4], group_order(g)) == full
+
+
+@pytest.mark.parametrize("name", list(AGREEMENT))
+def test_the_search_order_is_the_chain_order(name):
+    assert_orders_agree(AGREEMENT[name])
+
+
+def test_the_search_order_is_the_chain_order_on_the_covers():
+    for _, g in COVERS:
+        assert_orders_agree(g)
+
+
+@given(small_graphs())
+@settings(max_examples=200, deadline=None)
+def test_the_search_order_is_the_chain_order_on_small_graphs(g):
+    assert_orders_agree(g)
