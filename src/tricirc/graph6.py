@@ -16,6 +16,7 @@ _HEADER = b">>graph6<<"
 _MAX_N = (1 << 36) - 1
 _OFFSET = bytes((b + 63) & 255 for b in range(256))  # 6-bit value -> byte
 _VALUE = bytes((b - 63) & 255 for b in range(256))  # byte -> 6-bit value
+_BODY_BYTES = bytes(range(63, 127))  # the bytes of 6-bit values
 
 
 class Graph6Error(ValueError):
@@ -84,6 +85,14 @@ def decode_graph6(blob) -> SimpleGraph:
 
     Validates the exact body length and that padding bits are zero. The
     optional ">>graph6<<" prefix and surrounding whitespace are accepted.
+
+    Each set bit (i, j), i < j, appends j to row i and i to row j, and the
+    rows become the graph as they are, without `SimpleGraph`'s per-edge
+    checks. They need none: a bit stands for one pair of distinct vertices
+    below n, so no edge is a loop, out of range or given twice. The bits
+    come column by column, in increasing j and, within column j, increasing
+    i, so row v first gets its i < v (in column v) and then its j > v (in the
+    later columns), each in increasing order: every row comes out sorted.
     """
     if isinstance(blob, str):
         try:
@@ -101,7 +110,7 @@ def decode_graph6(blob) -> SimpleGraph:
         raise Graph6Error(
             f"body length {len(body)} does not match n={n}"
         )
-    if body and not (63 <= min(body) and max(body) <= 126):
+    if body.translate(None, _BODY_BYTES):  # what is left is out of range
         raise Graph6Error("invalid byte in graph6 body")
     if nbits:
         pad = body[-1] - 63
@@ -114,7 +123,7 @@ def decode_graph6(blob) -> SimpleGraph:
     # The set bits come in increasing t, so the column j only grows.
     bits = format(int.from_bytes(body.translate(_VALUE), "big"),
                   f"0{8 * len(body)}b")
-    edges = []
+    rows = [[] for _ in range(n)]
     j = first = 0  # column j holds bits first .. first + j - 1
     p = bits.find("1")
     while p >= 0:
@@ -122,6 +131,8 @@ def decode_graph6(blob) -> SimpleGraph:
         while t >= first + j:
             first += j
             j += 1
-        edges.append((t - first, j))
+        i = t - first
+        rows[i].append(j)
+        rows[j].append(i)
         p = bits.find("1", p + 1)
-    return SimpleGraph(n, edges)
+    return SimpleGraph._from_rows(rows)

@@ -60,6 +60,17 @@ class SimpleGraph:
                 tags[key] = tag
         self.edge_tags = tags
 
+    @classmethod
+    def _from_rows(cls, rows: list[list[int]]) -> "SimpleGraph":
+        """The unlabelled, untagged graph whose neighbourhoods are rows, taken
+        as they are: each row sorted, loop-free and without repeats, and v in
+        rows[u] exactly when u in rows[v]. `decode_graph6` is the only
+        caller; its rows are so by construction."""
+        g = cls.__new__(cls)
+        g.n, g._adj = len(rows), tuple(map(tuple, rows))
+        g.labels, g.edge_tags = None, {}
+        return g
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
@@ -71,7 +82,7 @@ class SimpleGraph:
         return [(a, b) for a in range(self.n) for b in self._adj[a] if a < b]
 
     def edge_count(self) -> int:
-        return sum(len(nb) for nb in self._adj) // 2
+        return sum(map(len, self._adj)) // 2
 
     def edge_tag(self, a: int, b: int) -> Optional[str]:
         return self.edge_tags.get((a, b) if a < b else (b, a))

@@ -21,24 +21,31 @@ their deepest common ancestor: the canonical labeling is the one the full
 tree gives, and the tree and the generator list are smaller.
 
 The cached search entry (generator tuples, canonical labeling, canonical
-graph6, stabiliser chain, base, |Aut|) answers every question below;
-`Permutation` is only the API edge. |Aut| comes from the search itself, as
-the product of the first path's stabiliser orbit sizes, so the order, the
-orbits and the cap need no chain. The chain is built only for a walk over
-the group (the elements, the semiregular search on Aut), when the first one
-reaches the entry; it tests elements on the base, the first leaf's prefix,
-which only the identity fixes, and stops once its orbits multiply to |Aut|.
-An isomorphism test reaches the search only when a vertex-invariant
-multiset and a budgeted rooted extension leave it open (`are_isomorphic`).
-The rooted extension is a loop over placement positions, with a plan of the
-positions cached per (adjacency, root), so the sweep's VT test and naming
-and every candidate image of `are_isomorphic` place from one plan. A semiregular element with cycles of
-length t maps each vertex orbit onto itself, semiregularly with the same t,
-so the semiregular search first asks the orbit sizes and the groups induced
-on the orbits, and walks Aut only if none of them refutes t. Cycle counts
-are taken at one edge per edge orbit, since an automorphism carries the
-cycles through an edge onto those through its image; `analyze` takes the
-girth at one root per vertex orbit for the same reason.
+graph6, stabiliser chain, base, |Aut|, edge orbits) answers every question
+below; `Permutation` is only the API edge. |Aut| comes from the search
+itself, as the product of the first path's stabiliser orbit sizes, so the
+order, the orbits and the cap need no chain. The chain is built only for a
+walk over the group (the elements, the semiregular search on Aut), when the
+first one reaches the entry; it tests elements on the base, the first
+leaf's prefix, which only the identity fixes, and stops once its orbits
+multiply to |Aut|. The edge orbits are computed when first asked, once per
+entry.
+
+An isomorphism test reaches the search only when a vertex invariant and a
+budgeted rooted extension leave it open (`are_isomorphic`). The invariant
+grows both graphs' balls round by round in one routine (`_ball_rounds`,
+which the search's initial colours read too) and stops at the first round
+whose ball sizes differ. The rooted extension is a loop over placement
+positions, with a plan of the positions cached per (adjacency, root), so
+the sweep's VT test and naming and every candidate image of
+`are_isomorphic` place from one plan; the plan's BFS is also the test's
+connectivity check. A semiregular element with cycles of length t maps each
+vertex orbit onto itself, semiregularly with the same t, so the semiregular
+search first asks the orbit sizes and the groups induced on the orbits, and
+walks Aut only if none of them refutes t. Cycle counts are taken at one
+edge per edge orbit, since an automorphism carries the cycles through an
+edge onto those through its image; `analyze` takes the girth at one root
+per vertex orbit for the same reason.
 """
 
 from __future__ import annotations
@@ -154,33 +161,50 @@ def _bfs_key(adj: tuple[tuple[int, ...], ...], v: int) -> tuple:
     return len(adj[v]), tuple(layer_sizes)
 
 
-def _bfs_keys(adj: tuple[tuple[int, ...], ...]) -> list[tuple]:
-    """`[_bfs_key(adj, v) for v in range(len(adj))]` in one pass.
+def _ball_rounds(adj: tuple[tuple[int, ...], ...]):
+    """Yield, after each of rounds 1..4, the list of every vertex's ball
+    size: round d grows the ball of radius d about each vertex.
 
     The ball of radius d about v, as an int bitset, is the union of the
-    balls of radius d-1 about v and its neighbours, and its layer is the
-    growth of its bit count. A vertex whose layer comes out empty has
-    reached its component, so its ball stays fixed and it drops out of
-    later rounds: `_bfs_key` stops at that layer too."""
+    balls of radius d-1 about v and its neighbours. A vertex whose ball did
+    not grow has reached its component, so its ball stays fixed and it drops
+    out of later rounds. Each round yields a new list."""
     ball = [1 << v for v in range(len(adj))]
-    reached = [1] * len(adj)
-    layers = [[] for _ in adj]
+    size = [1] * len(adj)
     live = range(len(adj))
     for _ in range(4):
-        grown = ball[:]
+        grown, size = ball[:], size[:]
         still = []
         for v in live:
             b = ball[v]
             for u in adj[v]:
                 b |= ball[u]
-            size = b.bit_count()
-            if size > reached[v]:
-                layers[v].append(size - reached[v])
-                reached[v] = size
-                grown[v] = b
+            count = b.bit_count()
+            if count > size[v]:
+                size[v], grown[v] = count, b
                 still.append(v)
         ball, live = grown, still
-    return [(len(nbrs), tuple(sizes)) for nbrs, sizes in zip(adj, layers)]
+        yield size
+
+
+def _bfs_keys(adj: tuple[tuple[int, ...], ...]) -> list[tuple]:
+    """`[_bfs_key(adj, v) for v in range(len(adj))]`, read off the ball
+    sizes of `_ball_rounds`.
+
+    v's layer at depth d is its ball's growth in round d, and `_bfs_key`
+    stops at the first empty layer, where the ball stops growing for good.
+    The ball after round 1 is v and its neighbours. So v's ball sizes after
+    rounds 1..4 and its key determine each other."""
+    keys = []
+    for sizes in zip(*_ball_rounds(adj)):
+        layers, last = [], 1
+        for size in sizes:
+            if size == last:
+                break
+            layers.append(size - last)
+            last = size
+        keys.append((sizes[0] - 1, tuple(layers)))
+    return keys
 
 
 def _initial_colors(adj: tuple[tuple[int, ...], ...]) -> list[int]:
@@ -499,12 +523,14 @@ def _search(adj: tuple[tuple[int, ...], ...]):
 @lru_cache(maxsize=2048)
 def _search_cached(adj: tuple[tuple[int, ...], ...]):
     """`_search`, with each generator checked once to be an automorphism,
-    as the list [generators, labeling, graph6, chain, base, |Aut|] whose
-    chain slot `_chain` fills when it first builds the stabiliser chain."""
+    as the list [generators, labeling, graph6, chain, base, |Aut|, edge
+    orbits] whose chain slot `_chain` fills when it first builds the
+    stabiliser chain, and whose edge-orbit slot `edge_orbits` fills when it
+    is first asked."""
     gens, labeling, cert, base, order = _search(adj)
     if not all(_is_automorphism(adj, img) for img in gens):
         raise AssertionError("internal error: invalid generator")
-    return [gens, labeling, cert, None, base, order]
+    return [gens, labeling, cert, None, base, order, None]
 
 
 def _check_size(g: SimpleGraph):
@@ -542,13 +568,19 @@ def are_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
     """Whether g and h are isomorphic. Raises SizeGuardError above the size
     guard. Equal order and edge count are checked first; then:
 
-    1. The multiset of `_bfs_key` over all vertices (`_bfs_keys`) is an
-       isomorphism invariant, so if the two differ the answer is False.
-    2. If g is connected and not empty, a is the least vertex of its rarest
-       key class, and `_rooted_isomorphism` tries each b of h with a's key
-       in turn. An image found is an isomorphism, so the answer is True. Any
-       isomorphism sends a to a vertex with a's key, so if every b fails the
-       answer is False.
+    1. `_ball_rounds` grows the balls of both graphs side by side. The
+       sorted list of ball sizes after each round is an isomorphism
+       invariant, so the answer is False at the first round where the two
+       differ. A vertex's sizes after rounds 1..4 are its `_bfs_key` in other
+       terms (see `_bfs_keys`), so after round 4 the key multisets are
+       compared, and if they differ the answer is False. A pair told apart
+       at an early round pays for no later one.
+    2. If g is not empty, a is the least vertex of its rarest key class.
+       `_extension_plan(adj, a)`, which the extension below reads from its
+       cache, raises ValueError when g is disconnected. Otherwise
+       `_rooted_isomorphism` tries each b of h with a's key in turn. An image
+       found is an isomorphism, so the answer is True. Any isomorphism sends
+       a to a vertex with a's key, so if every b fails the answer is False.
     3. If the extension spends EXTENSION_BUDGET·n placements in all without
        deciding, or g is disconnected or empty, the answer is whether the
        canonical forms are equal."""
@@ -556,12 +588,22 @@ def are_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
         return False
     _check_size(g)
     adj, adj_h = g.adjacency(), h.adjacency()
-    keys, keys_h = _bfs_keys(adj), _bfs_keys(adj_h)
+    rounds, rounds_h = [], []
+    for sizes, sizes_h in zip(_ball_rounds(adj), _ball_rounds(adj_h)):
+        if sorted(sizes) != sorted(sizes_h):
+            return False
+        rounds.append(sizes)
+        rounds_h.append(sizes_h)
+    keys, keys_h = list(zip(*rounds)), list(zip(*rounds_h))
     count = Counter(keys)
     if count != Counter(keys_h):
         return False
-    if g.n and g.is_connected():
+    if g.n:
         a = min(range(g.n), key=lambda v: (count[keys[v]], v))
+        try:
+            _extension_plan(adj, a)
+        except ValueError:  # g is disconnected
+            return canonical_form(g) == canonical_form(h)
         budget = EXTENSION_BUDGET * g.n
         for b in range(h.n):
             if keys_h[b] != keys[a]:
@@ -582,27 +624,30 @@ def _extension_plan(adj, a: int) -> tuple:
     """The placements of `_rooted_isomorphism` from a, computed once per
     (adjacency, root) and shared by every target it extends onto: per
     position, (the vertex placed there, the vertex that first reached it,
-    its other placed neighbours, its degree). Raises ValueError when adj is
-    not connected."""
-    parent, rank = {a: a}, {}  # who first reached each vertex; the order
+    its other placed neighbours, its degree), the neighbours read off as
+    the vertex is placed. Raises ValueError when adj is not connected."""
+    n = len(adj)
+    parent, placed, plan = [-1] * n, [False] * n, []  # -1: not reached yet
+    parent[a] = a
     queue, forced = deque([a]), []
     while forced or queue:
         v = forced.pop() if forced else queue.popleft()
-        if v not in rank:
-            rank[v] = len(rank)
+        if not placed[v]:
+            placed[v] = True
+            p, back = parent[v], []
             for w in adj[v]:
-                if w in parent:
+                if placed[w]:  # before v
+                    if w != p:
+                        back.append(w)
+                elif parent[w] >= 0:
                     forced.append(w)
                 else:
                     parent[w] = v
                     queue.append(w)
-    if len(rank) != len(adj):
+            plan.append((v, p, tuple(back), len(adj[v])))
+    if len(plan) != n:
         raise ValueError("the graph must be connected")
-    return tuple(
-        (v, parent[v],
-         tuple(w for w in adj[v] if rank[w] < rank[v] and w != parent[v]),
-         len(adj[v]))
-        for v in rank)
+    return tuple(plan)
 
 
 def _rooted_isomorphism(adj, a: int, adj_h, b: int, limit: Optional[int] = None):
@@ -869,13 +914,18 @@ def _arc_orbits(
 def edge_orbits(g: SimpleGraph) -> list[list[tuple]]:
     """The edge orbits as sorted (a, b) pairs, each orbit sorted, ordered by
     least edge. Indexed by edge, not read off `_arc_orbits` with reversal,
-    which maps twice the points per generator."""
-    edges = g.edges()
-    index = {}
-    for i, (a, b) in enumerate(edges):
-        index[a, b] = index[b, a] = i
-    maps = ([index[p[a], p[b]] for a, b in edges] for p in _searched(g)[0])
-    return [[edges[i] for i in orb] for orb in _orbits(len(edges), maps)]
+    which maps twice the points per generator. Computed once per cached
+    search entry; each call returns new lists."""
+    entry = _searched(g)
+    if entry[6] is None:
+        edges = g.edges()
+        index = {}
+        for i, (a, b) in enumerate(edges):
+            index[a, b] = index[b, a] = i
+        maps = ([index[p[a], p[b]] for a, b in edges] for p in entry[0])
+        entry[6] = tuple(tuple(edges[i] for i in orb)
+                         for orb in _orbits(len(edges), maps))
+    return [list(orb) for orb in entry[6]]
 
 
 def arc_orbit_count(g: SimpleGraph) -> int:

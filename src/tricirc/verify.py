@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from math import gcd
 from typing import Optional, Sequence
@@ -484,6 +483,9 @@ def classification_sweep(
         raise ValueError("workers must be at least 1")
     if workers == 1 or len(ks) == 1:
         return [sweep_one_k(k) for k in ks]
+    # Imported here: it adds about 2.5 MB to every process that imports it.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(ks))) as pool:
         return list(pool.map(sweep_one_k, ks))
 

@@ -36,6 +36,7 @@ from tricirc.symmetry import (
     uniform_local_profile,
     vertex_orbits,
 )
+from tricirc.voltage import NonSimpleCover
 
 
 def path(n):
@@ -119,6 +120,19 @@ def test_vertex_and_edge_orbits():
     assert len(vertex_orbits(pet)) == 1
     assert len(edge_orbits(pet)) == 1
     assert arc_orbit_count(pet) == 1
+
+
+def test_edge_orbits_are_computed_once_and_handed_out_fresh(monkeypatch):
+    g = prism(5)
+    symmetry._search_cached.cache_clear()
+    want = edge_orbits(g)
+    want[0].clear()
+    want.append([(0, 0)])
+    calls = []
+    monkeypatch.setattr(symmetry, "_orbits", lambda *args: calls.append(args))
+    rims = [e for e in g.edges() if e[1] - e[0] != 5]
+    assert edge_orbits(g) == [rims, [(v, v + 5) for v in range(5)]]
+    assert calls == []
 
 
 def test_transitivity_predicates():
@@ -286,6 +300,69 @@ def test_are_isomorphic_on_a_complete_graph(time_limit):
         k_n = complete(n)
         with time_limit(seconds):
             assert are_isomorphic(k_n, relabelled(k_n, 5))
+
+
+def connected_cover(rng, t, k):
+    """A seeded simple connected cover of type t at k, with its parameters."""
+    while True:
+        params = (t, k, rng.randrange(2 * k), None if t == 3 else rng.randrange(2 * k))
+        try:
+            g = FamilyParams(*params).build()
+        except NonSimpleCover:
+            continue
+        if g.is_connected():
+            return params, g
+
+
+def test_are_isomorphic_agrees_with_canonical_forms_on_covers():
+    rng = random.Random(24)
+    for k in range(8, 13):
+        for t in (1, 2, 3, 4):
+            _, g = connected_cover(rng, t, k)
+            _, h = connected_cover(rng, t % 4 + 1, k)
+            for x, y in ((g, relabelled(g, k)), (relabelled(h, t), h), (g, h), (h, g)):
+                assert are_isomorphic(x, y) == (canonical_form(x) == canonical_form(y))
+
+
+@pytest.fixture
+def rounds_run(monkeypatch):
+    """Counts the rounds each `_ball_rounds` call yields; returns the list of
+    counts since then, one per call."""
+    counts = []
+    original = symmetry._ball_rounds
+
+    def counted(adj):
+        counts.append(0)
+        mine = len(counts) - 1
+        for sizes in original(adj):
+            counts[mine] += 1
+            yield sizes
+
+    monkeypatch.setattr(symmetry, "_ball_rounds", counted)
+    return counts
+
+
+@pytest.mark.parametrize("params_g, params_h, rounds", [
+    ((1, 8, 13, 8), (2, 8, 7, 15), 2),
+    ((4, 9, 1, 16), (1, 9, 4, 6), 4),
+], ids=["round 2", "round 4"])
+def test_are_isomorphic_stops_at_the_first_round_that_differs(
+        rounds_run, deciders, params_g, params_h, rounds):
+    g, h = FamilyParams(*params_g).build(), FamilyParams(*params_h).build()
+    differ = [sorted(a) != sorted(b) for a, b in zip(
+        symmetry._ball_rounds(g.adjacency()), symmetry._ball_rounds(h.adjacency()))]
+    assert differ.index(True) == rounds - 1
+    del rounds_run[:]
+    assert not are_isomorphic(g, h)
+    assert rounds_run == [rounds, rounds]
+    assert deciders() == (0, 0)
+
+
+def test_are_isomorphic_runs_every_round_on_a_relabelled_cover(rounds_run, deciders):
+    g = FamilyParams(1, 8, 13, 8).build()
+    assert are_isomorphic(g, relabelled(g, 6))
+    assert rounds_run == [4, 4]
+    assert deciders() == (0, 1)
 
 
 @given(small_graphs(), small_graphs(), st.randoms(use_true_random=False))
