@@ -61,14 +61,19 @@ class SimpleGraph:
         self.edge_tags = tags
 
     @classmethod
-    def _from_rows(cls, rows: list[list[int]]) -> "SimpleGraph":
-        """The unlabelled, untagged graph whose neighbourhoods are rows, taken
-        as they are: each row sorted, loop-free and without repeats, and v in
-        rows[u] exactly when u in rows[v]. `decode_graph6` is the only
-        caller; its rows are so by construction."""
+    def _from_rows(cls, rows: Sequence[Sequence[int]],
+                   labels: Optional[Sequence] = None,
+                   edge_tags: Optional[dict] = None) -> "SimpleGraph":
+        """The graph whose neighbourhoods are rows, taken as they are: each
+        row sorted, loop-free and without repeats, v in rows[u] exactly when
+        u in rows[v], n labels if any, and each tag key (a, b) an edge with
+        a < b. `decode_graph6`, `voltage.derived_cover` and `relabel` build
+        through it, as their rows are so by construction; edges from outside
+        go through the checking constructor."""
         g = cls.__new__(cls)
         g.n, g._adj = len(rows), tuple(map(tuple, rows))
-        g.labels, g.edge_tags = None, {}
+        g.labels = tuple(labels) if labels is not None else None
+        g.edge_tags = edge_tags if edge_tags is not None else {}
         return g
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -141,16 +146,15 @@ class SimpleGraph:
         return self._bfs()[1]
 
     def relabel(self, perm: Sequence[int]) -> "SimpleGraph":
-        """Image graph under vertex map v -> perm[v]. Labels and tags follow."""
+        """Image graph under vertex map v -> perm[v]. Labels and tags follow.
+
+        Once perm is a bijection, the image's rows, labels and tag keys are
+        this graph's mapped through it, and need no other check."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError("perm is not a bijection on vertices")
-        edges = [(perm[a], perm[b]) for a, b in self.edges()]
-        labels = None
-        if self.labels is not None:
-            labels = [None] * self.n
-            for v, lab in enumerate(self.labels):
-                labels[perm[v]] = lab
-        tags = {
-            (perm[a], perm[b]): t for (a, b), t in self.edge_tags.items()
-        }
-        return SimpleGraph(self.n, edges, labels=labels, edge_tags=tags)
+        inv = sorted(range(self.n), key=perm.__getitem__)  # inv[perm[v]] = v
+        rows = [sorted([perm[u] for u in self._adj[v]]) for v in inv]
+        labels = None if self.labels is None else [self.labels[v] for v in inv]
+        tags = {tuple(sorted((perm[a], perm[b]))): t
+                for (a, b), t in self.edge_tags.items()}
+        return SimpleGraph._from_rows(rows, labels, tags)

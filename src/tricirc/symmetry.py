@@ -139,10 +139,11 @@ class Permutation:
 def _bfs_key(adj: tuple[tuple[int, ...], ...], v: int) -> tuple:
     """The degree/distance invariant of v: (degree, BFS layer sizes to depth 4).
 
-    `_bfs_keys` gives the same key for every vertex at once. This
-    single-root form stays for `verify._passes_vt_screen`, which needs the
-    key at three roots only, where building every vertex's ball would cost
-    more than the three searches."""
+    `_ball_rounds` gives every vertex's key at once, in other terms (see
+    `_initial_colors`). This single-root form stays for
+    `verify._passes_vt_screen`, which needs the key at three roots only,
+    where building every vertex's ball would cost more than the three
+    searches."""
     dist = [-1] * len(adj)
     dist[v] = 0
     layer_sizes = []
@@ -187,29 +188,17 @@ def _ball_rounds(adj: tuple[tuple[int, ...], ...]):
         yield size
 
 
-def _bfs_keys(adj: tuple[tuple[int, ...], ...]) -> list[tuple]:
-    """`[_bfs_key(adj, v) for v in range(len(adj))]`, read off the ball
-    sizes of `_ball_rounds`.
-
-    v's layer at depth d is its ball's growth in round d, and `_bfs_key`
-    stops at the first empty layer, where the ball stops growing for good.
-    The ball after round 1 is v and its neighbours. So v's ball sizes after
-    rounds 1..4 and its key determine each other."""
-    keys = []
-    for sizes in zip(*_ball_rounds(adj)):
-        layers, last = [], 1
-        for size in sizes:
-            if size == last:
-                break
-            layers.append(size - last)
-            last = size
-        keys.append((sizes[0] - 1, tuple(layers)))
-    return keys
-
-
 def _initial_colors(adj: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Degree/distance invariant coloring: `_bfs_key` ranked densely."""
-    keys = _bfs_keys(adj)
+    """Degree/distance invariant coloring: `_bfs_key` ranked densely, as
+    the dense rank of each vertex's ball sizes after rounds 1..4 of
+    `_ball_rounds`, the tuples `are_isomorphic` keys by.
+
+    The two rank alike. v's size after round 1 is 1 + degree, and each later
+    size adds v's BFS layer at that depth. An empty layer ends the key and
+    leaves the size unchanged, which is the least the next size can be. So
+    size tuples compare as the keys do: by degree, then layer by layer,
+    with a key that has ended below one that goes on."""
+    keys = list(zip(*_ball_rounds(adj)))
     code = {key: i for i, key in enumerate(sorted(set(keys)))}
     return [code[k] for k in keys]
 
@@ -572,7 +561,7 @@ def are_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
        sorted list of ball sizes after each round is an isomorphism
        invariant, so the answer is False at the first round where the two
        differ. A vertex's sizes after rounds 1..4 are its `_bfs_key` in other
-       terms (see `_bfs_keys`), so after round 4 the key multisets are
+       terms (see `_initial_colors`), so after round 4 the key multisets are
        compared, and if they differ the answer is False. A pair told apart
        at an early round pays for no later one.
     2. If g is not empty, a is the least vertex of its rarest key class.

@@ -56,11 +56,11 @@ from .symmetry import (
     vertex_orbits,
 )
 from .voltage import (
+    _DART_SYMBOLS,
     SymbolicVoltage,
     cover_connected,
     cover_is_simple,
     lifted_adjacency,
-    symbolic_dart_voltage,
 )
 
 
@@ -109,9 +109,8 @@ def walk_table(delta_index: int, length: int, start) -> WalkTable:
         raise ValueError("length must be positive")
     inv = base.inv
     step = {}  # dart -> (voltage as (eps, a, b), darts that may follow it)
-    for d in range(base.n_darts):
-        sv = symbolic_dart_voltage(base, d)
-        step[d] = ((sv.eps, sv.a, sv.b),
+    for d, symbol in enumerate(_DART_SYMBOLS[delta_index]):
+        step[d] = (symbol,
                    [e for e in base.darts_at(base.end(d)) if e != inv[d]])
     tally: Counter = Counter()
     for first in base.darts_at(root):

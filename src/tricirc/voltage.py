@@ -167,7 +167,8 @@ def symbolic_dart_voltage(base: Pregraph, dart: int) -> SymbolicVoltage:
     return -_SYMBOLIC[sym[1:]] if sym.startswith("-") else _SYMBOLIC[sym]
 
 
-# Each dart's (eps, a, b) per delta(i), read off its name once for `zeta_for`.
+# Each dart's (eps, a, b) per delta(i), read off its name once for `zeta_for`
+# and `verify.walk_table`.
 _DART_SYMBOLS = {
     i: tuple((v.eps, v.a, v.b) for v in
              [symbolic_dart_voltage(delta(i), d) for d in range(delta(i).n_darts)])
@@ -225,11 +226,11 @@ def cover_is_simple(va: VoltageAssignment) -> bool:
 
 
 def lifted_adjacency(va: VoltageAssignment) -> tuple[tuple[int, ...], ...]:
-    """The adjacency lists of the derived cover, read off the voltages:
-    vertex x*n + i (fibre-major, as `derived_cover` numbers it) has the
-    neighbours end(d)*n + (i + zeta(d)) mod n over the darts d at x, that
-    is, the fibre of end(d) rotated by zeta(d). On a simple cover these are
-    the neighbour sets of `derived_cover(va)`."""
+    """The adjacency lists of the derived cover, read off the voltages; the
+    one place the lift is written. Vertex x_i is x*n + i (fibre-major), and
+    entry j of its row is end(d)_(i + zeta(d)), where d is dart j of
+    `base.darts_at(x)`: the fibre of end(d) rotated by zeta(d). On a simple
+    cover these are the neighbour sets of `derived_cover(va)`."""
     base, n, zeta = va.base, va.n, va.zeta
     adj: list[tuple[int, ...]] = []
     for x in range(base.n_vertices):
@@ -249,6 +250,11 @@ def derived_cover(va: VoltageAssignment) -> SimpleGraph:
     semi-edge (semi-edge voltage of order < 2), a loop (loop voltage 0) or a
     parallel edge (loop voltage n/2, or two base edges lifting to the same
     vertex pair), as `cover_is_simple` decides.
+
+    Past that check the rows of `lifted_adjacency` are simple, so the graph
+    is built from them sorted, with no per-edge check. Each edge {v, u},
+    v < u, takes the tag of the dart that row v's entry u came from; the
+    other end's dart is its inverse, which carries the same tag.
     """
     base, n = va.base, va.n
     fault = _simplicity_fault(va)
@@ -259,26 +265,18 @@ def derived_cover(va: VoltageAssignment) -> SimpleGraph:
             f" voltage {va.zeta[d]} mod {n})",
             d, base.dart_label(d), va.zeta[d],
         )
-
-    labels = [
-        CoverVertex(base.vertex_names[x], i)
-        for x in range(base.n_vertices) for i in range(n)
-    ]
-    edges: set[tuple[int, int]] = set()  # a semi-edge lifts each edge twice
+    adj = lifted_adjacency(va)
+    labels = [CoverVertex(base.vertex_names[x], i)
+              for x in range(base.n_vertices) for i in range(n)]
     tags: dict[tuple[int, int], str] = {}
-    for d in base.edges():
-        z = va.zeta[d]
-        x, y = base.beg[d] * n, base.end(d) * n
-        tag = base.edge_tag(d)
-        for i in range(n):
-            a, b = x + i, y + (i + z) % n
-            key = (a, b) if a < b else (b, a)
-            edges.add(key)
+    for x in range(base.n_vertices):
+        for j, d in enumerate(base.darts_at(x)):
+            tag = base.edge_tag(d)
             if tag is not None:
-                tags[key] = tag
-
-    return SimpleGraph(base.n_vertices * n, edges, labels=labels,
-                       edge_tags=tags)
+                for v in range(x * n, x * n + n):
+                    if v < adj[v][j]:
+                        tags[v, adj[v][j]] = tag
+    return SimpleGraph._from_rows(list(map(sorted, adj)), labels, tags)
 
 
 def cover_connected(va: VoltageAssignment) -> bool:

@@ -43,6 +43,54 @@ def test_gen_edges_format(capsys):
     assert all(len(ln.split()) == 3 for ln in lines)   # u v tag
 
 
+# sha256 of `gen --format edges` and `--format dot`, recorded before covers
+# and relabelled graphs were built from rows without the per-edge checks.
+GEN_TEXT_DIGESTS = {
+    ("1", "9", "2", "5"): (
+        "2318ec9d5305a66de1ba11b2a251f42159561e3f00830c70709ea60d5f291a58",
+        "01be5ded6df2b59ddf9bd22ab9c92bd1ba820f7b8ae2fc1d2d89f1bd1fdb4d88"),
+    ("2", "9", "3", "1"): (
+        "44a4027da0676d94a33c1c996a52644bebe0d924d8caae66c37bbdf1f0b571a6",
+        "08826ea714f9099b32ed60daaefc79e3eb75884a4ec3059ce117d7a741344b2d"),
+    ("3", "9", "2", None): (
+        "300c3f07824d38f1c8e44a765c23f2b12244178e46a9383ead67827287135486",
+        "9013724a36d1601c116e265aae2628126c495bd2ef6229270435b90bdcaba9c6"),
+    ("4", "9", "1", "3"): (
+        "4c196843b5aca2a42acb3a83932cde7f875b6b8561e48042a47be027d1972432",
+        "ae19f37f1c317eeb05871313e00d281235c9441ed6488f579c9c5012e1874beb"),
+    ("x", "9", None, None): (
+        "d27b535acd67c9cc6eff1ba89dc75b05303e4ea334622f86cffe80957ece7ca7",
+        "bff1032e5052edede80453dcf8ca239fbbdaa2b9f4f368f4ee6cf1fc3aefb174"),
+    ("y", "9", None, None): (
+        "28d1060fb99311b925535b3fb313da0bb8aa36f70d9874e87359d015e424d17f",
+        "df947417ccb5cd71babf5b168e14dddabc98c76027cebbb0f073a52895ebc6b4"),
+    ("prism", "9", None, None): (
+        "89e09bfa84a0b7a7031f50bc244e311d19ee002f3f4f9b5f63b49b2c303088d9",
+        "82483308986415cd051f8d76fb7091983761a9a1c6ba7e4789d15fdca2434d12"),
+    ("moebius", "9", None, None): (
+        "b7b0121e62da393d9c45c708146b48911548a455015d8e1cf64b4c938edd2552",
+        "06cb2e57b4485df877c37dd489ac9d2524c2efa3ba86b4e419b2fadb94db7b2f"),
+    ("gp", "12", "5", None): (
+        "6dc0722535c2bfffb47623d82041f313dc3edbf3b54bb8f4e3a66c50669b9add",
+        "38ed0a96212024c5c9b022ce31b40bc51b65de48da4437221189e6cedb0fb32d"),
+}
+
+
+@pytest.mark.parametrize("params", list(GEN_TEXT_DIGESTS),
+                         ids=lambda params: params[0])
+def test_gen_text_formats_are_pinned(capsys, params):
+    kind, k, r, s = params
+    argv = ["gen", "--type", kind, "--k", k]
+    argv += ["--r", r] if r is not None else []
+    argv += ["--s", s] if s is not None else []
+    digests = []
+    for fmt in ("edges", "dot"):
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == GEN_TEXT_DIGESTS[params]
+
+
 def test_gen_dot_format(capsys):
     code, out, _ = run(capsys, "gen", "--type", "y", "--k", "5", "--format", "dot")
     assert code == 0

@@ -159,9 +159,11 @@ def complete(n):
     return SimpleGraph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
 
 
-def per_vertex_keys(g):
+def ranked_per_vertex_keys(g):
     adj = g.adjacency()
-    return [symmetry._bfs_key(adj, v) for v in range(g.n)]
+    keys = [symmetry._bfs_key(adj, v) for v in range(g.n)]
+    code = {key: i for i, key in enumerate(sorted(set(keys)))}
+    return [code[key] for key in keys]
 
 
 @pytest.mark.parametrize("g", [
@@ -174,13 +176,14 @@ def per_vertex_keys(g):
     FamilyParams(2, 25, 1, 3).build(),         # 150 vertices: three words a ball
 ], ids=["empty", "isolated", "edgeless", "P3", "C3+C4", "K30", "t2(25,1,3)"])
 def test_bfs_keys_equal_the_per_vertex_keys(g):
-    assert symmetry._bfs_keys(g.adjacency()) == per_vertex_keys(g)
+    # the all-vertex key, ranked from ball sizes, against `_bfs_key` per root
+    assert symmetry._initial_colors(g.adjacency()) == ranked_per_vertex_keys(g)
 
 
 @given(small_graphs())
 @settings(max_examples=150, deadline=None)
 def test_bfs_keys_equal_the_per_vertex_keys_on_small_graphs(g):
-    assert symmetry._bfs_keys(g.adjacency()) == per_vertex_keys(g)
+    assert symmetry._initial_colors(g.adjacency()) == ranked_per_vertex_keys(g)
 
 
 # -- canonical forms ----------------------------------------------------------

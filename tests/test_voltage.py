@@ -294,3 +294,118 @@ def test_gcd_rule_errs_on_an_assignment_that_is_not_normalised():
     assert not va.is_normalised()
     assert cover_connected(va)
     assert not derived_cover(va).is_connected()
+
+
+# -- the trusted builders against the checking constructor ---------------------
+
+def _reference_cover(va):
+    """The derived cover as it was built from an edge set through the
+    checking `SimpleGraph(...)`, with the lift written out per base edge."""
+    from tricirc.graphs import CoverVertex
+    from tricirc.voltage import _simplicity_fault
+    base, n = va.base, va.n
+    fault = _simplicity_fault(va)
+    if fault is not None:
+        contains, d = fault
+        raise NonSimpleCover(
+            f"cover would contain {contains} (base edge {base.dart_label(d)},"
+            f" voltage {va.zeta[d]} mod {n})",
+            d, base.dart_label(d), va.zeta[d],
+        )
+    labels = [CoverVertex(base.vertex_names[x], i)
+              for x in range(base.n_vertices) for i in range(n)]
+    edges, tags = set(), {}
+    for d in base.edges():
+        x, y, z = base.beg[d] * n, base.end(d) * n, va.zeta[d]
+        for i in range(n):
+            a, b = x + i, y + (i + z) % n
+            key = (a, b) if a < b else (b, a)
+            edges.add(key)
+            if base.edge_tag(d) is not None:
+                tags[key] = base.edge_tag(d)
+    return SimpleGraph(base.n_vertices * n, edges, labels=labels,
+                       edge_tags=tags)
+
+
+def _same_graph(g, h):
+    return (g.n, g.adjacency(), g.labels, g.edge_tags) \
+        == (h.n, h.adjacency(), h.labels, h.edge_tags)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_derived_cover_matches_the_edge_set_reference_on_the_grid(t):
+    """Every (r, s) at k <= 8: the same adjacency, labels and tags on each
+    simple point, and the same NonSimpleCover on each other one (type 3,
+    with s = 0, has none)."""
+    simple = faults = 0
+    for k in range(1, 9):
+        for r in range(2 * k):
+            for s in range(2 * k) if t != 3 else (0,):
+                va = zeta_for(t, k, r, s)
+                try:
+                    want = _reference_cover(va)
+                except NonSimpleCover as ref:
+                    with pytest.raises(NonSimpleCover) as excinfo:
+                        derived_cover(va)
+                    err = excinfo.value
+                    assert (str(err), err.dart, err.label, err.voltage) == (
+                        str(ref), ref.dart, ref.label, ref.voltage), (t, k, r, s)
+                    faults += 1
+                    continue
+                got = derived_cover(va)
+                assert _same_graph(got, want), (t, k, r, s)
+                assert got.edge_tags, (t, k, r, s)
+                simple += 1
+    assert simple and (faults or t == 3)
+
+
+@pytest.mark.parametrize("name", ["x9", "y9", "prism27", "gp24_5"])
+def test_derived_cover_matches_the_reference_on_quotient_assignments(name):
+    """The assignments `quotient_with_voltages` returns for every orbit
+    count with a semiregular automorphism: bases with semi-edges, loops
+    and up to 12 vertices."""
+    from tricirc.families import gp, prism, x_graph, y_graph
+    from tricirc.symmetry import find_k_circulant
+    g = {"x9": lambda: x_graph(9), "y9": lambda: y_graph(9),
+         "prism27": lambda: prism(27), "gp24_5": lambda: gp(24, 5)}[name]()
+    kinds = set()
+    for m in range(1, 13):
+        rho = None if g.n % m else find_k_circulant(g, m)
+        if rho is None:
+            continue
+        base, va = quotient_with_voltages(g, rho.img)
+        kinds |= {(base.edge_kind(d), base.n_vertices > 3) for d in base.edges()}
+        assert _same_graph(derived_cover(va), _reference_cover(va)), (name, m)
+    assert any(kind != "link" for kind, _ in kinds)
+    assert any(more for _, more in kinds)
+
+
+def _reference_relabel(g, perm):
+    labels = None
+    if g.labels is not None:
+        labels = [None] * g.n
+        for v, lab in enumerate(g.labels):
+            labels[perm[v]] = lab
+    return SimpleGraph(
+        g.n, [(perm[a], perm[b]) for a, b in g.edges()], labels=labels,
+        edge_tags={(perm[a], perm[b]): t for (a, b), t in g.edge_tags.items()})
+
+
+def test_relabel_matches_the_checking_constructor():
+    import random
+    from tricirc.families import gp
+    from tricirc.graph6 import decode_graph6, encode_graph6
+    cover = derived_cover(zeta_for(1, 9, r=2, s=5))
+    decoded = decode_graph6(encode_graph6(gp(24, 5)))
+    assert cover.labels and cover.edge_tags and gp(24, 5).edge_tags
+    assert decoded.labels is None
+    rng = random.Random(25)
+    for g in (cover, gp(24, 5), decoded):
+        for _ in range(20):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert _same_graph(g.relabel(perm), _reference_relabel(g, perm))
+        assert _same_graph(g.relabel(range(g.n)), g)
+        for bad in ([0] * g.n, list(range(g.n - 1)), list(range(1, g.n + 1))):
+            with pytest.raises(ValueError, match="not a bijection"):
+                g.relabel(bad)
