@@ -2,7 +2,7 @@
 analysis, and exhaustive classification checks.
 """
 
-from .graphs import CoverVertex, SimpleGraph
+from .graphs import SimpleGraph
 from .pregraph import (
     LINK,
     LOOP,

@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 from .families import gp, moebius, prism, t1, t2, t3, t4, x_graph, y_graph
 from .graph6 import Graph6Error, decode_graph6, encode_graph6
 from .graphs import SimpleGraph
+from .pregraph import delta
 from .symmetry import (
     DEFAULT_CAP,
     EnumerationCapExceeded,
@@ -67,12 +68,20 @@ _MAX_WALK_LENGTH = 18  # well past the lengths 6..8 the paper reads; keeps each 
 _MAX_EXTRA_CYCLES = 6
 
 
-# gen's types: the constructor, the parameters it takes after k, and the
-# graph's order as a multiple of k.
+# gen's types: the constructor, the parameters it takes after k, the
+# graph's order as a multiple of k, and the names of its fibres. Every type
+# numbers its vertices fibre-major, so vertex v is named by its fibre and its
+# index in it; the Moebius ladder's one fibre is unnamed, so v is named v.
 _GEN_TYPES = {
-    "1": (t1, ("r", "s"), 6), "2": (t2, ("r", "s"), 6), "3": (t3, ("r",), 6),
-    "4": (t4, ("r", "s"), 6), "x": (x_graph, (), 6), "y": (y_graph, (), 6),
-    "prism": (prism, (), 2), "moebius": (moebius, (), 2), "gp": (gp, ("r",), 2),
+    "1": (t1, ("r", "s"), 6, delta(1).vertex_names),
+    "2": (t2, ("r", "s"), 6, delta(2).vertex_names),
+    "3": (t3, ("r",), 6, delta(3).vertex_names),
+    "4": (t4, ("r", "s"), 6, delta(4).vertex_names),
+    "x": (x_graph, (), 6, delta(1).vertex_names),
+    "y": (y_graph, (), 6, delta(2).vertex_names),
+    "prism": (prism, (), 2, ("u", "v")),
+    "moebius": (moebius, (), 2, ("",)),
+    "gp": (gp, ("r",), 2, ("u", "v")),
 }
 # gen builds the whole graph and packs its graph6 in one buffer of
 # n(n-1)/12 bytes. Type 1 at order 12 000 writes 12 MB in 0.3 s with a
@@ -82,7 +91,7 @@ _MAX_GEN_ORDER = 12000
 
 
 def _build_graph(args) -> SimpleGraph:
-    build, params, per_k = _GEN_TYPES[args.type]
+    build, params, per_k, _ = _GEN_TYPES[args.type]
     for param in params:
         if getattr(args, param) is None:
             raise ValueError(f"--{param} is required for --type {args.type}")
@@ -92,26 +101,25 @@ def _build_graph(args) -> SimpleGraph:
     return build(args.k, *[getattr(args, param) for param in params])
 
 
-def _vertex_name(g: SimpleGraph, v: int) -> str:
-    if g.labels is not None:
-        return str(g.labels[v])
-    return str(v)
+def _emit_graph(g: SimpleGraph, names: Sequence[str], fmt: str, out) -> None:
+    size = g.n // len(names)
 
+    def name(v: int) -> str:
+        return f"{names[v // size]}{v % size}"
 
-def _emit_graph(g: SimpleGraph, fmt: str, out) -> None:
     if fmt == "graph6":
         out.write(encode_graph6(g).decode("ascii") + "\n")
     elif fmt == "edges":
         for a, b in g.edges():
             tag = g.edge_tag(a, b)
-            line = f"{_vertex_name(g, a)} {_vertex_name(g, b)}"
+            line = f"{name(a)} {name(b)}"
             if tag is not None:
                 line += f" {tag}"
             out.write(line + "\n")
     elif fmt == "dot":
         out.write("graph tricirc {\n")
         for v in range(g.n):
-            out.write(f'  {v} [label="{_vertex_name(g, v)}"];\n')
+            out.write(f'  {v} [label="{name(v)}"];\n')
         for a, b in g.edges():
             tag = g.edge_tag(a, b)
             attr = f' [label="{tag}"]' if tag is not None else ""
@@ -197,7 +205,7 @@ def _analyze_one(g: SimpleGraph, extra_cycles: int, cap: int) -> dict:
 
 def _cmd_gen(args) -> int:
     g = _build_graph(args)
-    _emit_graph(g, args.format, sys.stdout)
+    _emit_graph(g, _GEN_TYPES[args.type][3], args.format, sys.stdout)
     return 0
 
 

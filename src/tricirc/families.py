@@ -252,8 +252,7 @@ def gp(n: int, m: int) -> SimpleGraph:
         tags[i, (i + 1) % n] = "outer"
         tags[i, n + i] = "spoke"
         tags[n + i, n + (i + m) % n] = "inner"
-    labels = [f"u{i}" for i in range(n)] + [f"v{i}" for i in range(n)]
-    return SimpleGraph(2 * n, tags, labels=labels, edge_tags=tags)
+    return SimpleGraph(2 * n, tags, edge_tags=tags)
 
 
 def prism(m: int) -> SimpleGraph:

@@ -1,35 +1,23 @@
-"""Simple undirected graphs with optional vertex labels and edge-type tags."""
+"""Simple undirected graphs with optional edge-type tags."""
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Sequence
-
-
-class CoverVertex(NamedTuple):
-    """Label of a cover vertex: a base vertex name and an index mod n."""
-
-    base_vertex: str
-    index: int
-
-    def __str__(self) -> str:
-        return f"{self.base_vertex}{self.index}"
+from typing import Iterable, Optional, Sequence
 
 
 class SimpleGraph:
     """Immutable simple graph on vertices 0..n-1.
 
-    Loops and parallel edges are rejected at construction. Vertices may carry
-    labels (e.g. CoverVertex pairs) and edges may carry type tags such as
-    "K", "0", "R", "S".
+    Loops and parallel edges are rejected at construction. Edges may carry
+    type tags such as "K", "0", "R", "S".
     """
 
-    __slots__ = ("n", "_adj", "labels", "edge_tags")
+    __slots__ = ("n", "_adj", "edge_tags")
 
     def __init__(
         self,
         n: int,
         edges: Iterable[tuple[int, int]],
-        labels: Optional[Sequence] = None,
         edge_tags: Optional[dict[tuple[int, int], str]] = None,
     ):
         if n < 0:
@@ -48,9 +36,6 @@ class SimpleGraph:
         self._adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(s)) for s in adj
         )
-        if labels is not None and len(labels) != n:
-            raise ValueError("labels length must equal n")
-        self.labels = tuple(labels) if labels is not None else None
         tags: dict[tuple[int, int], str] = {}
         if edge_tags:
             for (a, b), tag in edge_tags.items():
@@ -62,17 +47,15 @@ class SimpleGraph:
 
     @classmethod
     def _from_rows(cls, rows: Sequence[Sequence[int]],
-                   labels: Optional[Sequence] = None,
                    edge_tags: Optional[dict] = None) -> "SimpleGraph":
         """The graph whose neighbourhoods are rows, taken as they are: each
         row sorted, loop-free and without repeats, v in rows[u] exactly when
-        u in rows[v], n labels if any, and each tag key (a, b) an edge with
-        a < b. `decode_graph6`, `voltage.derived_cover` and `relabel` build
-        through it, as their rows are so by construction; edges from outside
-        go through the checking constructor."""
+        u in rows[v], and each tag key (a, b) an edge with a < b.
+        `decode_graph6`, `voltage.derived_cover` and `relabel` build through
+        it, as their rows are so by construction; edges from outside go
+        through the checking constructor."""
         g = cls.__new__(cls)
         g.n, g._adj = len(rows), tuple(map(tuple, rows))
-        g.labels = tuple(labels) if labels is not None else None
         g.edge_tags = edge_tags if edge_tags is not None else {}
         return g
 
@@ -146,15 +129,14 @@ class SimpleGraph:
         return self._bfs()[1]
 
     def relabel(self, perm: Sequence[int]) -> "SimpleGraph":
-        """Image graph under vertex map v -> perm[v]. Labels and tags follow.
+        """Image graph under vertex map v -> perm[v]. Tags follow.
 
-        Once perm is a bijection, the image's rows, labels and tag keys are
+        Once perm is a bijection, the image's rows and tag keys are
         this graph's mapped through it, and need no other check."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError("perm is not a bijection on vertices")
         inv = sorted(range(self.n), key=perm.__getitem__)  # inv[perm[v]] = v
         rows = [sorted([perm[u] for u in self._adj[v]]) for v in inv]
-        labels = None if self.labels is None else [self.labels[v] for v in inv]
         tags = {tuple(sorted((perm[a], perm[b]))): t
                 for (a, b), t in self.edge_tags.items()}
-        return SimpleGraph._from_rows(rows, labels, tags)
+        return SimpleGraph._from_rows(rows, tags)

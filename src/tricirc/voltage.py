@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graphs import CoverVertex, SimpleGraph
+from .graphs import SimpleGraph
 from .pregraph import Pregraph, Walk, delta
 from .symmetry import Permutation, _arc_orbits
 
@@ -245,11 +245,12 @@ def lifted_adjacency(va: VoltageAssignment) -> tuple[tuple[int, ...], ...]:
 def derived_cover(va: VoltageAssignment) -> SimpleGraph:
     """The derived covering graph of a voltage assignment.
 
-    Vertices are (base vertex, i) for i in Z_n, ordered fibre-major in base
-    vertex order. Raises NonSimpleCover if any lifted edge would be a
-    semi-edge (semi-edge voltage of order < 2), a loop (loop voltage 0) or a
-    parallel edge (loop voltage n/2, or two base edges lifting to the same
-    vertex pair), as `cover_is_simple` decides.
+    Vertex (x, i), for base vertex x and i in Z_n, is numbered x*n + i
+    (fibre-major), so its name follows from its number. Raises
+    NonSimpleCover if any lifted edge would be a semi-edge (semi-edge
+    voltage of order < 2), a loop (loop voltage 0) or a parallel edge (loop
+    voltage n/2, or two base edges lifting to the same vertex pair), as
+    `cover_is_simple` decides.
 
     Past that check the rows of `lifted_adjacency` are simple, so the graph
     is built from them sorted, with no per-edge check. Each edge {v, u},
@@ -266,8 +267,6 @@ def derived_cover(va: VoltageAssignment) -> SimpleGraph:
             d, base.dart_label(d), va.zeta[d],
         )
     adj = lifted_adjacency(va)
-    labels = [CoverVertex(base.vertex_names[x], i)
-              for x in range(base.n_vertices) for i in range(n)]
     tags: dict[tuple[int, int], str] = {}
     for x in range(base.n_vertices):
         for j, d in enumerate(base.darts_at(x)):
@@ -276,7 +275,7 @@ def derived_cover(va: VoltageAssignment) -> SimpleGraph:
                 for v in range(x * n, x * n + n):
                     if v < adj[v][j]:
                         tags[v, adj[v][j]] = tag
-    return SimpleGraph._from_rows(list(map(sorted, adj)), labels, tags)
+    return SimpleGraph._from_rows(list(map(sorted, adj)), tags)
 
 
 def cover_connected(va: VoltageAssignment) -> bool:

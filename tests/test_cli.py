@@ -43,7 +43,8 @@ def test_gen_edges_format(capsys):
     assert all(len(ln.split()) == 3 for ln in lines)   # u v tag
 
 
-# sha256 of `gen --format edges` and `--format dot`, recorded before covers
+# sha256 of `gen --format edges` and `--format dot`, recorded while the
+# graphs still carried per-vertex labels: the first nine also before covers
 # and relabelled graphs were built from rows without the per-edge checks.
 GEN_TEXT_DIGESTS = {
     ("1", "9", "2", "5"): (
@@ -73,11 +74,25 @@ GEN_TEXT_DIGESTS = {
     ("gp", "12", "5", None): (
         "6dc0722535c2bfffb47623d82041f313dc3edbf3b54bb8f4e3a66c50669b9add",
         "38ed0a96212024c5c9b022ce31b40bc51b65de48da4437221189e6cedb0fb32d"),
+    ("gp", "10", "7", None): (  # the step reduces to m = 3
+        "790748338c6abf5e82c151c8d32188c81012d11d468c92f304375e4fd179a223",
+        "f64ecbb31f97a04b417540206a5ce0bf556d07ddde115248edee26ed7b74d48c"),
+    ("2", "10", "2", "3"): (  # even k: a fibre of 20
+        "db742c97d3109911e746f45391a5d3234b35f61ac99acb5b99ed25a86e5e78d5",
+        "2e188185cf3fed090c562c5524526e45025e82f7e7e42a593cd94f0c3d9e5bfb"),
+    ("3", "1", "1", None): (  # a fibre of 2
+        "44a4fa2609bcf9516bdc86fe0f14ff93e149e9664abb7ce9c5aa5006c14c2ccc",
+        "afc57fd508bdce7b9969691a46748bd6f56c53a6002127b26b70c5cdc1544162"),
 }
 
 
-@pytest.mark.parametrize("params", list(GEN_TEXT_DIGESTS),
-                         ids=lambda params: params[0])
+def _gen_case_id(params):
+    """The type for its first case, the whole argument list for the rest."""
+    first = next(p for p in GEN_TEXT_DIGESTS if p[0] == params[0])
+    return params[0] if params == first else "-".join(filter(None, params))
+
+
+@pytest.mark.parametrize("params", list(GEN_TEXT_DIGESTS), ids=_gen_case_id)
 def test_gen_text_formats_are_pinned(capsys, params):
     kind, k, r, s = params
     argv = ["gen", "--type", kind, "--k", k]

@@ -107,7 +107,7 @@ def test_coding_matches_pairwise_reference(n, data):
     assert blob[header:] == reference_body(g)
     h = decode_graph6(blob)
     assert h == g
-    assert h.labels is None and h.edge_tags == {}
+    assert h.edge_tags == {}
     assert sorted(h.edges()) == sorted(reference_edges(n, blob[header:]))
 
 

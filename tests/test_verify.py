@@ -12,15 +12,18 @@ from tricirc.families import (
     parameter_representatives,
     prism,
     r_star,
+    t1,
     t3,
     x_graph,
     y_graph,
 )
+from tricirc.graphs import SimpleGraph
 from tricirc.symmetry import (
     _rooted_isomorphism,
     are_isomorphic,
     canonical_form,
     girth,
+    group_order,
     is_vertex_transitive,
     uniform_local_profile,
 )
@@ -108,6 +111,35 @@ def test_census_named_entries():
     tutte = ct.entry_named("Tutte 8-cage")
     assert tutte is not None and tutte.order == 30
     assert tutte.types == (4,)
+
+
+def _lcf(jumps, repeats):
+    """The graph of LCF notation [jumps]^repeats: the Hamiltonian cycle
+    0..n-1 and a chord from each i to i + jumps[i mod len(jumps)]."""
+    n = len(jumps) * repeats
+    edges = {tuple(sorted((i, (i + j) % n)))
+             for i in range(n) for j in (1, jumps[i % len(jumps)])}
+    g = SimpleGraph(n, edges)
+    assert g.is_regular(3)
+    return g
+
+
+@pytest.mark.parametrize("name,jumps,repeats", [
+    ("K_{3,3}", [3], 6),
+    ("Pappus graph", [5, 7, -7, 7, -7, -5], 3),
+    ("Tutte 8-cage", [-13, -9, 7, -7, 9, 13], 5),
+])
+def test_census_names_match_their_lcf_constructions(name, jumps, repeats):
+    entry = small_census(8).entry_named(name)
+    assert entry.canonical == canonical_form(_lcf(jumps, repeats)).decode()
+
+
+def test_t1_at_k2_is_the_truncated_tetrahedron():
+    """The class the k <= 8 sweep reports as unexpected: t1(2, 0, 1) is the
+    truncated tetrahedron, LCF [2, 6, -2]^4."""
+    g = t1(2, 0, 1)
+    assert canonical_form(g) == canonical_form(_lcf([2, 6, -2], 4))
+    assert (g.n, girth(g), group_order(g)) == (12, 3, 24)
 
 
 def test_census_multi_type_entry_is_the_triangular_prism():

@@ -301,7 +301,6 @@ def test_gcd_rule_errs_on_an_assignment_that_is_not_normalised():
 def _reference_cover(va):
     """The derived cover as it was built from an edge set through the
     checking `SimpleGraph(...)`, with the lift written out per base edge."""
-    from tricirc.graphs import CoverVertex
     from tricirc.voltage import _simplicity_fault
     base, n = va.base, va.n
     fault = _simplicity_fault(va)
@@ -312,8 +311,6 @@ def _reference_cover(va):
             f" voltage {va.zeta[d]} mod {n})",
             d, base.dart_label(d), va.zeta[d],
         )
-    labels = [CoverVertex(base.vertex_names[x], i)
-              for x in range(base.n_vertices) for i in range(n)]
     edges, tags = set(), {}
     for d in base.edges():
         x, y, z = base.beg[d] * n, base.end(d) * n, va.zeta[d]
@@ -323,18 +320,17 @@ def _reference_cover(va):
             edges.add(key)
             if base.edge_tag(d) is not None:
                 tags[key] = base.edge_tag(d)
-    return SimpleGraph(base.n_vertices * n, edges, labels=labels,
-                       edge_tags=tags)
+    return SimpleGraph(base.n_vertices * n, edges, edge_tags=tags)
 
 
 def _same_graph(g, h):
-    return (g.n, g.adjacency(), g.labels, g.edge_tags) \
-        == (h.n, h.adjacency(), h.labels, h.edge_tags)
+    return (g.n, g.adjacency(), g.edge_tags) \
+        == (h.n, h.adjacency(), h.edge_tags)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
 def test_derived_cover_matches_the_edge_set_reference_on_the_grid(t):
-    """Every (r, s) at k <= 8: the same adjacency, labels and tags on each
+    """Every (r, s) at k <= 8: the same adjacency and tags on each
     simple point, and the same NonSimpleCover on each other one (type 3,
     with s = 0, has none)."""
     simple = faults = 0
@@ -381,13 +377,8 @@ def test_derived_cover_matches_the_reference_on_quotient_assignments(name):
 
 
 def _reference_relabel(g, perm):
-    labels = None
-    if g.labels is not None:
-        labels = [None] * g.n
-        for v, lab in enumerate(g.labels):
-            labels[perm[v]] = lab
     return SimpleGraph(
-        g.n, [(perm[a], perm[b]) for a, b in g.edges()], labels=labels,
+        g.n, [(perm[a], perm[b]) for a, b in g.edges()],
         edge_tags={(perm[a], perm[b]): t for (a, b), t in g.edge_tags.items()})
 
 
@@ -397,8 +388,7 @@ def test_relabel_matches_the_checking_constructor():
     from tricirc.graph6 import decode_graph6, encode_graph6
     cover = derived_cover(zeta_for(1, 9, r=2, s=5))
     decoded = decode_graph6(encode_graph6(gp(24, 5)))
-    assert cover.labels and cover.edge_tags and gp(24, 5).edge_tags
-    assert decoded.labels is None
+    assert cover.edge_tags and gp(24, 5).edge_tags and not decoded.edge_tags
     rng = random.Random(25)
     for g in (cover, gp(24, 5), decoded):
         for _ in range(20):
