@@ -53,7 +53,6 @@ from .verify import (
     lemma_spot_checks,
     report_emit,
     small_census,
-    total_anomalies,
     walk_table,
 )
 from .voltage import quotient_with_voltages
@@ -92,9 +91,11 @@ _MAX_GEN_ORDER = 12000
 
 def _build_graph(args) -> SimpleGraph:
     build, params, per_k, _ = _GEN_TYPES[args.type]
-    for param in params:
-        if getattr(args, param) is None:
+    for param in ("r", "s"):
+        if param in params and getattr(args, param) is None:
             raise ValueError(f"--{param} is required for --type {args.type}")
+        if param not in params and getattr(args, param) is not None:
+            raise ValueError(f"--type {args.type} takes no --{param}")
     if per_k * args.k > _MAX_GEN_ORDER:
         raise ValueError(
             f"order {per_k * args.k} is above the gen bound {_MAX_GEN_ORDER}")
@@ -248,7 +249,7 @@ def _cmd_verify(args) -> int:
     if args.spot_checks:
         docs.append(lemma_spot_checks())
     print(report_emit(docs))
-    anomalies = total_anomalies(reports)
+    anomalies = [a for rep in reports for a in rep.anomalies]
     if args.spot_checks and not docs[-1]["all_passed"]:
         anomalies.append("lemma spot checks failed")
     return 1 if anomalies else 0

@@ -13,9 +13,7 @@ those next to a part split off from a cell (not its largest); the others in
 a cell share one key. Each search node keeps one union-find of the
 orbits of the generators that fix its prefix, fed as generators arrive.
 A leaf's certificate is the graph6 of the graph relabelled by the leaf,
-packed from the edge list. Each of these returns exactly what the plain
-version (re-key every vertex, rebuild the orbits for each cell vertex, test
-every pair) returns. A leaf that matches the first leaf gives
+packed from the edge list. A leaf that matches the first leaf gives
 an automorphism that fixes their common prefix, so the search jumps back to
 their deepest common ancestor: the canonical labeling is the one the full
 tree gives, and the tree and the generator list are smaller.
@@ -301,9 +299,11 @@ def _wl_refine(
 
 
 def _individualize(colors: list[int], v: int) -> list[int]:
-    keys = [(c, 0 if u == v else 1) for u, c in enumerate(colors)]
-    code = {key: i for i, key in enumerate(sorted(set(keys)))}
-    return [code[k] for k in keys]
+    """colors with v split off first from its cell: v keeps its color, and
+    the rest of its cell and every color above it move up by one. colors is
+    dense and v's cell has two or more vertices, so the result is dense."""
+    c = colors[v]
+    return [x + (x > c or (x == c and u != v)) for u, x in enumerate(colors)]
 
 
 def _leaf_certificate(adj, colors: list[int]) -> bytes:
@@ -812,15 +812,7 @@ def _check_cap(g: SimpleGraph, cap: int):
 
 def _cycles_fit(img: Sequence[int], known: int, target: int) -> bool:
     """False once a cycle of img through the points below `known` closes at
-    a length other than target or runs target steps without closing. The
-    cycle through 0 is followed first, which is cheap and rejects only what
-    the scan of all known points would."""
-    if known:
-        x, steps = img[0], 1
-        while x and x < known and steps < target:
-            x, steps = img[x], steps + 1
-        if (x == 0) != (steps == target):
-            return False
+    a length other than target or runs target steps without closing."""
     seen = [False] * known
     heads = set(range(known)).difference(img[:known])  # open chains
     for v in [*heads, *range(known)]:
@@ -843,8 +835,7 @@ def _walk(trans: list[dict], target: Optional[int] = None):
     A child pi·u_x is composed only when it is needed. At the first level pi
     is the identity and the child is u_x itself. At the last level, with a
     target, the child's cycle through 0 is followed as pi(u_x(.)) first,
-    the test `_cycles_fit` applies first, and only a child that passes it
-    is composed."""
+    and only a child whose cycle through 0 has length target is composed."""
     n = len(trans)
     levels = [p for p in range(n) if len(trans[p]) > 1]
     last = len(levels) - 1

@@ -573,10 +573,3 @@ def report_emit(reports: Sequence) -> str:
                              json.dumps(d, sort_keys=True)))
     return json.dumps({"schema": 1, "reports": docs},
                       sort_keys=True, indent=2)
-
-
-def total_anomalies(reports: Sequence[SweepReport]) -> list[str]:
-    out = []
-    for rep in reports:
-        out.extend(rep.anomalies)
-    return out

@@ -3,6 +3,10 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,9 @@ from tricirc import families
 from tricirc.cli import main
 from tricirc.graph6 import decode_graph6, encode_graph6
 from tricirc.families import x_graph
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -118,6 +125,18 @@ def test_gen_missing_parameter_is_usage_error(capsys):
     code, _, err = run(capsys, "gen", "--type", "1", "--k", "9", "--r", "6")
     assert code == 2
     assert "s" in err
+
+
+@pytest.mark.parametrize("kind, flag", [
+    ("3", "--s"), ("x", "--r"), ("prism", "--r"), ("gp", "--s"),
+])
+def test_gen_parameter_the_type_does_not_take_is_usage_error(capsys, kind, flag):
+    argv = ["gen", "--type", kind, "--k", "9", flag, "4"]
+    if kind in ("3", "gp"):
+        argv += ["--r", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert flag in err
 
 
 def test_gen_disconnected_parameters_still_generate(capsys):
@@ -600,3 +619,18 @@ def test_analyze_cycles_outside_the_bound_is_usage_error(tmp_path, capsys,
         code, out, err = run(capsys, "analyze", "--cycles", extra, str(p))
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    *(["-c", f"import tricirc.{m}"] for m in (
+        "graphs", "pregraph", "voltage", "graph6", "symmetry", "families",
+        "verify", "cli")),
+    ["-m", "tricirc.cli", "--help"],
+], ids=lambda argv: argv[-1])
+def test_each_module_imports_on_its_own(argv):
+    """The package root imports nothing, so a fresh process that imports one
+    module is the test that no import cycle runs through it."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

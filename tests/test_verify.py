@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -273,6 +274,48 @@ def test_representatives_give_the_classes_of_the_full_grid():
         _, classes = _funnel(k, _family_graphs(k))
         got = {canon: slot["types"] for canon, slot in classes.items()}
         assert got == _full_grid_classes(k), k
+
+
+def _t1_vt_by_statement(k, r, s):
+    res = check_t1_conditions(k, r, s)
+    return (all(res.necessary_as_given.values())
+            or all(res.necessary_swapped.values())
+            or (k, r, s) == (2, 0, 1))  # the truncated tetrahedron
+
+
+def _t2_vt_by_statement(k, r, s):
+    n = 2 * k
+    return k % 2 == 1 and any(r in (2 * a % n, -2 * a % n) and s in (a, n - a)
+                              for a in range(n) if math.gcd(a, n) == 1)
+
+
+def _t4_vt_by_statement(k, r, s):
+    return (k, r, s) == (5, 1, 3)  # the Tutte 8-cage
+
+
+@pytest.mark.parametrize("t, by_statement, vt_count", [
+    (1, _t1_vt_by_statement, 16),
+    (2, _t2_vt_by_statement, 91),
+    (4, _t4_vt_by_statement, 1),
+])
+def test_statement_per_parameter_agrees_with_the_decider(t, by_statement, vt_count):
+    """The paper's statement for each type, as a predicate on (k, r, s)
+    with its small exceptions named by parameter, against the sweep's
+    decider on every fine representative at k <= 30 whose cover is simple
+    and connected."""
+    mismatches, vt = [], 0
+    for k in range(1, 31):
+        for r, s in parameter_representatives(t, k):
+            va = FamilyParams(t, k, r, s).voltages()
+            if not (cover_is_simple(va) and cover_connected(va)):
+                continue
+            adj = lifted_adjacency(va)
+            decided = _passes_vt_screen(adj, va.n) and _is_vt_cover(adj, va.n)
+            vt += decided
+            if decided != by_statement(k, r, s):
+                mismatches.append((k, r, s, decided))
+    assert mismatches == []
+    assert vt == vt_count
 
 
 def _reference_funnel(k, family):
