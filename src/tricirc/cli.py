@@ -166,7 +166,7 @@ def _analyze_one(g: SimpleGraph, extra_cycles: int, cap: int) -> dict:
     report["vertex_orbit_count"] = len(orbits)
     report["edge_orbit_count"] = len(edge_orbits(g))
     report["arc_orbit_count"] = arc_orbit_count(g)
-    # At most one orbit, as in `is_vertex_transitive` and its siblings.
+    # Transitive on vertices, edges or arcs: at most one orbit of them.
     report["vertex_transitive"] = report["vertex_orbit_count"] <= 1
     report["edge_transitive"] = report["edge_orbit_count"] <= 1
     report["arc_transitive"] = report["arc_orbit_count"] <= 1
@@ -210,9 +210,15 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _check_cap(cap: int):
+    if cap < 1:
+        raise ValueError("--cap must be at least 1")
+
+
 def _cmd_analyze(args) -> int:
     if not 0 <= args.cycles <= _MAX_EXTRA_CYCLES:
         raise ValueError(f"--cycles must be in 0..{_MAX_EXTRA_CYCLES}")
+    _check_cap(args.cap)
     graphs = _read_graphs(args.path)
     reports = [_analyze_one(g, args.cycles, args.cap) for g in graphs]
     payload = reports[0] if len(reports) == 1 else reports
@@ -263,6 +269,7 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
+    _check_cap(args.cap)
     g = _read_one_graph(args.path)
     if args.order < 1 or g.n % args.order:
         raise ValueError("--order must be a positive divisor of |V|")
@@ -271,7 +278,7 @@ def _cmd_quotient(args) -> int:
         print(f"no semiregular automorphism of order {args.order}",
               file=sys.stderr)
         return 1
-    base, va = quotient_with_voltages(g, rho.img)
+    base, va = quotient_with_voltages(g, rho)
     print(f"pregraph {base.n_vertices} {base.n_darts}")
     print(f"group Z{va.n}")
     for d in range(base.n_darts):

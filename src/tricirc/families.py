@@ -20,7 +20,7 @@ from math import gcd
 from typing import Callable, NamedTuple, Optional
 
 from .graphs import SimpleGraph
-from .symmetry import Permutation, _orbits
+from .symmetry import _orbits, is_automorphism
 from .voltage import (
     NotAutomorphism,
     VoltageAssignment,
@@ -97,14 +97,16 @@ def fibre_indexers(k: int):
 
 def fibre_map(
     k: int, scale: int = 1, shift: int = 0, fibres: tuple = (0, 1, 2)
-) -> Permutation:
+) -> tuple[int, ...]:
     """The vertex map sending vertex i of fibre f to vertex scale*i + shift
-    of fibre fibres[f]. The deck transformation rho is fibre_map(k, shift=1)
-    and index negation is fibre_map(k, -1)."""
+    of fibre fibres[f], as an image tuple. The deck transformation rho is
+    fibre_map(k, shift=1) and index negation is fibre_map(k, -1). It is a
+    bijection iff scale is a unit mod 2k and fibres permutes (0, 1, 2);
+    otherwise ValueError."""
     n, *at = fibre_indexers(k)
-    return Permutation(
-        [at[fibres[f]](scale * i + shift) for f in range(3) for i in range(n)]
-    )
+    if gcd(scale, n) != 1 or sorted(fibres) != [0, 1, 2]:
+        raise ValueError("not a permutation")
+    return tuple(at[fibres[f]](scale * i + shift) for f in range(3) for i in range(n))
 
 
 class ParamSymmetry(NamedTuple):
@@ -275,8 +277,8 @@ def moebius(m: int) -> SimpleGraph:
 
 def family_automorphism(
     which: str, k: int, r: Optional[int] = None, s: Optional[int] = None
-) -> Permutation:
-    """Explicit automorphisms of the family graphs.
+) -> tuple[int, ...]:
+    """Explicit automorphisms of the family graphs, as image tuples.
 
     rho: the fibre shift i -> i+1, the deck transformation every family
       carries; order 2k, three orbits.
@@ -331,10 +333,11 @@ def family_automorphism(
     else:
         raise ValueError(f"unknown automorphism name {which!r}")
 
-    perm = Permutation(img)
-    if not perm.is_automorphism(graph):
+    if sorted(img) != list(range(6 * k)):
+        raise ValueError(f"{which} is not a permutation for k={k}")
+    if not is_automorphism(graph.adjacency(), img):
         raise NotAutomorphism(f"{which} transcription is wrong for k={k}")
-    return perm
+    return tuple(img)
 
 
 class TorusDecomposition(NamedTuple):

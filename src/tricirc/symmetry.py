@@ -20,14 +20,14 @@ tree gives, and the tree and the generator list are smaller.
 
 The cached search entry (generator tuples, canonical labeling, canonical
 graph6, stabiliser chain, base, |Aut|, edge orbits) answers every question
-below; `Permutation` is only the API edge. |Aut| comes from the search
-itself, as the product of the first path's stabiliser orbit sizes, so the
-order, the orbits and the cap need no chain. The chain is built only for a
-walk over the group (the elements, the semiregular search on Aut), when the
-first one reaches the entry; it tests elements on the base, the first
-leaf's prefix, which only the identity fixes, and stops once its orbits
-multiply to |Aut|. The edge orbits are computed when first asked, once per
-entry.
+below. Every permutation, in and out, is an image tuple. |Aut| comes from
+the search itself, as the product of the first path's stabiliser orbit
+sizes, so the order, the orbits and the cap need no chain. The chain is
+built only for a walk over the group (the elements, the semiregular search
+on Aut), when the first one reaches the entry; it tests elements on the
+base, the first leaf's prefix, which only the identity fixes, and stops
+once its orbits multiply to |Aut|. The edge orbits are computed when first
+asked, once per entry.
 
 An isomorphism test reaches the search only when a vertex invariant and a
 budgeted rooted extension leave it open (`are_isomorphic`). The invariant
@@ -67,69 +67,6 @@ class SizeGuardError(ValueError):
 
 class EnumerationCapExceeded(RuntimeError):
     """|Aut| is above the cap: the largest the semiregular search takes on."""
-
-
-class Permutation:
-    """A permutation of 0..n-1 stored as its image tuple."""
-
-    __slots__ = ("img",)
-
-    def __init__(self, img: Sequence[int]):
-        img = tuple(img)
-        if sorted(img) != list(range(len(img))):
-            raise ValueError("not a permutation")
-        self.img = img
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(n))
-
-    def __call__(self, v: int) -> int:
-        return self.img[v]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition: (p * q)(v) = p(q(v))."""
-        return Permutation(tuple(self.img[x] for x in other.img))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.img)
-        for v, w in enumerate(self.img):
-            inv[w] = v
-        return Permutation(inv)
-
-    def is_identity(self) -> bool:
-        return all(v == w for v, w in enumerate(self.img))
-
-    def cycle_lengths(self) -> list[int]:
-        return sorted(map(len, self.orbits()))
-
-    def order(self) -> int:
-        from math import lcm
-
-        return lcm(*self.cycle_lengths()) if self.img else 1
-
-    def orbits(self) -> list[list[int]]:
-        """The cycles as point sets: each sorted, ordered by least point."""
-        return _orbits(len(self.img), [self.img])
-
-    def is_semiregular(self) -> bool:
-        """All cycles have the same length, equal to the order."""
-        lengths = set(self.cycle_lengths())
-        return len(lengths) == 1
-
-    def is_automorphism(self, g: SimpleGraph) -> bool:
-        return _is_automorphism(g.adjacency(), self.img)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self.img == other.img
-
-    def __hash__(self) -> int:
-        return hash(self.img)
-
-    def __repr__(self) -> str:
-        return f"Permutation({list(self.img)})"
 
 
 # -- individualization-refinement search -------------------------------------
@@ -361,10 +298,11 @@ def _orbits(m: int, maps: Iterable[Sequence[int]]) -> list[list[int]]:
     return out
 
 
-def _is_automorphism(adj: tuple[tuple[int, ...], ...], img: Sequence[int]) -> bool:
-    """Whether img maps each row of adj onto the row of the image vertex, as
-    sets: the rows may be in any order (`lifted_adjacency` keeps dart
-    order)."""
+def is_automorphism(adj: tuple[tuple[int, ...], ...], img: Sequence[int]) -> bool:
+    """Whether the permutation img (an image tuple, which the caller has
+    checked is a bijection) maps each row of adj onto the row of the image
+    vertex, as sets: the rows may be in any order (`lifted_adjacency` keeps
+    dart order)."""
     return len(img) == len(adj) and all(
         sorted([img[b] for b in nbrs]) == sorted(adj[img[a]])
         for a, nbrs in enumerate(adj)
@@ -517,7 +455,7 @@ def _search_cached(adj: tuple[tuple[int, ...], ...]):
     stabiliser chain, and whose edge-orbit slot `edge_orbits` fills when it
     is first asked."""
     gens, labeling, cert, base, order = _search(adj)
-    if not all(_is_automorphism(adj, img) for img in gens):
+    if not all(is_automorphism(adj, img) for img in gens):
         raise AssertionError("internal error: invalid generator")
     return [gens, labeling, cert, None, base, order, None]
 
@@ -535,13 +473,14 @@ def _searched(g: SimpleGraph):
     return _search_cached(g.adjacency())
 
 
-def automorphism_group(g: SimpleGraph) -> list[Permutation]:
+def automorphism_group(g: SimpleGraph) -> list[tuple[int, ...]]:
     """Generators of Aut(g). Empty list means the trivial group."""
-    return [Permutation(img) for img in _searched(g)[0]]
+    return list(_searched(g)[0])
 
 
-def canonical_labeling(g: SimpleGraph) -> Permutation:
-    return Permutation(_searched(g)[1])
+def canonical_labeling(g: SimpleGraph) -> tuple[int, ...]:
+    """The canonical labeling, vertex -> position."""
+    return _searched(g)[1]
 
 
 def canonical_form(g: SimpleGraph) -> bytes:
@@ -868,11 +807,11 @@ def group_order(g: SimpleGraph) -> int:
     return _searched(g)[5]
 
 
-def group_elements(g: SimpleGraph, cap: int = DEFAULT_CAP) -> list[Permutation]:
+def group_elements(g: SimpleGraph, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
     """All elements of Aut(g), sorted by image tuple. Raises
     EnumerationCapExceeded, before any is built, if there are more than cap."""
     _check_cap(g, cap)
-    return [Permutation(img) for img in _walk(_chain(g))]
+    return list(_walk(_chain(g)))
 
 
 def vertex_orbits(g: SimpleGraph) -> list[list[int]]:
@@ -912,22 +851,14 @@ def arc_orbit_count(g: SimpleGraph) -> int:
     return len(_arc_orbits(g, _searched(g)[0]))
 
 
-# Transitive on vertices, edges or arcs: at most one orbit of them.
 def is_vertex_transitive(g: SimpleGraph) -> bool:
+    """At most one vertex orbit."""
     return len(vertex_orbits(g)) <= 1
-
-
-def is_arc_transitive(g: SimpleGraph) -> bool:
-    return arc_orbit_count(g) <= 1
-
-
-def is_edge_transitive(g: SimpleGraph) -> bool:
-    return len(edge_orbits(g)) <= 1
 
 
 def find_k_circulant(
     g: SimpleGraph, m: int, cap: int = DEFAULT_CAP
-) -> Optional[Permutation]:
+) -> Optional[tuple[int, ...]]:
     """The least (by image tuple) semiregular automorphism with exactly m
     vertex orbits of equal size, i.e. of order |V|/m with all cycles that
     long; None if none. Raises EnumerationCapExceeded if |Aut| > cap.
@@ -944,7 +875,7 @@ def find_k_circulant(
         raise ValueError("orbit count must divide the vertex count")
     target = g.n // m
     if target == 1:
-        return Permutation.identity(g.n)
+        return tuple(range(g.n))
     _check_cap(g, cap)
     gens = _searched(g)[0]
     orbits = _orbits(g.n, gens)
@@ -960,8 +891,7 @@ def find_k_circulant(
         for _, size, own in sorted(induced):
             if next(_walk(_stabiliser_chain(size, own, range(size)), target), None) is None:
                 return None
-    img = next(_walk(_chain(g), target), None)
-    return None if img is None else Permutation(img)
+    return next(_walk(_chain(g), target), None)
 
 
 # -- girth, cycles and signatures --------------------------------------------

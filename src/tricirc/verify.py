@@ -49,6 +49,7 @@ from .symmetry import (
     cycle_counts,
     girth,
     group_order,
+    is_automorphism,
     is_c_cycle_regular,
     is_c_vertex_regular,
     is_vertex_transitive,  # noqa: F401 -- perfbench/tracer.py wraps verify.is_vertex_transitive
@@ -519,8 +520,8 @@ def lemma_spot_checks() -> dict:
         # fixes both u_0 and u_k, the endpoints of the middle edge it
         # stabilizes.
         "t4_inversion": ([{
-            "k": k, "is_automorphism": negate.is_automorphism(t4(k, 1, 2)),
-            "fixes_u0": negate(u(0)) == u(0), "fixes_uk": negate(u(k)) == u(k),
+            "k": k, "is_automorphism": is_automorphism(t4(k, 1, 2).adjacency(), negate),
+            "fixes_u0": negate[u(0)] == u(0), "fixes_uk": negate[u(k)] == u(k),
         }], lambda row: (row["is_automorphism"] and row["fixes_u0"]
                          and row["fixes_uk"])),
         # Balanced 7-cycle congruence: 2r-2s+k = 0 (mod 2k) forces a 7-cycle

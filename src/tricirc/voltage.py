@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .graphs import SimpleGraph
 from .pregraph import Pregraph, Walk, delta
-from .symmetry import Permutation, _arc_orbits
+from .symmetry import _arc_orbits, _orbits, is_automorphism
 
 
 class NonSimpleCover(ValueError):
@@ -313,19 +313,16 @@ def quotient_with_voltages(
     tree of the quotient so that tree darts carry voltage 0. The derived
     cover of the returned assignment is isomorphic to g.
     """
-    try:
-        perm = Permutation(rho)
-    except ValueError:
-        raise NotAutomorphism("not a permutation of the vertex set") from None
-    if not perm.is_automorphism(g):
+    if sorted(rho) != list(range(g.n)):
+        raise NotAutomorphism("not a permutation of the vertex set")
+    if not is_automorphism(g.adjacency(), rho):
         raise NotAutomorphism("rho does not preserve adjacency")
     if g.n == 0:
         raise ValueError("empty graph")
-    if not perm.is_semiregular():
-        raise NotSemiregular("vertex orbits are not all of equal size")
-    rho = perm.img
-    orbits = perm.orbits()
+    orbits = _orbits(g.n, [rho])
     n = len(orbits[0])
+    if any(len(orbit) != n for orbit in orbits):
+        raise NotSemiregular("vertex orbits are not all of equal size")
 
     orbit_of = [0] * g.n
     for oid, orb in enumerate(orbits):

@@ -23,6 +23,8 @@ import math
 import random
 import time
 
+from test_families import cycle_lengths
+
 from tricirc.families import (
     family_automorphism,
     gp,
@@ -43,9 +45,9 @@ from tricirc.symmetry import (
     c_signature,
     canonical_form,
     cycle_counts,
+    arc_orbit_count,
     find_k_circulant,
     girth,
-    is_arc_transitive,
     is_vertex_transitive,
 )
 from tricirc.verify import classification_sweep, small_census, walk_table
@@ -175,7 +177,7 @@ def test_criterion_07_y_family():
         dec = torus_cycle_decomposition(g, k)
         if [len(c) for c in dec.cycles] != [2 * k] * 3:
             bad.append((k, "torus"))
-    if not is_arc_transitive(y_graph(9)):
+    if arc_orbit_count(y_graph(9)) != 1:
         bad.append((9, "arc"))
     report(7, "Y family: transitive, triangle-free, torus", not bad, t0)
     assert not bad
@@ -186,12 +188,12 @@ def test_criterion_08_bicirculant_claims():
     ok = True
     for g in (x_graph(11), y_graph(11)):
         p = find_k_circulant(g, 2)
-        ok = ok and p is not None and p.order() == 33 and p.is_semiregular()
+        ok = ok and p is not None and cycle_lengths(p) == [33] * 2
     for k in (7, 11, 13):
         phi = family_automorphism("phi_t1_bic", k, r=r_star(k), s=1)
-        ok = ok and sorted(len(o) for o in phi.orbits()) == [3 * k, 3 * k]
+        ok = ok and cycle_lengths(phi) == [3 * k, 3 * k]
     phi9 = family_automorphism("phi_y", 9)
-    ok = ok and sorted(len(o) for o in phi9.orbits()) == [9] * 6
+    ok = ok and cycle_lengths(phi9) == [9] * 6
     report(8, "bicirculant structure", ok, t0)
     assert ok
 

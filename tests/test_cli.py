@@ -555,6 +555,27 @@ def test_analyze_cap_below_the_order_builds_no_chain(tmp_path, capsys, monkeypat
     assert built == []
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_analyze_cap_below_one_is_usage_error(tmp_path, capsys, cap):
+    # --cap 0 once reported every cycle length and k-circulant as cap_exceeded
+    p = tmp_path / "x9.g6"
+    p.write_bytes(encode_graph6(x_graph(9)))
+    code, out, err = run(capsys, "analyze", "--cap", cap, str(p))
+    assert code == 2 and out == ""
+    assert err == "error: --cap must be at least 1\n"
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_quotient_cap_below_one_is_usage_error(tmp_path, capsys, cap):
+    # every group has an element, so "more than -5 elements" was no reason
+    from tricirc.families import prism
+    p = tmp_path / "p5.g6"
+    p.write_bytes(encode_graph6(prism(5)))
+    code, out, err = run(capsys, "quotient", "--order", "5", "--cap", cap, str(p))
+    assert code == 2 and out == ""
+    assert err == "error: --cap must be at least 1\n"
+
+
 def test_usage_error_for_unknown_type(capsys):
     # argparse choice validation exits with the usage code
     with pytest.raises(SystemExit) as exc:

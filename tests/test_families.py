@@ -1,6 +1,6 @@
 """Parametrized cover families, named graphs and their explicit symmetries."""
 
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -25,9 +25,11 @@ from tricirc.families import (
     y_graph,
 )
 from tricirc.symmetry import (
+    _orbits,
     are_isomorphic,
     girth,
     group_order,
+    is_automorphism,
     is_vertex_transitive,
 )
 from tricirc.voltage import (
@@ -36,6 +38,11 @@ from tricirc.voltage import (
     cover_connected,
     zeta_for,
 )
+
+
+def cycle_lengths(img):
+    """The sorted cycle lengths of a permutation given by its image tuple."""
+    return sorted(len(orbit) for orbit in _orbits(len(img), [img]))
 
 
 def test_family_orders():
@@ -189,7 +196,7 @@ def test_declared_symmetries_are_cover_isomorphisms():
         for t in (1, 2, 3, 4):
             grid = _grid(t, k)
             for sym in parameter_symmetries(t, k):
-                vmap = fibre_map(k, sym.scale, fibres=sym.fibres).img
+                vmap = fibre_map(k, sym.scale, fibres=sym.fibres)
                 for r, s in grid:
                     image = sym.image(r, s)
                     assert image in grid, (t, k, r, s)
@@ -328,29 +335,28 @@ def test_gcd_rule_matches_cover_connectivity():
 
 def test_rho_is_the_deck_translation():
     rho = family_automorphism("rho", 9, r=6, s=1)
-    assert rho.order() == 18
-    assert rho.is_semiregular()
-    assert len(rho.orbits()) == 3
+    assert rho == tuple(f * 18 + (i + 1) % 18 for f in range(3) for i in range(18))
+    assert cycle_lengths(rho) == [18] * 3
+    assert is_automorphism(t1(9, 6, 1).adjacency(), rho)
 
 
 def test_phi_x_has_order_three():
     for k in (9, 11, 13):
         phi = family_automorphism("phi_x", k, r=r_star(k), s=1)
-        assert phi.order() == 3
+        assert lcm(*cycle_lengths(phi)) == 3
 
 
 def test_phi_t1_bic_orbit_structure():
     for k in (7, 11, 13):        # 3 does not divide k
         phi = family_automorphism("phi_t1_bic", k, r=r_star(k), s=1)
-        sizes = sorted(len(o) for o in phi.orbits())
-        assert sizes == [3 * k, 3 * k]
+        assert cycle_lengths(phi) == [3 * k, 3 * k]
 
 
 def test_phi_y_orbit_structure():
     phi9 = family_automorphism("phi_y", 9)
-    assert sorted(len(o) for o in phi9.orbits()) == [9] * 6
+    assert cycle_lengths(phi9) == [9] * 6
     phi11 = family_automorphism("phi_y", 11)
-    assert sorted(len(o) for o in phi11.orbits()) == [33, 33]
+    assert cycle_lengths(phi11) == [33, 33]
 
 
 def test_family_automorphism_rejects_bad_maps():
@@ -358,6 +364,21 @@ def test_family_automorphism_rejects_bad_maps():
         family_automorphism("phi_t1_bic", 9, r=2, s=1)  # wrong parameters
     with pytest.raises(ValueError):
         family_automorphism("nope", 9)
+
+
+def test_family_automorphism_rejects_a_map_that_is_not_a_bijection():
+    # k + s odd: the odd v_i and the even w_i both land on the even u_j
+    with pytest.raises(ValueError, match="not a permutation") as caught:
+        family_automorphism("phi_t1_bic", 9, r=2, s=0)
+    assert not isinstance(caught.value, NotAutomorphism)
+
+
+def test_fibre_map_rejects_a_map_that_is_not_a_bijection():
+    with pytest.raises(ValueError):
+        fibre_map(9, 3)  # 3 is not a unit mod 18
+    with pytest.raises(ValueError):
+        fibre_map(9, fibres=(0, 0, 1))
+    assert cycle_lengths(fibre_map(9, -1, fibres=(1, 2, 0))) == [3, 3] + [6] * 8
 
 
 def test_torus_cycle_decomposition():

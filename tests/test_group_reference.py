@@ -27,7 +27,6 @@ from tricirc.graphs import SimpleGraph
 from tricirc import symmetry
 from tricirc.symmetry import (
     EnumerationCapExceeded,
-    Permutation,
     _individualize,
     _initial_colors,
     _wl_refine,
@@ -51,10 +50,9 @@ def reference_closure(n, gens, cap):
     identity = tuple(range(n))
     seen = {identity}
     frontier = deque([identity])
-    gen_imgs = [p.img for p in gens]
     while frontier:
         cur = frontier.popleft()
-        for g in gen_imgs:
+        for g in gens:
             nxt = tuple(g[x] for x in cur)
             if nxt not in seen:
                 if len(seen) >= cap:
@@ -122,7 +120,7 @@ def assert_orbits_match(g, elements):
     assert edge_orbits(g) == reference_orbits(elements, edges, on_edge)
     assert arc_orbit_count(g) == len(reference_orbits(elements, arcs, on_arc))
     for img in elements:
-        assert Permutation(img).orbits() == reference_orbits(powers(img), range(g.n), on_vertex)
+        assert symmetry._orbits(g.n, [img]) == reference_orbits(powers(img), range(g.n), on_vertex)
 
 
 def assert_matches_reference(g):
@@ -137,7 +135,7 @@ def assert_matches_reference(g):
             find_k_circulant(g, 1, cap=CAP)
         return
     assert group_order(g) == len(elements)
-    assert [p.img for p in group_elements(g, cap=CAP)] == elements
+    assert group_elements(g, cap=CAP) == elements
     assert_orbits_match(g, elements)
     if len(elements) > 1:
         with pytest.raises(EnumerationCapExceeded):
@@ -148,7 +146,7 @@ def assert_matches_reference(g):
         if g.n % m == 0:
             found = find_k_circulant(g, m, cap=CAP)
             want = reference_scan(elements, g.n // m)
-            assert (None if found is None else found.img) == want
+            assert found == want
 
 
 @st.composite
@@ -338,7 +336,7 @@ def groups_with_a_base(draw):
     the points kept so far moves it."""
     n = draw(st.integers(1, 7))
     gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
-    elements = reference_closure(n, [Permutation(g) for g in gens], 5040)
+    elements = reference_closure(n, gens, 5040)
     base = []
     for x in draw(st.permutations(range(n))):
         if any(e[x] != x for e in elements if all(e[b] == b for b in base)):
@@ -364,8 +362,7 @@ def group_answers(g, base_known):
     out = [group_order(g)]
     for m in (1, 2, 3):
         try:
-            found = find_k_circulant(g, m)
-            out.append(None if found is None else found.img)
+            out.append(find_k_circulant(g, m))
         except EnumerationCapExceeded:
             out.append("cap")
     symmetry._search_cached.cache_clear()

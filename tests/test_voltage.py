@@ -3,7 +3,7 @@
 import pytest
 
 from tricirc.graphs import SimpleGraph
-from tricirc.pregraph import Walk, delta, pregraphs_isomorphic
+from tricirc.pregraph import Pregraph, Walk, delta, pregraphs_isomorphic
 from tricirc.voltage import (
     NonSimpleCover,
     NotAutomorphism,
@@ -222,6 +222,14 @@ def test_quotient_rejects_non_automorphisms_and_unequal_orbits():
         quotient(c6, reflection)
 
 
+def test_quotient_rejects_a_rho_that_is_not_a_permutation_of_the_vertices():
+    c6 = SimpleGraph(6, [(i, (i + 1) % 6) for i in range(6)])
+    with pytest.raises(NotAutomorphism):
+        quotient_with_voltages(c6, [1, 2, 3, 4, 5, 1])  # 1 twice, 0 never
+    with pytest.raises(NotAutomorphism):
+        quotient_with_voltages(c6, [1, 2, 3, 4, 0])  # a 5-cycle on 0..4
+
+
 def test_quotient_of_a_disconnected_graph_is_refused():
     # rho turns each of two triangles, so no quotient tree spans both orbits
     two_triangles = SimpleGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
@@ -229,22 +237,22 @@ def test_quotient_of_a_disconnected_graph_is_refused():
         quotient(two_triangles, [1, 2, 0, 4, 5, 3])
 
 
-def test_quotient_by_involution_gives_semi_edges():
-    # the antipodal shift on a 6-cycle folds to a triple of semi-edge stubs
+def test_quotient_of_c6_by_its_antipodal_involution_is_a_triangle():
+    # no edge of C6 joins antipodal vertices, so there are no semi-edges
     c6 = SimpleGraph(6, [(i, (i + 1) % 6) for i in range(6)])
     rho = [(i + 3) % 6 for i in range(6)]
     q = quotient(c6, rho)
-    assert q.n_vertices == 3
     assert sum(q.semi_edge_count(v) for v in range(3)) == 0
-    # C6 / antipode = triangle: no edge of C6 joins antipodal vertices
-    assert pregraphs_isomorphic(q, quotient(c6, rho))
+    # the links u-v, v-w and w-u: darts 2j and 2j+1 are mutually inverse
+    triangle = Pregraph(3, [0, 1, 1, 2, 2, 0], [1, 0, 3, 2, 5, 4])
+    assert pregraphs_isomorphic(q, triangle)
 
 
 def _quotient_of_order(g, order):
     """The quotient by the least semiregular automorphism of that order, as
     `tricirc quotient --order` takes it."""
     from tricirc.symmetry import find_k_circulant
-    q, qva = quotient_with_voltages(g, find_k_circulant(g, g.n // order).img)
+    q, qva = quotient_with_voltages(g, find_k_circulant(g, g.n // order))
     return (q.vertex_names, q.beg, q.inv, q.dart_names,
             tuple(qva.voltage(d) for d in range(q.n_darts)), qva.n)
 
@@ -369,7 +377,7 @@ def test_derived_cover_matches_the_reference_on_quotient_assignments(name):
         rho = None if g.n % m else find_k_circulant(g, m)
         if rho is None:
             continue
-        base, va = quotient_with_voltages(g, rho.img)
+        base, va = quotient_with_voltages(g, rho)
         kinds |= {(base.edge_kind(d), base.n_vertices > 3) for d in base.edges()}
         assert _same_graph(derived_cover(va), _reference_cover(va)), (name, m)
     assert any(kind != "link" for kind, _ in kinds)
