@@ -287,57 +287,40 @@ def family_automorphism(
       instances (defaults r = r_star(k), s = 1).
     phi_y: the fibre-mixing map of y_graph(k).
 
-    The phi maps are validated against their graph before being returned.
+    Each phi map is declared as a table: for even and then odd i, the
+    (fibre, shift) that u_i, v_i and w_i go to, so u_i goes to vertex
+    i + shift of that fibre. The phi maps are validated against their
+    graph before being returned.
     """
-    n, u, v, w = fibre_indexers(k)
     if which == "rho":
         return fibre_map(k, shift=1)
-
-    img = [0] * (6 * k)
+    U, V, W = range(3)
     if which == "phi_x":
-        rst = r_star(k)
+        t = r_star(k)
         graph = x_graph(k)
-        for i in range(n):
-            if i % 2 == 0:
-                img[u(i)] = w(i - rst + 2)
-                img[w(i)] = v(i - 2 * rst + 2)
-                img[v(i)] = u(i - rst + 2)
-            else:
-                img[u(i)] = v(i + rst - 2)
-                img[v(i)] = w(i + 2 * rst - 2)
-                img[w(i)] = u(i + rst - 2)
+        table = (((W, 2 - t), (U, 2 - t), (V, 2 - 2 * t)),
+                 ((V, t - 2), (W, 2 * t - 2), (U, t - 2)))
     elif which == "phi_t1_bic":
         r = r_star(k) if r is None else r
         s = 1 if s is None else s
         graph = t1(k, r, s)
-        for i in range(n):
-            if i % 2 == 0:
-                img[u(i)] = v(i)
-                img[v(i)] = w(i + r)
-                img[w(i)] = u(i)
-            else:
-                img[u(i)] = w(i + k + s)
-                img[v(i)] = u(i + k + s)
-                img[w(i)] = v(i + k + s - r)
+        table = (((V, 0), (W, r), (U, 0)),
+                 ((W, k + s), (U, k + s), (V, k + s - r)))
     elif which == "phi_y":
         graph = y_graph(k)
-        for i in range(n):
-            if i % 2 == 0:
-                img[u(i)] = v(i + 1)
-                img[v(i)] = u(i + 1)
-                img[w(i)] = v(i)
-            else:
-                img[u(i)] = w(i + 2 + k)
-                img[v(i)] = w(i + 2)
-                img[w(i)] = u(i + k)
+        table = (((V, 1), (U, 1), (V, 0)),
+                 ((W, k + 2), (W, 2), (U, k)))
     else:
         raise ValueError(f"unknown automorphism name {which!r}")
 
+    n, *at = fibre_indexers(k)
+    img = tuple(at[f](i + shift) for fibre in range(3) for i in range(n)
+                for f, shift in [table[i % 2][fibre]])
     if sorted(img) != list(range(6 * k)):
         raise ValueError(f"{which} is not a permutation for k={k}")
     if not is_automorphism(graph.adjacency(), img):
         raise NotAutomorphism(f"{which} transcription is wrong for k={k}")
-    return tuple(img)
+    return img
 
 
 class TorusDecomposition(NamedTuple):

@@ -176,25 +176,6 @@ class Walk:
     def from_names(cls, pregraph: Pregraph, names: Iterable[str]) -> "Walk":
         return cls(pregraph, [pregraph.dart(nm) for nm in names])
 
-    @property
-    def start(self) -> int:
-        return self.pregraph.beg[self.darts[0]]
-
-    @property
-    def end(self) -> int:
-        return self.pregraph.end(self.darts[-1])
-
-    def __len__(self) -> int:
-        return len(self.darts)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Walk):
-            return NotImplemented
-        return self.pregraph is other.pregraph and self.darts == other.darts
-
-    def __hash__(self) -> int:
-        return hash((id(self.pregraph), self.darts))
-
     def inverse(self) -> "Walk":
         p = self.pregraph
         return Walk(p, [p.inv[d] for d in reversed(self.darts)])
@@ -265,8 +246,8 @@ def delta(i: int) -> Pregraph:
 
 # -- pregraph isomorphism ---------------------------------------------------
 
-def pregraph_isomorphism(p: Pregraph, q: Pregraph) -> Optional[dict[int, int]]:
-    """A vertex bijection p -> q preserving structure, or None.
+def pregraphs_isomorphic(p: Pregraph, q: Pregraph) -> bool:
+    """Whether some vertex bijection p -> q preserves structure.
 
     Two pregraphs are isomorphic iff some vertex bijection preserves the
     per-vertex semi-edge and loop counts and the per-pair link multiplicities;
@@ -274,21 +255,16 @@ def pregraph_isomorphism(p: Pregraph, q: Pregraph) -> Optional[dict[int, int]]:
     vertex map extends to a dart bijection.
     """
     if p.n_vertices != q.n_vertices or p.n_darts != q.n_darts:
-        return None
+        return False
     ps, pl, plinks = p._profile()
     qs, ql, qlinks = q._profile()
-    for perm in itertools.permutations(range(q.n_vertices)):
-        if any(ps[v] != qs[perm[v]] or pl[v] != ql[perm[v]]
-               for v in range(p.n_vertices)):
-            continue
-        if all(qlinks.get(tuple(sorted((perm[a], perm[b]))), 0) == cnt
-               for (a, b), cnt in plinks.items()):
-            return {v: perm[v] for v in range(p.n_vertices)}
-    return None
-
-
-def pregraphs_isomorphic(p: Pregraph, q: Pregraph) -> bool:
-    return pregraph_isomorphism(p, q) is not None
+    return any(
+        all(ps[v] == qs[perm[v]] and pl[v] == ql[perm[v]]
+            for v in range(p.n_vertices))
+        and all(qlinks.get(tuple(sorted((perm[a], perm[b]))), 0) == cnt
+                for (a, b), cnt in plinks.items())
+        for perm in itertools.permutations(range(q.n_vertices))
+    )
 
 
 def enumerate_cubic_pregraphs_3v() -> list[Pregraph]:

@@ -299,11 +299,10 @@ def _orbits(m: int, maps: Iterable[Sequence[int]]) -> list[list[int]]:
 
 
 def is_automorphism(adj: tuple[tuple[int, ...], ...], img: Sequence[int]) -> bool:
-    """Whether the permutation img (an image tuple, which the caller has
-    checked is a bijection) maps each row of adj onto the row of the image
-    vertex, as sets: the rows may be in any order (`lifted_adjacency` keeps
-    dart order)."""
-    return len(img) == len(adj) and all(
+    """Whether img (an image tuple) is a permutation of the vertices that
+    maps each row of adj onto the row of the image vertex, as sets: the rows
+    may be in any order (`lifted_adjacency` keeps dart order)."""
+    return sorted(img) == list(range(len(adj))) and all(
         sorted([img[b] for b in nbrs]) == sorted(adj[img[a]])
         for a, nbrs in enumerate(adj)
     )
@@ -351,18 +350,19 @@ def _search(adj: tuple[tuple[int, ...], ...]):
         path = path + (inv,)
         depth = len(path) - 1
 
-        on_ref = state["ref_path"] is None or (
-            depth < len(state["ref_path"])
-            and path == state["ref_path"][: depth + 1]
-        )
+        on_ref = (state["ref_path"] is None
+                  or path == state["ref_path"][: depth + 1])
+        # No node lies deeper than the best leaf, so best_path[depth]
+        # exists. Else the node's ancestor A at the leaf's depth is not
+        # discrete. A discrete invariant is ((0, 1), ..., (n-1, 1)), and A's
+        # has (c, size > 1) where that has (c, 1), at A's first cell of two
+        # or more: A compares greater. So had the leaf been the best when A
+        # was entered, entering A would have reset the best; and a leaf found
+        # since lies below A, deeper. (A path longer than ref_path is never
+        # equal to its slice, so on_ref needs no depth test either.)
         if state["best_path"] is not None:
-            if depth >= len(state["best_path"]):
-                if not on_ref:
-                    return depth
-                cmp = -1
-            else:
-                bench = state["best_path"][depth]
-                cmp = (inv > bench) - (inv < bench)
+            bench = state["best_path"][depth]
+            cmp = (inv > bench) - (inv < bench)
             if cmp < 0 and not on_ref:
                 return depth
             if cmp > 0:

@@ -54,15 +54,15 @@ class VoltageAssignment:
                 raise ValueError(f"dart {d} has no voltage")
             vals[d] = zeta[d] % n
         for d in range(base.n_darts):
-            if vals[base.inv[d]] != (-vals[d]) % n:
-                raise ValueError(
-                    f"voltage of {base.dart_label(d)} does not negate on its"
-                    " inverse dart"
-                )
             if base.inv[d] == d and (2 * vals[d]) % n != 0:
                 raise ValueError(
                     f"semi-edge {base.dart_label(d)} needs a voltage of"
                     " order at most 2"
+                )
+            if vals[base.inv[d]] != (-vals[d]) % n:
+                raise ValueError(
+                    f"voltage of {base.dart_label(d)} does not negate on its"
+                    " inverse dart"
                 )
         self.base = base
         self.n = n

@@ -49,6 +49,18 @@ def test_decode_rejects_garbage():
         decode_graph6("A\u00e9")  # non-ASCII text, not a '?' byte
 
 
+@pytest.mark.parametrize("blob, message", [
+    (">>graph6<<A_\n", None),  # the optional prefix is accepted
+    (b"\x7f", "malformed size header"),  # a one-byte header for n = 64
+])
+def test_decode_checks_its_input(blob, message):
+    if message is None:
+        assert decode_graph6(blob).edges() == [(0, 1)]
+    else:
+        with pytest.raises(Graph6Error, match=message):
+            decode_graph6(blob)
+
+
 @given(st.integers(0, 20), st.data())
 @settings(max_examples=60, deadline=None)
 def test_round_trip_random(n, data):

@@ -7,7 +7,7 @@ from tricirc.pregraph import (
     Walk,
     delta,
     enumerate_cubic_pregraphs_3v,
-    pregraph_isomorphism,
+    pregraphs_isomorphic,
     reduced_closed_walks,
 )
 
@@ -24,11 +24,11 @@ def test_catalogue_matches_named_deltas():
     cat = enumerate_cubic_pregraphs_3v()
     for i in range(1, 5):
         d = delta(i)
-        assert any(pregraph_isomorphism(d, p) is not None for p in cat)
+        assert any(pregraphs_isomorphic(d, p) for p in cat)
     # and the four named ones are pairwise non-isomorphic
     for i in range(1, 5):
         for j in range(i + 1, 5):
-            assert pregraph_isomorphism(delta(i), delta(j)) is None
+            assert not pregraphs_isomorphic(delta(i), delta(j))
 
 
 def test_delta_semi_edge_counts():
@@ -159,3 +159,15 @@ def test_walk_counts_independent_of_root_symmetry():
 def test_pregraph_rejects_bad_involution():
     with pytest.raises(ValueError):
         Pregraph(1, beg=[0, 0], inv=[1, 1])
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(beg=[0, 0], inv=[1]), "equal length"),
+    (dict(beg=[0, 1], inv=[1, 0]), "dart 1 has invalid initial vertex"),
+    (dict(beg=[0, 0], inv=[1, 0], vertex_names=["u", "v"]),
+     "vertex_names length mismatch"),
+    (dict(beg=[0, 0], inv=[1, 0], dart_names=["a"]), "dart_names length mismatch"),
+])
+def test_pregraph_rejects_bad_input(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        Pregraph(1, **kwargs)

@@ -56,6 +56,10 @@ def test_permutation_is_automorphism():
     assert is_automorphism(c5, flip)
     assert not is_automorphism(c5, (1, 0, 2, 3, 4))
     assert not is_automorphism(c5, (1, 2, 3, 0))  # one image short
+    two_k4 = SimpleGraph(8, [(a + o, b + o) for o in (0, 4)
+                             for a in range(4) for b in range(a + 1, 4)])
+    # each row maps onto a row, but both copies fold onto the first
+    assert not is_automorphism(two_k4.adjacency(), (0, 1, 2, 3, 0, 1, 2, 3))
 
 
 # -- groups -------------------------------------------------------------------
@@ -242,6 +246,18 @@ def test_are_isomorphic_rejects_by_the_key_multiset(deciders):
     assert not are_isomorphic(cycle(6), two_triangles)
     assert not are_isomorphic(gp(11, 2), gp(11, 3))
     assert deciders() == (0, 0)
+
+
+def test_are_isomorphic_rejects_by_keys_when_every_round_agrees(deciders):
+    # Each round's sorted ball sizes agree, but not the per-vertex keys:
+    # g has keys (4, 5) and (3, 6) where h has (4, 6) and (3, 5).
+    g = SimpleGraph(6, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3), (2, 5)])
+    h = SimpleGraph(6, [(0, 2), (0, 4), (0, 5), (1, 2), (2, 4), (3, 4), (3, 5)])
+    assert [sorted(x) for x in symmetry._ball_rounds(g.adjacency())] == [
+        sorted(x) for x in symmetry._ball_rounds(h.adjacency())]
+    assert not are_isomorphic(g, h)
+    assert deciders() == (0, 0)
+    assert canonical_form(g) != canonical_form(h)
 
 
 def test_are_isomorphic_accepts_by_extension(deciders):

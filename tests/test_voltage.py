@@ -31,6 +31,23 @@ def test_assignment_validates_inverse_voltages():
         VoltageAssignment(base, 10, zeta)
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"(uv)_0": None}, "dart 1 has no voltage"),
+    ({"(uu)_k": 3}, r"semi-edge \(uu\)_k needs a voltage of order at most 2"),
+    ({"(vw)_r": 1}, r"voltage of \(vw\)_r does not negate"),
+])
+def test_voltage_assignment_rejects_bad_input(changes, message):
+    base = delta(1)
+    zeta = {d: 0 for d in range(base.n_darts)}
+    for name, value in changes.items():
+        if value is None:
+            del zeta[base.dart(name)]
+        else:
+            zeta[base.dart(name)] = value
+    with pytest.raises(ValueError, match=message):
+        VoltageAssignment(base, 10, zeta)
+
+
 def test_zeta_for_standard_values():
     va = zeta_for(1, 9, r=6, s=1)
     base = va.base
