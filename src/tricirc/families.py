@@ -90,7 +90,9 @@ def t4(k: int, r: int, s: int) -> SimpleGraph:
 
 def fibre_indexers(k: int):
     """(2k, u, v, w), where u(i), v(i) and w(i) are the fibre-major indices
-    of u_i, v_i and w_i, with i read mod 2k."""
+    of u_i, v_i and w_i, with i read mod 2k. ValueError unless k >= 1."""
+    if k < 1:
+        raise ValueError("k must be positive")
     n = 2 * k
     return (n,) + tuple(lambda i, f=f: f * n + i % n for f in range(3))
 

@@ -18,11 +18,10 @@ an automorphism that fixes their common prefix, so the search jumps back to
 their deepest common ancestor: the canonical labeling is the one the full
 tree gives, and the tree and the generator list are smaller.
 
-The cached search entry (generator tuples, canonical labeling, canonical
-graph6, stabiliser chain, base, |Aut|, edge orbits) answers every question
-below. Every permutation, in and out, is an image tuple. |Aut| comes from
-the search itself, as the product of the first path's stabiliser orbit
-sizes, so the order, the orbits and the cap need no chain. The chain is
+The cached search entry (`_Entry`) answers every question below. Every
+permutation, in and out, is an image tuple. |Aut| comes from the search
+itself, as the product of the first path's stabiliser orbit sizes, so
+the order, the orbits and the cap need no chain. The chain is
 built only for a walk over the group (the elements, the semiregular search
 on Aut), when the first one reaches the entry; it tests elements on the
 base, the first leaf's prefix, which only the identity fixes, and stops
@@ -310,7 +309,7 @@ def is_automorphism(adj: tuple[tuple[int, ...], ...], img: Sequence[int]) -> boo
 
 def _search(adj: tuple[tuple[int, ...], ...]):
     """IR search: returns (generator tuples, canonical labeling tuple,
-    canonical graph6, base, |Aut|).
+    canonical graph6, base, |Aut|), the fields of `_Entry`.
 
     The canonical labeling maps vertex -> position; relabeling any isomorphic
     copy of the graph by its own canonical labeling yields the same graph,
@@ -323,11 +322,11 @@ def _search(adj: tuple[tuple[int, ...], ...]):
     the index of the prefix's stabiliser in that of the parent prefix.
     """
     n = len(adj)
-    state = {
-        "ref_cert": None, "ref_lab": None, "ref_path": None, "ref_prefix": None,
-        "best_cert": None, "best_lab": None, "best_path": None,
-        "gens": [], "order": 1,
-    }
+    gens: list[tuple[int, ...]] = []
+    order = 1
+    # The first leaf and the best leaf, each as (path, certificate,
+    # labeling, prefix).
+    first = best = None
 
     def add_automorphism(lab_a: list[int], lab_b: list[int]):
         # Certificates matched: inv(lab_b) applied after lab_a is an
@@ -336,13 +335,13 @@ def _search(adj: tuple[tuple[int, ...], ...]):
         for v, p in enumerate(lab_b):
             inv_b[p] = v
         g = tuple(inv_b[lab_a[v]] for v in range(n))
-        if g == tuple(range(n)) or g in state["gens"]:
-            return
-        state["gens"].append(g)
+        if g != tuple(range(n)) and g not in gens:
+            gens.append(g)
 
     def explore(colors: list[int], path: tuple, prefix: tuple) -> int:
         # Below the root, colors individualizes prefix[-1] in an
         # equitable coloring. Returns the depth to unwind to.
+        nonlocal first, best, order
         colors = _wl_refine(adj, colors, prefix[-1:] or None)
         counts = Counter(colors)
         # The node invariant: (color, cell size) pairs in color order.
@@ -350,53 +349,41 @@ def _search(adj: tuple[tuple[int, ...], ...]):
         path = path + (inv,)
         depth = len(path) - 1
 
-        on_ref = (state["ref_path"] is None
-                  or path == state["ref_path"][: depth + 1])
-        # No node lies deeper than the best leaf, so best_path[depth]
+        on_first = first is None or path == first[0][: depth + 1]
+        # No node lies deeper than the best leaf, so its path[depth]
         # exists. Else the node's ancestor A at the leaf's depth is not
         # discrete. A discrete invariant is ((0, 1), ..., (n-1, 1)), and A's
         # has (c, size > 1) where that has (c, 1), at A's first cell of two
         # or more: A compares greater. So had the leaf been the best when A
         # was entered, entering A would have reset the best; and a leaf found
-        # since lies below A, deeper. (A path longer than ref_path is never
-        # equal to its slice, so on_ref needs no depth test either.)
-        if state["best_path"] is not None:
-            bench = state["best_path"][depth]
-            cmp = (inv > bench) - (inv < bench)
-            if cmp < 0 and not on_ref:
+        # since lies below A, deeper. (A path longer than the first leaf's is
+        # never equal to its slice, so on_first needs no depth test either.)
+        if best is not None:
+            bench = best[0][depth]
+            if inv < bench and not on_first:
                 return depth
-            if cmp > 0:
+            if inv > bench:
                 # Entering territory that beats the current best: the first
                 # leaf below installs the new benchmark.
-                state["best_cert"] = None
-                state["best_lab"] = None
-                state["best_path"] = None
+                best = None
 
         if len(counts) == n:
             lab = list(colors)
             cert = _leaf_certificate(adj, lab)
+            leaf = (path, cert, lab, prefix)
             back = depth
-            if state["ref_cert"] is None:
-                state["ref_cert"] = cert
-                state["ref_lab"] = lab
-                state["ref_path"] = path
-                state["ref_prefix"] = prefix
-            elif cert == state["ref_cert"]:
-                add_automorphism(state["ref_lab"], lab)
+            if first is None:
+                first = leaf
+            elif cert == first[1]:
+                add_automorphism(first[2], lab)
                 # It maps the first path onto this one and fixes their common
                 # prefix, so the rest of this branch repeats the first path's.
                 back = next(i for i, (a, b) in enumerate(
-                    zip(prefix, state["ref_prefix"])) if a != b)
-            if state["best_cert"] is None:
-                state["best_cert"] = cert
-                state["best_lab"] = lab
-                state["best_path"] = path
-            elif path == state["best_path"]:
-                if cert > state["best_cert"]:
-                    state["best_cert"] = cert
-                    state["best_lab"] = lab
-                elif cert == state["best_cert"]:
-                    add_automorphism(state["best_lab"], lab)
+                    zip(prefix, first[3])) if a != b)
+            if best is None or path == best[0] and cert > best[1]:
+                best = leaf
+            elif path == best[0] and cert == best[1]:
+                add_automorphism(best[2], lab)
             return back
 
         # Target cell: the smallest color class with more than one vertex.
@@ -404,21 +391,14 @@ def _search(adj: tuple[tuple[int, ...], ...]):
         cell = [v for v in range(n) if colors[v] == target_color]
 
         # Orbit pruning under the generators that fix the prefix. The node's
-        # union-find is made at the second cell vertex and is fed only the
-        # generators found since the previous vertex.
-        gens = state["gens"]
-        first_path = state["ref_cert"] is None
+        # union-find is made once the first cell vertex is explored, and
+        # after each explored vertex it is fed the generators found since.
+        first_path = first is None
         uf = None
         fed = 0
         explored: list[int] = []
         for v in cell:
             if explored:
-                if uf is None:
-                    uf = _UnionFind(n)
-                for g in gens[fed:]:
-                    if all(g[x] == x for x in prefix):
-                        uf.union_perm(g)
-                fed = len(gens)
                 root_v = uf.find(v)
                 if any(uf.find(u) == root_v for u in explored):
                     continue
@@ -426,38 +406,47 @@ def _search(adj: tuple[tuple[int, ...], ...]):
             if back < depth:
                 return back
             explored.append(v)
+            if uf is None:
+                uf = _UnionFind(n)
+            for g in gens[fed:]:
+                if all(g[x] == x for x in prefix):
+                    uf.union_perm(g)
+            fed = len(gens)
         if first_path:
             # Every leaf below here shares this node's prefix, so no jump
             # passed it: each cell vertex in the orbit of cell[0] under the
             # prefix's stabiliser has given an automorphism onto the first
             # path, and that orbit is now final. |Aut| is the product of
             # these orbit sizes down the first path.
-            for g in gens[fed:]:
-                if all(g[x] == x for x in prefix):
-                    uf.union_perm(g)
             root = uf.find(cell[0])
-            state["order"] *= sum(uf.find(v) == root for v in cell)
+            order *= sum(uf.find(v) == root for v in cell)
         return depth
 
     # Each level individualizes a vertex of a non-singleton cell, so it has
     # more cells than its parent: the depth is at most n - 1, which is below
     # Python's default recursion limit of 1000 under the size guard.
     explore(_initial_colors(adj), (), ())
-    return (tuple(state["gens"]), tuple(state["best_lab"]), state["best_cert"],
-            state["ref_prefix"], state["order"])
+    return tuple(gens), tuple(best[2]), best[1], first[3], order
 
 
-@lru_cache(maxsize=2048)
-def _search_cached(adj: tuple[tuple[int, ...], ...]):
-    """`_search`, with each generator checked once to be an automorphism,
-    as the list [generators, labeling, graph6, chain, base, |Aut|, edge
-    orbits] whose chain slot `_chain` fills when it first builds the
-    stabiliser chain, and whose edge-orbit slot `edge_orbits` fills when it
-    is first asked."""
-    gens, labeling, cert, base, order = _search(adj)
-    if not all(is_automorphism(adj, img) for img in gens):
-        raise AssertionError("internal error: invalid generator")
-    return [gens, labeling, cert, None, base, order, None]
+class _Entry:
+    """The cached search result that answers every question below: the
+    generator tuples `gens`, the canonical `labeling`, the canonical graph6
+    `cert`, the `base` and `order` = |Aut| of `_search`, each generator
+    checked once to be an automorphism; and the stabiliser `chain` and the
+    `edge_orbits`, None until `_chain` and `edge_orbits` first fill them."""
+
+    __slots__ = ("gens", "labeling", "cert", "base", "order", "chain",
+                 "edge_orbits")
+
+    def __init__(self, adj: tuple[tuple[int, ...], ...]):
+        self.gens, self.labeling, self.cert, self.base, self.order = _search(adj)
+        if not all(is_automorphism(adj, img) for img in self.gens):
+            raise AssertionError("internal error: invalid generator")
+        self.chain = self.edge_orbits = None
+
+
+_search_cached = lru_cache(maxsize=2048)(_Entry)
 
 
 def _check_size(g: SimpleGraph):
@@ -475,17 +464,17 @@ def _searched(g: SimpleGraph):
 
 def automorphism_group(g: SimpleGraph) -> list[tuple[int, ...]]:
     """Generators of Aut(g). Empty list means the trivial group."""
-    return list(_searched(g)[0])
+    return list(_searched(g).gens)
 
 
 def canonical_labeling(g: SimpleGraph) -> tuple[int, ...]:
     """The canonical labeling, vertex -> position."""
-    return _searched(g)[1]
+    return _searched(g).labeling
 
 
 def canonical_form(g: SimpleGraph) -> bytes:
     """graph6 bytes of the canonically relabeled graph; equal iff isomorphic."""
-    return _searched(g)[2]
+    return _searched(g).cert
 
 
 # Placements per vertex: relabelled covers take 2.2 in the median, refuting a look-alike ≥ 109.
@@ -734,12 +723,12 @@ def _chain(g: SimpleGraph) -> list[dict]:
     """The stabiliser chain of Aut(g), built once per cached search entry and
     stopped at the search's |Aut|, which its orbits must multiply to."""
     entry = _searched(g)
-    if entry[3] is None:
-        trans = _stabiliser_chain(g.n, entry[0], entry[4], entry[5])
-        if prod(map(len, trans)) != entry[5]:
+    if entry.chain is None:
+        trans = _stabiliser_chain(g.n, entry.gens, entry.base, entry.order)
+        if prod(map(len, trans)) != entry.order:
             raise AssertionError("internal error: chain and search disagree on |Aut|")
-        entry[3] = trans
-    return entry[3]
+        entry.chain = trans
+    return entry.chain
 
 
 def _check_cap(g: SimpleGraph, cap: int):
@@ -804,7 +793,7 @@ def _walk(trans: list[dict], target: Optional[int] = None):
 
 def group_order(g: SimpleGraph) -> int:
     """|Aut(g)|, as the IR search found it: no chain is built."""
-    return _searched(g)[5]
+    return _searched(g).order
 
 
 def group_elements(g: SimpleGraph, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
@@ -816,7 +805,7 @@ def group_elements(g: SimpleGraph, cap: int = DEFAULT_CAP) -> list[tuple[int, ..
 
 def vertex_orbits(g: SimpleGraph) -> list[list[int]]:
     """The vertex orbits, each sorted, ordered by least vertex."""
-    return _orbits(g.n, _searched(g)[0])
+    return _orbits(g.n, _searched(g).gens)
 
 
 def _arc_orbits(
@@ -836,19 +825,19 @@ def edge_orbits(g: SimpleGraph) -> list[list[tuple]]:
     which maps twice the points per generator. Computed once per cached
     search entry; each call returns new lists."""
     entry = _searched(g)
-    if entry[6] is None:
+    if entry.edge_orbits is None:
         edges = g.edges()
         index = {}
         for i, (a, b) in enumerate(edges):
             index[a, b] = index[b, a] = i
-        maps = ([index[p[a], p[b]] for a, b in edges] for p in entry[0])
-        entry[6] = tuple(tuple(edges[i] for i in orb)
+        maps = ([index[p[a], p[b]] for a, b in edges] for p in entry.gens)
+        entry.edge_orbits = tuple(tuple(edges[i] for i in orb)
                          for orb in _orbits(len(edges), maps))
-    return [list(orb) for orb in entry[6]]
+    return [list(orb) for orb in entry.edge_orbits]
 
 
 def arc_orbit_count(g: SimpleGraph) -> int:
-    return len(_arc_orbits(g, _searched(g)[0]))
+    return len(_arc_orbits(g, _searched(g).gens))
 
 
 def is_vertex_transitive(g: SimpleGraph) -> bool:
@@ -877,7 +866,7 @@ def find_k_circulant(
     if target == 1:
         return tuple(range(g.n))
     _check_cap(g, cap)
-    gens = _searched(g)[0]
+    gens = _searched(g).gens
     orbits = _orbits(g.n, gens)
     if any(len(orbit) % target for orbit in orbits):
         return None

@@ -279,16 +279,26 @@ def derived_cover(va: VoltageAssignment) -> SimpleGraph:
 
 
 def cover_connected(va: VoltageAssignment) -> bool:
-    """True iff the voltages generate Z_n: the cover is connected exactly
-    then, but only on a connected base with `va.is_normalised()`, where the
-    voltages of the links off a zero-voltage spanning tree are the net
-    voltages of the fundamental closed walks. Otherwise it can err, though
-    only one way: every net voltage is a sum of dart voltages, so a gcd
-    above 1 still means disconnected, but a gcd of 1 need not mean
-    connected."""
+    """True iff the derived cover is connected: iff the base is connected
+    and the net voltages of its closed walks at vertex 0 generate Z_n.
+    With p(x) the net voltage of the BFS-tree path from 0 to x, a closed
+    walk's net voltage is the sum of p(beg d) + zeta(d) - p(end d) over its
+    darts d, so these generate the same subgroup (Gross & Tucker 1987,
+    section 2.5). On a normalised assignment that is the subgroup the
+    voltages generate."""
+    base, zeta = va.base, va.zeta
+    p, queue = {0: 0}, [0]
+    for x in queue:
+        for d in base.darts_at(x):
+            y = base.end(d)
+            if y not in p:
+                p[y] = p[x] + zeta[d]
+                queue.append(y)
+    if len(p) < base.n_vertices:
+        return False
     g = va.n
-    for z in va.zeta.values():
-        g = math.gcd(g, z)
+    for d in range(base.n_darts):
+        g = math.gcd(g, p[base.beg[d]] + zeta[d] - p[base.end(d)])
     return g == 1
 
 
@@ -313,10 +323,8 @@ def quotient_with_voltages(
     tree of the quotient so that tree darts carry voltage 0. The derived
     cover of the returned assignment is isomorphic to g.
     """
-    if sorted(rho) != list(range(g.n)):
-        raise NotAutomorphism("not a permutation of the vertex set")
     if not is_automorphism(g.adjacency(), rho):
-        raise NotAutomorphism("rho does not preserve adjacency")
+        raise NotAutomorphism("rho is not an automorphism of the graph")
     if g.n == 0:
         raise ValueError("empty graph")
     orbits = _orbits(g.n, [rho])

@@ -4,16 +4,18 @@ pregraph on three vertices, with no reduction to the four Delta_i and their
 
 Gross & Tucker (Topological Graph Theory, 1987, section 2.5) normalise
 voltages on a spanning tree and the sweep drops pregraphs with two
-semi-edges at a vertex. This test assumes neither: it builds the cover of
-every assignment and tests connectivity on the cover itself, since the gcd
-rule of `cover_connected` holds only for normalised assignments."""
+semi-edges at a vertex. These tests assume neither: they build the cover
+of every assignment, and check `cover_connected` against the connectivity
+of the lifted cover itself."""
 
 from itertools import product
 
 from tricirc.pregraph import Pregraph, delta, pregraphs_isomorphic
 from tricirc.symmetry import canonical_form, is_vertex_transitive
 from tricirc.verify import small_census
-from tricirc.voltage import VoltageAssignment, cover_is_simple, derived_cover
+from tricirc.voltage import (
+    VoltageAssignment, cover_connected, cover_is_simple, derived_cover,
+    lifted_adjacency)
 
 K_MAX = 3  # 18 112 assignments; k <= 4 has 57 024
 
@@ -70,6 +72,31 @@ def test_edges_and_darts_at_are_computed_once_and_copied():
         p.edges().append(-1)
         p.darts_at(0).clear()
         assert p.edges() == edges and p.darts_at(0) == darts_at[0]
+
+
+def lift_is_connected(va):
+    """Whether the lifted cover is connected, by a BFS over its rows, which
+    may hold loops and repeated neighbours."""
+    adj = lifted_adjacency(va)
+    seen = {0}
+    queue = [0]
+    for v in queue:
+        for u in adj[v]:
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return len(seen) == len(adj)
+
+
+def test_connectivity_rule_matches_the_lifted_cover_on_every_assignment():
+    count = 0
+    for base in cubic_pregraphs_3v():
+        for k in (1, 2):
+            for va in assignments(base, k):
+                assert cover_connected(va) == lift_is_connected(va), (
+                    base.inv, va.zeta)
+                count += 1
+    assert count == 4000
 
 
 def test_every_assignment_gives_the_census_classes(time_limit):

@@ -364,6 +364,9 @@ def test_family_automorphism_rejects_bad_maps():
         family_automorphism("phi_t1_bic", 9, r=2, s=1)  # wrong parameters
     with pytest.raises(ValueError):
         family_automorphism("nope", 9)
+    for k in (0, -2, -3):
+        with pytest.raises(ValueError, match="k must be positive"):
+            family_automorphism("rho", k)
 
 
 def test_family_automorphism_rejects_a_map_that_is_not_a_bijection():
@@ -378,6 +381,9 @@ def test_fibre_map_rejects_a_map_that_is_not_a_bijection():
         fibre_map(9, 3)  # 3 is not a unit mod 18
     with pytest.raises(ValueError):
         fibre_map(9, fibres=(0, 0, 1))
+    for k in (0, -2, -3):
+        with pytest.raises(ValueError, match="k must be positive"):
+            fibre_map(k)
     assert cycle_lengths(fibre_map(9, -1, fibres=(1, 2, 0))) == [3, 3] + [6] * 8
 
 

@@ -277,7 +277,7 @@ def base_refinement(g):
     """The search's base individualized in turn, each time refined."""
     adj = g.adjacency()
     colors = _wl_refine(adj, _initial_colors(adj))
-    for b in symmetry._searched(g)[4]:
+    for b in symmetry._searched(g).base:
         colors = _wl_refine(adj, _individualize(colors, b), [b])
     return colors
 
@@ -310,7 +310,7 @@ def automorphisms_fixing(g, base):
 @settings(max_examples=200, deadline=None)
 def test_the_base_is_discrete_and_fixed_only_by_the_identity(g):
     assert sorted(base_refinement(g)) == list(range(g.n))
-    assert automorphisms_fixing(g, symmetry._searched(g)[4]) == [list(range(g.n))]
+    assert automorphisms_fixing(g, symmetry._searched(g).base) == [list(range(g.n))]
 
 
 @pytest.mark.parametrize("name", list(FAMILY))
@@ -325,8 +325,8 @@ def test_the_chain_with_the_base_is_the_chain_without(name):
     entry = symmetry._searched(g)
     # Equal per level: the same points, each with the same u_x. "Without"
     # is the base 0..n-1.
-    assert (symmetry._stabiliser_chain(g.n, entry[0], entry[4])
-            == symmetry._stabiliser_chain(g.n, entry[0], range(g.n)))
+    assert (symmetry._stabiliser_chain(g.n, entry.gens, entry.base)
+            == symmetry._stabiliser_chain(g.n, entry.gens, range(g.n)))
 
 
 @st.composite
@@ -358,7 +358,7 @@ def group_answers(g, base_known):
     fresh search whose chain is built on the search's base or on 0..n-1."""
     symmetry._search_cached.cache_clear()
     if not base_known:
-        symmetry._searched(g)[4] = range(g.n)
+        symmetry._searched(g).base = range(g.n)
     out = [group_order(g)]
     for m in (1, 2, 3):
         try:
@@ -394,9 +394,9 @@ def assert_orders_agree(g):
     """The search's |Aut| is the product of the full chain's orbits, and the
     chain stopped at that order is the full chain, level for level."""
     entry = symmetry._searched(g)
-    full = symmetry._stabiliser_chain(g.n, entry[0], entry[4])
+    full = symmetry._stabiliser_chain(g.n, entry.gens, entry.base)
     assert group_order(g) == prod(map(len, full))
-    assert symmetry._stabiliser_chain(g.n, entry[0], entry[4], group_order(g)) == full
+    assert symmetry._stabiliser_chain(g.n, entry.gens, entry.base, group_order(g)) == full
 
 
 @pytest.mark.parametrize("name", list(AGREEMENT))

@@ -297,8 +297,8 @@ def test_quotient_past_26_orbits_is_pinned():
 
 
 def test_standard_assignments_are_normalised_on_the_full_grid():
-    # `cover_connected`'s gcd rule needs a normalised assignment; the
-    # funnel applies it to `zeta_for` at every (t, k, r, s).
+    # On a normalised assignment `cover_connected` reduces to the gcd of
+    # the voltages; the funnel applies it to `zeta_for` at every (t, k, r, s).
     for t in (1, 2, 3, 4):
         for k in range(1, 11):
             for r in range(2 * k):
@@ -306,7 +306,7 @@ def test_standard_assignments_are_normalised_on_the_full_grid():
                     assert zeta_for(t, k, r, s).is_normalised(), (t, k, r, s)
 
 
-def test_gcd_rule_errs_on_an_assignment_that_is_not_normalised():
+def test_connectivity_rule_holds_on_an_assignment_that_is_not_normalised():
     # Delta_1 over Z_4 with voltage 1 on both tree links: the voltages have
     # gcd 1, but the fundamental closed walks have net voltages 2, 2 and 0.
     base = delta(1)
@@ -317,7 +317,7 @@ def test_gcd_rule_errs_on_an_assignment_that_is_not_normalised():
         zeta[base.inv[d]] = -zeta[d]
     va = VoltageAssignment(base, 4, zeta)
     assert not va.is_normalised()
-    assert cover_connected(va)
+    assert not cover_connected(va)
     assert not derived_cover(va).is_connected()
 
 
