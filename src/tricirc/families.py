@@ -48,14 +48,6 @@ class FamilyParams:
         if self.family_type != 3 and self.s is None:
             raise ValueError(f"type {self.family_type} needs an s parameter")
 
-    @property
-    def n(self) -> int:
-        return 2 * self.k
-
-    @property
-    def order(self) -> int:
-        return 6 * self.k
-
     def voltages(self) -> VoltageAssignment:
         """The standard voltage assignment whose derived cover is `build()`."""
         return zeta_for(self.family_type, self.k, self.r, self.s or 0)
@@ -203,12 +195,6 @@ def parameter_orbits(family_type: int, k: int) -> list[tuple]:
     units = _orbits(len(orbits), ([number[at[image(*p)]] for p in least]
                                   for image in coarse))
     return sorted((least[i], least[unit[0]]) for unit in units for i in unit)
-
-
-def parameter_representatives(family_type: int, k: int) -> list[tuple]:
-    """The sorted fine orbit minima of `parameter_orbits`. A sweep over
-    these is as exhaustive as one over the grid."""
-    return [p for p, _ in parameter_orbits(family_type, k)]
 
 
 def r_star(k: int) -> int:

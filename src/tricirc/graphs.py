@@ -40,7 +40,7 @@ class SimpleGraph:
         if edge_tags:
             for (a, b), tag in edge_tags.items():
                 key = (a, b) if a < b else (b, a)
-                if key[1] not in self._adj[key[0]]:
+                if not 0 <= key[0] < n or key[1] not in self._adj[key[0]]:
                     raise ValueError(f"tag on non-edge {key}")
                 tags[key] = tag
         self.edge_tags = tags
@@ -88,14 +88,6 @@ class SimpleGraph:
 
     def __repr__(self) -> str:
         return f"SimpleGraph(n={self.n}, m={self.edge_count()})"
-
-    def is_regular(self, valence: Optional[int] = None) -> bool:
-        if self.n == 0:
-            return True
-        degs = {len(nb) for nb in self._adj}
-        if len(degs) != 1:
-            return False
-        return valence is None or degs == {valence}
 
     def _bfs(self) -> tuple[list[list[int]], bool]:
         """One BFS: the connected components, each sorted, ordered by

@@ -73,6 +73,8 @@ class Pregraph:
         tags: dict[int, str] = {}
         if edge_tags:
             for d, tag in edge_tags.items():
+                if not 0 <= d < n_darts:
+                    raise ValueError(f"tag on unknown dart {d}")
                 rep = min(d, self.inv[d])
                 tags[rep] = tag
         self.edge_tags = tags
@@ -171,10 +173,6 @@ class Walk:
                 raise ValueError("darts do not compose into a walk")
         self.pregraph = pregraph
         self.darts = tuple(darts)
-
-    @classmethod
-    def from_names(cls, pregraph: Pregraph, names: Iterable[str]) -> "Walk":
-        return cls(pregraph, [pregraph.dart(nm) for nm in names])
 
     def inverse(self) -> "Walk":
         p = self.pregraph

@@ -462,16 +462,6 @@ def _searched(g: SimpleGraph):
     return _search_cached(g.adjacency())
 
 
-def automorphism_group(g: SimpleGraph) -> list[tuple[int, ...]]:
-    """Generators of Aut(g). Empty list means the trivial group."""
-    return list(_searched(g).gens)
-
-
-def canonical_labeling(g: SimpleGraph) -> tuple[int, ...]:
-    """The canonical labeling, vertex -> position."""
-    return _searched(g).labeling
-
-
 def canonical_form(g: SimpleGraph) -> bytes:
     """graph6 bytes of the canonically relabeled graph; equal iff isomorphic."""
     return _searched(g).cert

@@ -86,9 +86,6 @@ class WalkTable:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def rows(self) -> list[tuple[SymbolicVoltage, int]]:
-        return sorted(self.counts.items())
-
 
 def walk_table(delta_index: int, length: int, start) -> WalkTable:
     """Voltage tally of all reduced closed walks of `length` at `start`, as
@@ -170,6 +167,8 @@ def check_t1_conditions(k: int, r: int, s: int) -> T1Conditions:
     """Evaluate the five 8-cycle congruences mod 2k, the parity/gcd
     conditions necessary for vertex-transitivity (in both r,s orientations),
     and the predicted 8-cycle signature for whichever congruence holds."""
+    if k < 1:
+        raise ValueError("k must be positive")
     n = 2 * k
     r %= n
     s %= n
@@ -350,29 +349,15 @@ class CensusTable:
     entries: tuple
 
     @property
-    def total(self) -> int:
-        return len(self.entries)
-
-    @property
     def per_order(self) -> dict:
         counts: Counter = Counter(e.order for e in self.entries)
         return dict(sorted(counts.items()))
-
-    @property
-    def arc_transitive_orders(self) -> list[int]:
-        return sorted(e.order for e in self.entries if e.arc_transitive)
-
-    def entry_named(self, name: str) -> Optional[CensusEntry]:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        return None
 
     def to_json_dict(self) -> dict:
         return {
             "kind": "census",
             "max_order": self.max_order,
-            "total": self.total,
+            "total": len(self.entries),
             # str keys sort as strings ("12" < "48" < "6"), and the output
             # is pinned in that order.
             "per_order": {str(o): c for o, c in self.per_order.items()},

@@ -304,15 +304,6 @@ def cover_connected(va: VoltageAssignment) -> bool:
 
 # -- quotients by a semiregular cyclic automorphism --------------------------
 
-def quotient(g: SimpleGraph, rho: Sequence[int]) -> Pregraph:
-    """Quotient pregraph of g by the cyclic group generated by rho.
-
-    rho must be an automorphism acting semiregularly on the vertices.
-    Vertex orbits become vertices and dart (arc) orbits become darts.
-    """
-    return quotient_with_voltages(g, rho)[0]
-
-
 def quotient_with_voltages(
     g: SimpleGraph, rho: Sequence[int]
 ) -> tuple[Pregraph, VoltageAssignment]:

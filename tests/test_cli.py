@@ -232,10 +232,11 @@ def test_walks_table_output(capsys):
     assert rows["total"] == ["112", "106", "106"]
 
 
-def test_walks_length_past_the_bound_is_usage_error(capsys, time_limit):
+@pytest.mark.parametrize("length", ["19", "0"])
+def test_walks_length_past_the_bound_is_usage_error(capsys, time_limit, length):
     # Length 19 would list every walk for about a minute before failing.
     with time_limit(5):
-        code, out, err = run(capsys, "walks", "--delta", "1", "--length", "19")
+        code, out, err = run(capsys, "walks", "--delta", "1", "--length", length)
     assert code == 2 and out == ""
     assert err.startswith("error:")
 

@@ -14,7 +14,7 @@ from tricirc.families import (
     FamilyParams,
     gp,
     moebius,
-    parameter_representatives,
+    parameter_orbits,
     prism,
     t1,
     x_graph,
@@ -45,7 +45,7 @@ def check_isomorphism(g: SimpleGraph, h: SimpleGraph, img, a: int, b: int):
 
 def simple_connected_covers(k):
     for t in (1, 2, 3, 4):
-        for r, s in parameter_representatives(t, k):
+        for r, s in [p for p, _ in parameter_orbits(t, k)]:
             params = FamilyParams(t, k, r, s)
             va = params.voltages()
             if cover_is_simple(va) and cover_connected(va):

@@ -11,6 +11,8 @@ from tricirc.graphs import SimpleGraph
     (3, [(1, 1)], None, "loop at vertex 1"),
     (3, [(0, 1), (1, 0)], None, "parallel edge"),
     (3, [(0, 1)], {(1, 2): "R"}, "tag on non-edge"),
+    (3, [(0, 1), (1, 2)], {(-1, 1): "x"}, "tag on non-edge"),
+    (3, [(0, 1), (1, 2)], {(-5, 1): "x"}, "tag on non-edge"),
 ])
 def test_simple_graph_rejects_bad_input(n, edges, tags, message):
     with pytest.raises(ValueError, match=message):

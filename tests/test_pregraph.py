@@ -167,6 +167,8 @@ def test_pregraph_rejects_bad_involution():
     (dict(beg=[0, 0], inv=[1, 0], vertex_names=["u", "v"]),
      "vertex_names length mismatch"),
     (dict(beg=[0, 0], inv=[1, 0], dart_names=["a"]), "dart_names length mismatch"),
+    (dict(beg=[0, 0], inv=[1, 0], edge_tags={-1: "x"}), "tag on unknown dart -1"),
+    (dict(beg=[0, 0], inv=[1, 0], edge_tags={99: "x"}), "tag on unknown dart 99"),
 ])
 def test_pregraph_rejects_bad_input(kwargs, message):
     with pytest.raises(ValueError, match=message):

@@ -20,7 +20,6 @@ from tricirc.symmetry import (
     arc_orbit_count,
     c_signature,
     canonical_form,
-    canonical_labeling,
     cycle_counts,
     cycles_of_length,
     edge_orbits,
@@ -199,7 +198,7 @@ def test_canonical_form_relabeling_invariance():
 
 def test_canonical_labeling_is_a_permutation():
     g = y_graph(5)
-    lab = canonical_labeling(g)
+    lab = symmetry._searched(g).labeling
     assert sorted(lab) == list(range(g.n))
 
 

@@ -15,7 +15,6 @@ from tricirc.voltage import (
     derived_cover,
     lifted_adjacency,
     net_voltage,
-    quotient,
     quotient_with_voltages,
     symbolic_dart_voltage,
     symbolic_net_voltage,
@@ -78,7 +77,7 @@ def test_cover_shape_and_valence():
         g = derived_cover(va)
         assert g.n == 6 * k
         assert g.edge_count() == 9 * k
-        assert g.is_regular(3)
+        assert set(map(len, g.adjacency())) == {3}
 
 
 def test_cover_vertex_layout():
@@ -171,7 +170,7 @@ def test_cover_connectivity_follows_gcd():
 def test_net_voltage_on_walks():
     va = zeta_for(1, 9, r=6, s=1)
     base = va.base
-    w = Walk.from_names(base, ["(uv)_0", "(vw)_r", "(wu)_0"])
+    w = Walk(base, [base.dart(nm) for nm in ["(uv)_0", "(vw)_r", "(wu)_0"]])
     assert net_voltage(va, w) == 6
     assert net_voltage(va, w.inverse()) == 12
 
@@ -194,7 +193,8 @@ def test_symbolic_voltage_evaluate_and_str():
 def test_symbolic_net_voltage_matches_numeric():
     va = zeta_for(1, 7, r=4, s=1)
     base = va.base
-    w = Walk.from_names(base, ["(uu)_k", "(uv)_0", "(vw)_s", "(wu)_0"])
+    w = Walk(base, [base.dart(nm)
+                 for nm in ["(uu)_k", "(uv)_0", "(vw)_s", "(wu)_0"]])
     sv = symbolic_net_voltage(base, w)
     assert sv == SymbolicVoltage(1, 0, 1)
     assert sv.evaluate(7, 4, 1) == net_voltage(va, w)
@@ -210,7 +210,7 @@ def test_quotient_round_trip():
         for x in range(3):
             for i in range(n):
                 rho.append(x * n + (i + 1) % n)
-        q = quotient(g, rho)
+        q = quotient_with_voltages(g, rho)[0]
         assert pregraphs_isomorphic(q, delta(idx))
 
 
@@ -231,12 +231,12 @@ def test_quotient_rejects_non_automorphisms_and_unequal_orbits():
     not_auto = list(range(g.n))
     not_auto[0], not_auto[1] = 1, 0
     with pytest.raises(NotAutomorphism):
-        quotient(g, not_auto)
+        quotient_with_voltages(g, not_auto)
     # a reflection of C6 fixes two vertices, so its orbits have mixed sizes
     c6 = SimpleGraph(6, [(i, (i + 1) % 6) for i in range(6)])
     reflection = [(-i) % 6 for i in range(6)]
     with pytest.raises(NotSemiregular):
-        quotient(c6, reflection)
+        quotient_with_voltages(c6, reflection)
 
 
 def test_quotient_rejects_a_rho_that_is_not_a_permutation_of_the_vertices():
@@ -251,14 +251,14 @@ def test_quotient_of_a_disconnected_graph_is_refused():
     # rho turns each of two triangles, so no quotient tree spans both orbits
     two_triangles = SimpleGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     with pytest.raises(ValueError, match="quotient tree incomplete"):
-        quotient(two_triangles, [1, 2, 0, 4, 5, 3])
+        quotient_with_voltages(two_triangles, [1, 2, 0, 4, 5, 3])
 
 
 def test_quotient_of_c6_by_its_antipodal_involution_is_a_triangle():
     # no edge of C6 joins antipodal vertices, so there are no semi-edges
     c6 = SimpleGraph(6, [(i, (i + 1) % 6) for i in range(6)])
     rho = [(i + 3) % 6 for i in range(6)]
-    q = quotient(c6, rho)
+    q = quotient_with_voltages(c6, rho)[0]
     assert sum(q.semi_edge_count(v) for v in range(3)) == 0
     # the links u-v, v-w and w-u: darts 2j and 2j+1 are mutually inverse
     triangle = Pregraph(3, [0, 1, 1, 2, 2, 0], [1, 0, 3, 2, 5, 4])

@@ -13,7 +13,7 @@ from tricirc.voltage import SymbolicVoltage
 
 def rows_of(delta_index, length, start):
     wt = walk_table(delta_index, length, start)
-    return {(sv.eps, sv.a, sv.b): cnt for sv, cnt in wt.rows()}
+    return {(sv.eps, sv.a, sv.b): cnt for sv, cnt in wt.counts.items()}
 
 
 # net voltage -> (count at u, count at v) for length-8 walks in delta 1
@@ -121,7 +121,7 @@ def test_counts_are_even():
     for delta_index, length in [(1, 7), (1, 8), (2, 6)]:
         for start in ("u", "v", "w"):
             wt = walk_table(delta_index, length, start)
-            for _, cnt in wt.rows():
+            for cnt in wt.counts.values():
                 assert cnt % 2 == 0
 
 
@@ -129,16 +129,22 @@ def test_start_accepts_vertex_index():
     assert rows_of(1, 8, 0) == rows_of(1, 8, "u")
 
 
-def test_walk_table_rejects_unknown_start():
-    with pytest.raises(ValueError):
-        walk_table(1, 8, "z")
+@pytest.mark.parametrize("args, message", [
+    ((1, 8, "z"), "unknown vertex name 'z'"),
+    ((1, 8, 3), "unknown vertex 3"),
+    ((1, 8, -1), "unknown vertex -1"),
+    ((1, 0, "u"), "length must be positive"),
+])
+def test_walk_table_rejects_unknown_start(args, message):
+    with pytest.raises(ValueError, match=message):
+        walk_table(*args)
 
 
 def test_rows_are_sorted_canonically():
     wt = walk_table(1, 8, "u")
-    keys = [(sv.eps, sv.a, sv.b) for sv, _ in wt.rows()]
+    keys = [(sv.eps, sv.a, sv.b) for sv, _ in sorted(wt.counts.items())]
     assert keys == sorted(keys)
-    for sv, _ in wt.rows():
+    for sv in wt.counts:
         assert sv.canonical() == sv
 
 
