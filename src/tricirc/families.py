@@ -8,8 +8,9 @@ family's parameter symmetries are declared here once, with the vertex maps
 that prove them, and the sweep's orbit representatives and unit orbits
 come from them.
 Also here: the generalized Petersen graphs, prisms and Moebius ladders they
-get compared against, the explicit shift/mixing automorphisms, and the
-three-cycle torus decomposition of the y-family.
+get compared against, the explicit shift/mixing automorphisms, the
+automorphisms declared for each family graph, and the three-cycle torus
+decomposition of the y-family.
 """
 
 from __future__ import annotations
@@ -263,6 +264,35 @@ def moebius(m: int) -> SimpleGraph:
 
 # -- explicit automorphisms ---------------------------------------------------
 
+def _phi_table(which: str, k: int, r: Optional[int] = None,
+               s: Optional[int] = None) -> tuple:
+    """(the graph the phi map `which` is declared on, as a function of no
+    arguments, its table): for even and then odd i, the (fibre, shift) that
+    u_i, v_i and w_i go to, so u_i goes to vertex i + shift of that fibre."""
+    U, V, W = range(3)
+    if which == "phi_x":
+        t = r_star(k)
+        return lambda: x_graph(k), (((W, 2 - t), (U, 2 - t), (V, 2 - 2 * t)),
+                                    ((V, t - 2), (W, 2 * t - 2), (U, t - 2)))
+    if which == "phi_t1_bic":
+        r = r_star(k) if r is None else r
+        s = 1 if s is None else s
+        return lambda: t1(k, r, s), (((V, 0), (W, r), (U, 0)),
+                                     ((W, k + s), (U, k + s), (V, k + s - r)))
+    if which == "phi_y":
+        return lambda: y_graph(k), (((V, 1), (U, 1), (V, 0)),
+                                    ((W, k + 2), (W, 2), (U, k)))
+    raise ValueError(f"unknown automorphism name {which!r}")
+
+
+def _table_map(k: int, table: tuple, scale: int = 1) -> tuple[int, ...]:
+    """The vertex map of a (fibre, shift) table: vertex i of fibre x goes to
+    vertex scale*i + shift of fibre f, where (f, shift) = table[i % 2][x]."""
+    n, *at = fibre_indexers(k)
+    return tuple(at[f](scale * i + shift) for fibre in range(3) for i in range(n)
+                 for f, shift in [table[i % 2][fibre]])
+
+
 def family_automorphism(
     which: str, k: int, r: Optional[int] = None, s: Optional[int] = None
 ) -> tuple[int, ...]:
@@ -275,40 +305,51 @@ def family_automorphism(
       instances (defaults r = r_star(k), s = 1).
     phi_y: the fibre-mixing map of y_graph(k).
 
-    Each phi map is declared as a table: for even and then odd i, the
-    (fibre, shift) that u_i, v_i and w_i go to, so u_i goes to vertex
-    i + shift of that fibre. The phi maps are validated against their
-    graph before being returned.
+    Each phi map is declared as a (fibre, shift) table (`_phi_table`) and
+    validated against its graph before being returned.
     """
     if which == "rho":
         return fibre_map(k, shift=1)
-    U, V, W = range(3)
-    if which == "phi_x":
-        t = r_star(k)
-        graph = x_graph(k)
-        table = (((W, 2 - t), (U, 2 - t), (V, 2 - 2 * t)),
-                 ((V, t - 2), (W, 2 * t - 2), (U, t - 2)))
-    elif which == "phi_t1_bic":
-        r = r_star(k) if r is None else r
-        s = 1 if s is None else s
-        graph = t1(k, r, s)
-        table = (((V, 0), (W, r), (U, 0)),
-                 ((W, k + s), (U, k + s), (V, k + s - r)))
-    elif which == "phi_y":
-        graph = y_graph(k)
-        table = (((V, 1), (U, 1), (V, 0)),
-                 ((W, k + 2), (W, 2), (U, k)))
-    else:
-        raise ValueError(f"unknown automorphism name {which!r}")
-
-    n, *at = fibre_indexers(k)
-    img = tuple(at[f](i + shift) for fibre in range(3) for i in range(n)
-                for f, shift in [table[i % 2][fibre]])
+    graph, table = _phi_table(which, k, r, s)
+    img = _table_map(k, table)
     if sorted(img) != list(range(6 * k)):
         raise ValueError(f"{which} is not a permutation for k={k}")
-    if not is_automorphism(graph.adjacency(), img):
+    if not is_automorphism(graph().adjacency(), img):
         raise NotAutomorphism(f"{which} transcription is wrong for k={k}")
     return img
+
+
+def declared_automorphisms(family: str, m: int) -> tuple[tuple[int, ...], ...]:
+    """Automorphisms declared for the family graph family(m), as image
+    tuples built from their tables. No graph is built and none is checked:
+    the IR search checks the seeds it is given (`symmetry._searched`).
+
+    X (m = k): rho, phi_x and tau_X, which fixes u_0: u_i -> u_-i,
+      v_i -> w_-i, w_i -> v_-i.
+    Y (m = k): rho, phi_y and tau_Y, which fixes u_0: u_i -> u_-i,
+      v_i -> v_-i, w_i -> w_(2-i).
+    prism (m): the rotation i -> i+1 of both rings, the reflection i -> -i
+      and the ring swap u_i <-> v_i, with u_i = i and v_i = m + i (`gp`).
+    moebius (m): the rotation i -> i+1 and the reflection i -> -i of the
+      2m-cycle.
+
+    At every k <= 49 they generate the whole automorphism group, except on
+    moebius(3) = K_{3,3}, X(3), Y(3) and Y(9) (tests/test_families.py)."""
+    U, V, W = range(3)
+    if family in ("X", "Y"):
+        tau = ((U, 0), (W, 0), (V, 0)) if family == "X" else ((U, 0), (V, 0), (W, 2))
+        phi = _phi_table("phi_" + family.lower(), m)[1]
+        return (fibre_map(m, shift=1), _table_map(m, phi),
+                _table_map(m, (tau, tau), scale=-1))
+    ring = range(m)
+    if family == "prism":
+        return (tuple(f * m + (i + 1) % m for f in (0, 1) for i in ring),
+                tuple(f * m + -i % m for f in (0, 1) for i in ring),
+                tuple(range(m, 2 * m)) + tuple(ring))
+    if family == "moebius":
+        return (tuple((i + 1) % (2 * m) for i in range(2 * m)),
+                tuple(-i % (2 * m) for i in range(2 * m)))
+    raise ValueError(f"unknown family {family!r}")
 
 
 class TorusDecomposition(NamedTuple):

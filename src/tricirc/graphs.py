@@ -42,7 +42,8 @@ class SimpleGraph:
                 key = (a, b) if a < b else (b, a)
                 if not 0 <= key[0] < n or key[1] not in self._adj[key[0]]:
                     raise ValueError(f"tag on non-edge {key}")
-                tags[key] = tag
+                if tags.setdefault(key, tag) != tag:
+                    raise ValueError(f"conflicting tags on edge {key}")
         self.edge_tags = tags
 
     @classmethod

@@ -75,8 +75,8 @@ class Pregraph:
             for d, tag in edge_tags.items():
                 if not 0 <= d < n_darts:
                     raise ValueError(f"tag on unknown dart {d}")
-                rep = min(d, self.inv[d])
-                tags[rep] = tag
+                if tags.setdefault(min(d, self.inv[d]), tag) != tag:
+                    raise ValueError(f"conflicting tags on the edge of dart {d}")
         self.edge_tags = tags
 
     # -- basic structure -------------------------------------------------

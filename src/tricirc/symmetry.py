@@ -18,6 +18,13 @@ an automorphism that fixes their common prefix, so the search jumps back to
 their deepest common ancestor: the canonical labeling is the one the full
 tree gives, and the tree and the generator list are smaller.
 
+A search may start from automorphisms known in advance (for the family
+graphs, `families.declared_automorphisms`), each checked before it runs.
+Seeds only prune, so the search stays exact: the first child of every node
+is still explored, so the first leaf and the base do not move; the first
+path's orbit product still counts |Aut|; and automorphic leaves share a
+certificate. Results are cached by (adjacency, seeds).
+
 The cached search entry (`_Entry`) answers every question below. Every
 permutation, in and out, is an image tuple. |Aut| comes from the search
 itself, as the product of the first path's stabiliser orbit sizes, so
@@ -307,9 +314,10 @@ def is_automorphism(adj: tuple[tuple[int, ...], ...], img: Sequence[int]) -> boo
     )
 
 
-def _search(adj: tuple[tuple[int, ...], ...]):
+def _search(adj: tuple[tuple[int, ...], ...], seeds: tuple = ()):
     """IR search: returns (generator tuples, canonical labeling tuple,
-    canonical graph6, base, |Aut|), the fields of `_Entry`.
+    canonical graph6, base, |Aut|), the fields of `_Entry`. `seeds`, known
+    automorphisms of the graph as image tuples, start the generator list.
 
     The canonical labeling maps vertex -> position; relabeling any isomorphic
     copy of the graph by its own canonical labeling yields the same graph,
@@ -320,9 +328,22 @@ def _search(adj: tuple[tuple[int, ...], ...]):
     nodes, of the orbit of the first cell vertex under the generators that
     fix the node's prefix (McKay & Piperno 2014; nauty's grpsize): that is
     the index of the prefix's stabiliser in that of the parent prefix.
+
+    Seeds change none of these (McKay, Practical graph isomorphism, 1981;
+    McKay & Piperno 2014). They only prune: a node is skipped when a known
+    automorphism that fixes its parent's prefix maps it onto an explored
+    sibling. The first child of every node is still explored, so the first
+    leaf and the base do not move. A first-path cell vertex in the orbit of
+    the first child is then either explored, and its subtree gives an
+    automorphism that maps the first child onto it, or joined by a known
+    one to an explored vertex, so the first path's orbits, and their
+    product |Aut|, are those of the unseeded search. Automorphic leaves
+    share a certificate, so the best certificate does not move either; the
+    labeling may be that of another leaf with it, and the generators
+    differ.
     """
     n = len(adj)
-    gens: list[tuple[int, ...]] = []
+    gens: list[tuple[int, ...]] = list(seeds)
     order = 1
     # The first leaf and the best leaf, each as (path, certificate,
     # labeling, prefix).
@@ -432,16 +453,20 @@ def _search(adj: tuple[tuple[int, ...], ...]):
 class _Entry:
     """The cached search result that answers every question below: the
     generator tuples `gens`, the canonical `labeling`, the canonical graph6
-    `cert`, the `base` and `order` = |Aut| of `_search`, each generator
-    checked once to be an automorphism; and the stabiliser `chain` and the
-    `edge_orbits`, None until `_chain` and `edge_orbits` first fill them."""
+    `cert`, the `base` and `order` = |Aut| of `_search` seeded with `seeds`,
+    each generator checked once to be an automorphism, the seeds before the
+    search; and the stabiliser `chain` and the `edge_orbits`, None until
+    `_chain` and `edge_orbits` first fill them."""
 
     __slots__ = ("gens", "labeling", "cert", "base", "order", "chain",
                  "edge_orbits")
 
-    def __init__(self, adj: tuple[tuple[int, ...], ...]):
-        self.gens, self.labeling, self.cert, self.base, self.order = _search(adj)
-        if not all(is_automorphism(adj, img) for img in self.gens):
+    def __init__(self, adj: tuple[tuple[int, ...], ...], seeds: tuple = ()):
+        for i, img in enumerate(seeds):
+            if not is_automorphism(adj, img):
+                raise ValueError(f"seed {i} is not an automorphism of the graph")
+        self.gens, self.labeling, self.cert, self.base, self.order = _search(adj, seeds)
+        if not all(is_automorphism(adj, img) for img in self.gens[len(seeds):]):
             raise AssertionError("internal error: invalid generator")
         self.chain = self.edge_orbits = None
 
@@ -456,15 +481,21 @@ def _check_size(g: SimpleGraph):
         )
 
 
-def _searched(g: SimpleGraph):
-    """The cached search result of g, under the size guard."""
+def _searched(g: SimpleGraph, seeds: tuple = ()):
+    """The cached search result of g, under the size guard. `seeds` is a
+    tuple of automorphisms of g known in advance, as image tuples: they
+    prune the search and change none of its answers but the labeling and
+    the generators (`_search`). The cache keys on (adjacency, seeds), so an
+    unseeded lookup never reads a seeded entry. ValueError if a seed is not
+    an automorphism of g."""
     _check_size(g)
-    return _search_cached(g.adjacency())
+    return _search_cached(g.adjacency(), seeds)
 
 
-def canonical_form(g: SimpleGraph) -> bytes:
-    """graph6 bytes of the canonically relabeled graph; equal iff isomorphic."""
-    return _searched(g).cert
+def canonical_form(g: SimpleGraph, seeds: tuple = ()) -> bytes:
+    """graph6 bytes of the canonically relabeled graph; equal iff isomorphic.
+    `seeds` as for `_searched`."""
+    return _searched(g, seeds).cert
 
 
 # Placements per vertex: relabelled covers take 2.2 in the median, refuting a look-alike ≥ 109.
@@ -781,9 +812,10 @@ def _walk(trans: list[dict], target: Optional[int] = None):
     return descend(0, tuple(range(n)))
 
 
-def group_order(g: SimpleGraph) -> int:
-    """|Aut(g)|, as the IR search found it: no chain is built."""
-    return _searched(g).order
+def group_order(g: SimpleGraph, seeds: tuple = ()) -> int:
+    """|Aut(g)|, as the IR search found it: no chain is built. `seeds` as
+    for `_searched`."""
+    return _searched(g, seeds).order
 
 
 def group_elements(g: SimpleGraph, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
@@ -793,9 +825,10 @@ def group_elements(g: SimpleGraph, cap: int = DEFAULT_CAP) -> list[tuple[int, ..
     return list(_walk(_chain(g)))
 
 
-def vertex_orbits(g: SimpleGraph) -> list[list[int]]:
-    """The vertex orbits, each sorted, ordered by least vertex."""
-    return _orbits(g.n, _searched(g).gens)
+def vertex_orbits(g: SimpleGraph, seeds: tuple = ()) -> list[list[int]]:
+    """The vertex orbits, each sorted, ordered by least vertex. `seeds` as
+    for `_searched`."""
+    return _orbits(g.n, _searched(g, seeds).gens)
 
 
 def _arc_orbits(
@@ -826,8 +859,9 @@ def edge_orbits(g: SimpleGraph) -> list[list[tuple]]:
     return [list(orb) for orb in entry.edge_orbits]
 
 
-def arc_orbit_count(g: SimpleGraph) -> int:
-    return len(_arc_orbits(g, _searched(g).gens))
+def arc_orbit_count(g: SimpleGraph, seeds: tuple = ()) -> int:
+    """The number of arc orbits. `seeds` as for `_searched`."""
+    return len(_arc_orbits(g, _searched(g, seeds).gens))
 
 
 def is_vertex_transitive(g: SimpleGraph) -> bool:

@@ -1,12 +1,14 @@
 """Parametrized cover families, named graphs and their explicit symmetries."""
 
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 
 from tricirc.families import (
     FamilyParams,
+    declared_automorphisms,
     family_automorphism,
+    fibre_indexers,
     fibre_map,
     gp,
     moebius,
@@ -25,6 +27,8 @@ from tricirc.families import (
 )
 from tricirc.symmetry import (
     _orbits,
+    _searched,
+    _stabiliser_chain,
     are_isomorphic,
     girth,
     group_order,
@@ -353,6 +357,44 @@ def test_phi_y_orbit_structure():
     assert cycle_lengths(phi9) == [9] * 6
     phi11 = family_automorphism("phi_y", 11)
     assert cycle_lengths(phi11) == [33, 33]
+
+
+def test_declared_automorphisms_generate_the_whole_group():
+    # The order of the group the seeds generate, read off their stabiliser
+    # chain on the unseeded search's base, against |Aut|. Four graphs have
+    # more automorphisms than their seeds generate: K_{3,3} and the three
+    # arc-transitive X(3) (girth 3), Y(3) (the Pappus graph) and Y(9).
+    from tricirc.verify import _family_graphs
+
+    short = {}
+    for k in range(1, 50):
+        for name, (g, seeds) in _family_graphs(k).items():
+            generated = prod(map(len, _stabiliser_chain(
+                g.n, seeds, _searched(g).base)))
+            if generated != group_order(g):
+                short[name] = (generated, group_order(g))
+    assert short == {"moebius(3)": (12, 72), "X(3)": (36, 72),
+                     "Y(3)": (36, 216), "Y(9)": (108, 324)}
+
+
+def test_declared_automorphisms_are_the_named_maps():
+    k = 9
+    _, u, v, w = fibre_indexers(k)
+    rho, phi, tau = declared_automorphisms("X", k)
+    assert (rho, phi) == (family_automorphism("rho", k),
+                          family_automorphism("phi_x", k))
+    assert tau == fibre_map(k, -1, fibres=(0, 2, 1))
+    rho, phi, tau = declared_automorphisms("Y", k)
+    assert (rho, phi) == (family_automorphism("rho", k),
+                          family_automorphism("phi_y", k))
+    assert [tau[x(i)] for x in (u, v, w) for i in (0, 5)] == [
+        u(0), u(-5), v(0), v(-5), w(2), w(-3)]
+    for family, graph, count in (("prism", prism, 3), ("moebius", moebius, 2)):
+        seeds = declared_automorphisms(family, 27)
+        assert len(seeds) == count
+        assert all(is_automorphism(graph(27).adjacency(), img) for img in seeds)
+    with pytest.raises(ValueError, match="unknown family"):
+        declared_automorphisms("petersen", 5)
 
 
 def test_family_automorphism_rejects_bad_maps():

@@ -169,7 +169,14 @@ def test_pregraph_rejects_bad_involution():
     (dict(beg=[0, 0], inv=[1, 0], dart_names=["a"]), "dart_names length mismatch"),
     (dict(beg=[0, 0], inv=[1, 0], edge_tags={-1: "x"}), "tag on unknown dart -1"),
     (dict(beg=[0, 0], inv=[1, 0], edge_tags={99: "x"}), "tag on unknown dart 99"),
+    (dict(beg=[0, 0], inv=[1, 0], edge_tags={0: "a", 1: "b"}),
+     "conflicting tags on the edge of dart 1"),
 ])
 def test_pregraph_rejects_bad_input(kwargs, message):
     with pytest.raises(ValueError, match=message):
         Pregraph(1, **kwargs)
+
+
+def test_pregraph_takes_the_same_tag_on_both_darts():
+    p = Pregraph(1, beg=[0, 0], inv=[1, 0], edge_tags={0: "a", 1: "a"})
+    assert (p.edge_tag(0), p.edge_tag(1)) == ("a", "a")

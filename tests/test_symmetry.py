@@ -1,7 +1,7 @@
 """Automorphism groups, canonical forms, orbits, cycles and girth."""
 
 import random
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +10,8 @@ from test_families import cycle_lengths
 from test_oracles import ROOK_4X4, SHRIKHANDE, small_graphs
 
 from tricirc import symmetry
-from tricirc.families import FamilyParams, gp, moebius, prism, t3, x_graph, y_graph
+from tricirc.families import (
+    FamilyParams, fibre_map, gp, moebius, prism, t3, x_graph, y_graph)
 from tricirc.graph6 import encode_graph6
 from tricirc.graphs import SimpleGraph
 from tricirc.symmetry import (
@@ -540,3 +541,59 @@ def test_search_ignores_the_row_order_of_lifted_adjacency():
                         b.gens, b.labeling, b.cert)
                     checked += 1
     assert checked > 0 and unsorted > 0
+
+
+def _edge_orbits_of(g, gens):
+    edges = g.edges()
+    index = {e: i for i, e in enumerate(edges)}
+    maps = ([index[tuple(sorted((p[a], p[b])))] for a, b in edges] for p in gens)
+    return symmetry._orbits(len(edges), maps)
+
+
+def test_a_seeded_search_gives_the_unseeded_answers():
+    # Seeding with the declared automorphisms only prunes: on every family
+    # graph at k <= 50 the certificate, base, |Aut| and orbits are those of
+    # the unseeded search, and |Aut| is the chain's order over the seeded
+    # entry's own generators. The two are separate cache entries.
+    from tricirc.verify import _family_graphs
+
+    checked = 0
+    for k in range(1, 51):
+        for name, (g, seeds) in _family_graphs(k).items():
+            symmetry._search_cached.cache_clear()
+            seeded = symmetry._searched(g, seeds)
+            plain = symmetry._searched(g)
+            assert symmetry._search_cached.cache_info().misses == 2, name
+            assert seeded is not plain
+            assert (seeded.cert, seeded.base, seeded.order) == (
+                plain.cert, plain.base, plain.order), name
+            assert (symmetry._orbits(g.n, seeded.gens)
+                    == symmetry._orbits(g.n, plain.gens)), name
+            assert _edge_orbits_of(g, seeded.gens) == _edge_orbits_of(g, plain.gens)
+            chain = symmetry._stabiliser_chain(g.n, seeded.gens, seeded.base)
+            assert prod(map(len, chain)) == seeded.order, name
+            checked += 1
+    assert checked == 123
+
+
+def test_a_seed_that_is_not_an_automorphism_raises_before_the_search(monkeypatch):
+    # A transposed pair of vertices, and a map of the wrong length.
+    searches = []
+    original = symmetry._search
+
+    def recorded(*args):
+        searches.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(symmetry, "_search", recorded)
+    g = x_graph(9)
+    rho = fibre_map(9, shift=1)
+    swapped = list(range(g.n))
+    swapped[0], swapped[1] = 1, 0
+    symmetry._search_cached.cache_clear()
+    for bad in (tuple(swapped), rho[:-1]):
+        with pytest.raises(ValueError, match="seed 1 is not an automorphism"):
+            symmetry._searched(g, (rho, bad))
+    assert searches == []
+    assert symmetry._searched(g, (rho,)).order == 108
+    assert len(searches) == 1

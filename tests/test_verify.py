@@ -223,7 +223,7 @@ def test_sweep_reports_an_expected_class_it_does_not_find(monkeypatch):
     from tricirc import verify
 
     def with_gp(k):
-        return {**_family_graphs(k), "GP(27,2)": gp(27, 2)}
+        return {**_family_graphs(k), "GP(27,2)": (gp(27, 2), ())}
 
     monkeypatch.setattr(verify, "_family_graphs", with_gp)
     rep = sweep_one_k(9)
@@ -344,10 +344,10 @@ def _reference_funnel(k, family):
             if not (_passes_vt_screen(adj, va.n) and _is_vt_cover(adj, va.n)):
                 continue
             counts["vt_instances"][t] += 1
-            name = next((name for name, f in family.items() if
+            name = next((name for name, (f, _) in family.items() if
                          _rooted_isomorphism(adj, 0, f.adjacency(), 0)[0]
                          is not None), None)
-            g = params.build() if name is None else family[name]
+            g = params.build() if name is None else family[name][0]
             slot = classes.setdefault(canonical_form(g).decode("ascii"),
                                       {"name": name, "types": set(), "params": []})
             slot["types"].add(t)
