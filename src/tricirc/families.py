@@ -8,9 +8,11 @@ family's parameter symmetries are declared here once, with the vertex maps
 that prove them, and the sweep's orbit representatives and unit orbits
 come from them.
 Also here: the generalized Petersen graphs, prisms and Moebius ladders they
-get compared against, the explicit shift/mixing automorphisms, the
-automorphisms declared for each family graph, and the three-cycle torus
-decomposition of the y-family.
+get compared against, the explicit shift/mixing automorphisms, and the
+three-cycle torus decomposition of the y-family. X(k), Y(k), prism(m) and
+moebius(m) carry their declared automorphisms, set here only, on their own
+numbering, which `relabel` and graph6 do not keep; the IR search checks
+them. They generate Aut at every k <= 49 but on moebius(3), X(3), Y(3), Y(9).
 """
 
 from __future__ import annotations
@@ -211,17 +213,26 @@ def r_star(k: int) -> int:
 
 
 def x_graph(k: int) -> SimpleGraph:
-    """The distinguished vertex-transitive member of the t1 family."""
-    return t1(k, r_star(k), 1)
+    """The distinguished vertex-transitive member of the t1 family, carrying
+    rho, phi_x and tau_X: u_i -> u_-i, v_i -> w_-i, w_i -> v_-i."""
+    g = t1(k, r_star(k), 1)
+    g.known_automorphisms = (fibre_map(k, shift=1), _table_map(k, _phi_table("phi_x", k)[1]),
+                             fibre_map(k, -1, fibres=(0, 2, 1)))
+    return g
 
 
 def y_graph(k: int) -> SimpleGraph:
-    """The distinguished vertex-transitive member of the t2 family."""
+    """The distinguished vertex-transitive member of the t2 family, carrying
+    rho, phi_y and tau_Y: u_i -> u_-i, v_i -> v_-i, w_i -> w_(2-i)."""
     if k % 2 == 0:
         raise ValueError("k must be odd")
     if k < 3:
         raise ValueError("k must be at least 3")
-    return t2(k, 2, 1)
+    tau = ((0, 0), (1, 0), (2, 2))  # fibre -> (fibre, shift) of tau_Y, i -> -i
+    g = t2(k, 2, 1)
+    g.known_automorphisms = (fibre_map(k, shift=1), _table_map(k, _phi_table("phi_y", k)[1]),
+                             _table_map(k, (tau, tau), scale=-1))
+    return g
 
 
 # -- comparison graphs --------------------------------------------------------
@@ -247,19 +258,29 @@ def gp(n: int, m: int) -> SimpleGraph:
 
 
 def prism(m: int) -> SimpleGraph:
-    """Circular ladder: two m-cycles joined by a perfect matching."""
+    """Circular ladder: two m-cycles u_i = i and v_i = m + i (`gp`) joined
+    by a perfect matching, carrying the rotation i -> i+1 of both rings, the
+    reflection i -> -i and the ring swap u_i <-> v_i."""
     if m < 3:
         raise ValueError("prism needs m >= 3")
-    return gp(m, 1)
+    g, ring = gp(m, 1), range(m)
+    g.known_automorphisms = (tuple(f * m + (i + 1) % m for f in (0, 1) for i in ring),
+                             tuple(f * m + -i % m for f in (0, 1) for i in ring),
+                             tuple(range(m, 2 * m)) + tuple(ring))
+    return g
 
 
 def moebius(m: int) -> SimpleGraph:
-    """Moebius ladder: a 2m-cycle with antipodal chords."""
+    """Moebius ladder: a 2m-cycle with antipodal chords, carrying the
+    rotation i -> i+1 and the reflection i -> -i of the cycle."""
     if m < 3:
         raise ValueError("Moebius ladder needs m >= 3")
     tags = {(i, (i + 1) % (2 * m)): "rim" for i in range(2 * m)}
     tags.update({(i, i + m): "rung" for i in range(m)})
-    return SimpleGraph(2 * m, tags, edge_tags=tags)
+    g = SimpleGraph(2 * m, tags, edge_tags=tags)
+    g.known_automorphisms = (tuple((i + 1) % (2 * m) for i in range(2 * m)),
+                             tuple(-i % (2 * m) for i in range(2 * m)))
+    return g
 
 
 # -- explicit automorphisms ---------------------------------------------------
@@ -317,39 +338,6 @@ def family_automorphism(
     if not is_automorphism(graph().adjacency(), img):
         raise NotAutomorphism(f"{which} transcription is wrong for k={k}")
     return img
-
-
-def declared_automorphisms(family: str, m: int) -> tuple[tuple[int, ...], ...]:
-    """Automorphisms declared for the family graph family(m), as image
-    tuples built from their tables. No graph is built and none is checked:
-    the IR search checks the seeds it is given (`symmetry._searched`).
-
-    X (m = k): rho, phi_x and tau_X, which fixes u_0: u_i -> u_-i,
-      v_i -> w_-i, w_i -> v_-i.
-    Y (m = k): rho, phi_y and tau_Y, which fixes u_0: u_i -> u_-i,
-      v_i -> v_-i, w_i -> w_(2-i).
-    prism (m): the rotation i -> i+1 of both rings, the reflection i -> -i
-      and the ring swap u_i <-> v_i, with u_i = i and v_i = m + i (`gp`).
-    moebius (m): the rotation i -> i+1 and the reflection i -> -i of the
-      2m-cycle.
-
-    At every k <= 49 they generate the whole automorphism group, except on
-    moebius(3) = K_{3,3}, X(3), Y(3) and Y(9) (tests/test_families.py)."""
-    U, V, W = range(3)
-    if family in ("X", "Y"):
-        tau = ((U, 0), (W, 0), (V, 0)) if family == "X" else ((U, 0), (V, 0), (W, 2))
-        phi = _phi_table("phi_" + family.lower(), m)[1]
-        return (fibre_map(m, shift=1), _table_map(m, phi),
-                _table_map(m, (tau, tau), scale=-1))
-    ring = range(m)
-    if family == "prism":
-        return (tuple(f * m + (i + 1) % m for f in (0, 1) for i in ring),
-                tuple(f * m + -i % m for f in (0, 1) for i in ring),
-                tuple(range(m, 2 * m)) + tuple(ring))
-    if family == "moebius":
-        return (tuple((i + 1) % (2 * m) for i in range(2 * m)),
-                tuple(-i % (2 * m) for i in range(2 * m)))
-    raise ValueError(f"unknown family {family!r}")
 
 
 class TorusDecomposition(NamedTuple):

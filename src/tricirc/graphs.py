@@ -10,9 +10,13 @@ class SimpleGraph:
 
     Loops and parallel edges are rejected at construction. Edges may carry
     type tags such as "K", "0", "R", "S".
+
+    `known_automorphisms`, image tuples the IR search starts from, is set
+    only by the family constructors, on their own numbering, so `relabel`,
+    `decode_graph6` and `derived_cover` give (). == and hash ignore it.
     """
 
-    __slots__ = ("n", "_adj", "edge_tags")
+    __slots__ = ("n", "_adj", "edge_tags", "known_automorphisms")
 
     def __init__(
         self,
@@ -45,6 +49,7 @@ class SimpleGraph:
                 if tags.setdefault(key, tag) != tag:
                     raise ValueError(f"conflicting tags on edge {key}")
         self.edge_tags = tags
+        self.known_automorphisms: tuple = ()
 
     @classmethod
     def _from_rows(cls, rows: Sequence[Sequence[int]],
@@ -58,6 +63,7 @@ class SimpleGraph:
         g = cls.__new__(cls)
         g.n, g._adj = len(rows), tuple(map(tuple, rows))
         g.edge_tags = edge_tags if edge_tags is not None else {}
+        g.known_automorphisms = ()
         return g
 
     def neighbors(self, v: int) -> tuple[int, ...]:

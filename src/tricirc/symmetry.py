@@ -18,12 +18,13 @@ an automorphism that fixes their common prefix, so the search jumps back to
 their deepest common ancestor: the canonical labeling is the one the full
 tree gives, and the tree and the generator list are smaller.
 
-A search may start from automorphisms known in advance (for the family
-graphs, `families.declared_automorphisms`), each checked before it runs.
-Seeds only prune, so the search stays exact: the first child of every node
-is still explored, so the first leaf and the base do not move; the first
-path's orbit product still counts |Aut|; and automorphic leaves share a
-certificate. Results are cached by (adjacency, seeds).
+A search starts from the automorphisms the graph carries (`families` sets
+them on its numbering, so a relabelled copy carries none), each checked
+before it runs. They only prune, so the search stays exact: the first
+child of every node is still explored, so the first leaf and the base do
+not move; the first path's orbit product still counts |Aut|; and
+automorphic leaves share a certificate. Results are cached by (adjacency,
+`SimpleGraph.known_automorphisms`).
 
 The cached search entry (`_Entry`) answers every question below. Every
 permutation, in and out, is an image tuple. |Aut| comes from the search
@@ -481,21 +482,19 @@ def _check_size(g: SimpleGraph):
         )
 
 
-def _searched(g: SimpleGraph, seeds: tuple = ()):
-    """The cached search result of g, under the size guard. `seeds` is a
-    tuple of automorphisms of g known in advance, as image tuples: they
-    prune the search and change none of its answers but the labeling and
-    the generators (`_search`). The cache keys on (adjacency, seeds), so an
-    unseeded lookup never reads a seeded entry. ValueError if a seed is not
-    an automorphism of g."""
+def _searched(g: SimpleGraph):
+    """The cached search result of g, under the size guard, seeded with the
+    maps g carries; a relabelled or decoded copy carries none, as the maps
+    name the constructor's vertices. They change none of the answers but
+    the labeling and the generators (`_search`). ValueError if a map is
+    not an automorphism of g."""
     _check_size(g)
-    return _search_cached(g.adjacency(), seeds)
+    return _search_cached(g.adjacency(), g.known_automorphisms)
 
 
-def canonical_form(g: SimpleGraph, seeds: tuple = ()) -> bytes:
-    """graph6 bytes of the canonically relabeled graph; equal iff isomorphic.
-    `seeds` as for `_searched`."""
-    return _searched(g, seeds).cert
+def canonical_form(g: SimpleGraph) -> bytes:
+    """graph6 bytes of the canonically relabeled graph; equal iff isomorphic."""
+    return _searched(g).cert
 
 
 # Placements per vertex: relabelled covers take 2.2 in the median, refuting a look-alike ≥ 109.
@@ -812,10 +811,9 @@ def _walk(trans: list[dict], target: Optional[int] = None):
     return descend(0, tuple(range(n)))
 
 
-def group_order(g: SimpleGraph, seeds: tuple = ()) -> int:
-    """|Aut(g)|, as the IR search found it: no chain is built. `seeds` as
-    for `_searched`."""
-    return _searched(g, seeds).order
+def group_order(g: SimpleGraph) -> int:
+    """|Aut(g)|, as the IR search found it: no chain is built."""
+    return _searched(g).order
 
 
 def group_elements(g: SimpleGraph, cap: int = DEFAULT_CAP) -> list[tuple[int, ...]]:
@@ -825,10 +823,9 @@ def group_elements(g: SimpleGraph, cap: int = DEFAULT_CAP) -> list[tuple[int, ..
     return list(_walk(_chain(g)))
 
 
-def vertex_orbits(g: SimpleGraph, seeds: tuple = ()) -> list[list[int]]:
-    """The vertex orbits, each sorted, ordered by least vertex. `seeds` as
-    for `_searched`."""
-    return _orbits(g.n, _searched(g, seeds).gens)
+def vertex_orbits(g: SimpleGraph) -> list[list[int]]:
+    """The vertex orbits, each sorted, ordered by least vertex."""
+    return _orbits(g.n, _searched(g).gens)
 
 
 def _arc_orbits(
@@ -859,9 +856,9 @@ def edge_orbits(g: SimpleGraph) -> list[list[tuple]]:
     return [list(orb) for orb in entry.edge_orbits]
 
 
-def arc_orbit_count(g: SimpleGraph, seeds: tuple = ()) -> int:
-    """The number of arc orbits. `seeds` as for `_searched`."""
-    return len(_arc_orbits(g, _searched(g, seeds).gens))
+def arc_orbit_count(g: SimpleGraph) -> int:
+    """The number of arc orbits."""
+    return len(_arc_orbits(g, _searched(g).gens))
 
 
 def is_vertex_transitive(g: SimpleGraph) -> bool:

@@ -28,7 +28,6 @@ from typing import Optional, Sequence
 
 from .families import (
     FamilyParams,
-    declared_automorphisms,
     fibre_indexers,
     fibre_map,
     moebius,
@@ -39,6 +38,7 @@ from .families import (
     x_graph,
     y_graph,
 )
+from .graphs import SimpleGraph
 from .pregraph import delta
 from .pregraph import reduced_closed_walks  # noqa: F401 -- perfbench/tracer.py wraps verify.reduced_closed_walks
 from .symmetry import (
@@ -234,18 +234,17 @@ def _passes_vt_screen(adj: tuple[tuple[int, ...], ...], n: int) -> bool:
 _STAGES = ("grid", "constructed", "connected", "vt_instances")
 
 
-def _family_graphs(k: int) -> dict[str, tuple]:
-    """family name -> (graph, its `declared_automorphisms`), for the graphs
-    the classification says must appear at order 6k. X(k) and Y(k) need
-    k >= 3."""
-    members = []
+def _family_graphs(k: int) -> dict[str, SimpleGraph]:
+    """family name -> graph, for the graphs the classification says must
+    appear at order 6k. X(k) and Y(k) need k >= 3."""
+    graphs = {}
     if k % 2 == 1:
         if k >= 3:
-            members += [("X", x_graph, k), ("Y", y_graph, k)]
-        members.append(("prism", prism, 3 * k))
-    members.append(("moebius", moebius, 3 * k))
-    return {f"{family}({m})": (build(m), declared_automorphisms(family, m))
-            for family, build, m in members}
+            graphs[f"X({k})"] = x_graph(k)
+            graphs[f"Y({k})"] = y_graph(k)
+        graphs[f"prism({3 * k})"] = prism(3 * k)
+    graphs[f"moebius({3 * k})"] = moebius(3 * k)
+    return graphs
 
 
 def _is_vt_cover(adj: tuple[tuple[int, ...], ...], n: int) -> bool:
@@ -259,20 +258,19 @@ def _is_vt_cover(adj: tuple[tuple[int, ...], ...], n: int) -> bool:
     )
 
 
-def _decide(params: FamilyParams, family: dict[str, tuple]) -> tuple:
+def _decide(params: FamilyParams, family: dict[str, SimpleGraph]) -> tuple:
     """(passed, cls) for the cover at params: passed is how many of the
     stages after "grid" in `_STAGES` it reaches, and cls is None or, for a
-    VT cover, (canonical form as ascii, name, graph, seeds).
+    VT cover, (canonical form as ascii, name, graph).
 
     Every stage up to VT reads the voltage assignment or the adjacency
     lifted from it once (`cover_is_simple`, `cover_connected`,
     `_passes_vt_screen`, `_is_vt_cover`). A VT cover is named by extension
     from its vertex 0 onto vertex 0 of each graph of `family` (name ->
-    (graph, seeds), `_family_graphs(k)`): it is VT, so if any isomorphism
-    exists one sends 0 to 0. Its class is the canonical form of the graph
-    matched, searched with that graph's seeds, and the name matched is
-    recorded there; only a cover that matches none is built and searched,
-    with no seeds, and its name is None."""
+    graph, `_family_graphs(k)`): it is VT, so if any isomorphism exists one
+    sends 0 to 0. Its class is the canonical form of the graph matched, and
+    the name matched is recorded there; only a cover that matches none is
+    built and searched, and its name is None."""
     va = params.voltages()
     if not cover_is_simple(va):
         return 0, None
@@ -281,14 +279,14 @@ def _decide(params: FamilyParams, family: dict[str, tuple]) -> tuple:
     adj = lifted_adjacency(va)
     if not (_passes_vt_screen(adj, va.n) and _is_vt_cover(adj, va.n)):
         return 2, None
-    name = next((name for name, (f, _) in family.items() if
+    name = next((name for name, f in family.items() if
                  _rooted_isomorphism(adj, 0, f.adjacency(), 0)[0] is not None),
                 None)
-    g, seeds = (params.build(), ()) if name is None else family[name]
-    return 3, (canonical_form(g, seeds).decode("ascii"), name, g, seeds)
+    g = params.build() if name is None else family[name]
+    return 3, (canonical_form(g).decode("ascii"), name, g)
 
 
-def _funnel(k: int, family: dict[str, tuple]) -> tuple[dict, dict]:
+def _funnel(k: int, family: dict[str, SimpleGraph]) -> tuple[dict, dict]:
     """Voltages -> simple -> connected -> screen -> VT -> name -> dedup at
     order 6k, over the parameter representatives of all four types.
 
@@ -299,7 +297,7 @@ def _funnel(k: int, family: dict[str, tuple]) -> tuple[dict, dict]:
     Returns the per-type count of each stage in `_STAGES` ("constructed"
     counts the simple covers), and the VT classes by canonical form
     (ascii), each with its name, types, up to three example parameter
-    tuples, and a graph of the class with its seeds."""
+    tuples and a graph of the class."""
     counts = {stage: dict.fromkeys((1, 2, 3, 4), 0) for stage in _STAGES}
     classes: dict[str, dict] = {}
     for t in (1, 2, 3, 4):
@@ -314,10 +312,9 @@ def _funnel(k: int, family: dict[str, tuple]) -> tuple[dict, dict]:
                 counts[stage][t] += 1
             if cls is None:
                 continue
-            canon, name, g, seeds = cls
-            slot = classes.setdefault(canon, {
-                "name": name, "types": set(), "params": [], "graph": g,
-                "seeds": seeds})
+            canon, name, g = cls
+            slot = classes.setdefault(
+                canon, {"name": name, "types": set(), "params": [], "graph": g})
             slot["types"].add(t)
             if len(slot["params"]) < 3:
                 slot["params"].append((t, k, r, s))
@@ -372,20 +369,19 @@ def small_census(k_max: int) -> CensusTable:
     """All vertex-transitive graphs the four constructors produce at order
     <= 6*k_max: the funnel for k = 1..k_max (none at k_max = 0), with the
     type sets of coinciding instances merged, plus |Aut|, arc-transitivity,
-    girth and name. Each class is searched once, with the seeds the funnel
-    searched it with."""
+    girth and name."""
     entries = []
     for k in _k_range(1, k_max):
         for canon, slot in _funnel(k, _family_graphs(k))[1].items():
-            g, seeds = slot["graph"], slot["seeds"]
-            at = arc_orbit_count(g, seeds) <= 1
-            gi = girth(g, [orbit[0] for orbit in vertex_orbits(g, seeds)])
+            g = slot["graph"]
+            at = arc_orbit_count(g) <= 1
+            gi = girth(g, [orbit[0] for orbit in vertex_orbits(g)])
             entries.append(CensusEntry(
                 order=g.n,
                 canonical=canon,
                 types=tuple(sorted(slot["types"])),
                 girth=gi,
-                aut_order=group_order(g, seeds),
+                aut_order=group_order(g),
                 arc_transitive=at,
                 name=_NAMED_AT.get((g.n, gi)) if at else None,
             ))

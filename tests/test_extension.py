@@ -70,7 +70,7 @@ def test_decider_and_naming_agree_with_the_ir_search(k):
             check_isomorphism(g, g, img, 0, x * va.n)
         if k < 3:
             continue
-        for name, (f, _) in family.items():
+        for name, f in family.items():
             img, _ = _rooted_isomorphism(adj, 0, f.adjacency(), 0)
             assert (img is not None) == (
                 canonical_form(g) == canonical_form(f)), (params, name)
@@ -180,7 +180,7 @@ def test_iterative_extension_matches_the_recursive_one(k):
     # Every call the funnel makes on a screened cover: u_0 onto v_0 and
     # w_0, and vertex 0 onto vertex 0 of each family graph, unbounded and
     # stopped at 1, 37 and the budget of are_isomorphic.
-    family = [f.adjacency() for f, _ in _family_graphs(k).values()]
+    family = [f.adjacency() for f in _family_graphs(k).values()]
     found = refuted = 0
     for _, va in simple_connected_covers(k):
         adj = lifted_adjacency(va)

@@ -1,12 +1,12 @@
 """Parametrized cover families, named graphs and their explicit symmetries."""
 
+import random
 from math import gcd, lcm, prod
 
 import pytest
 
 from tricirc.families import (
     FamilyParams,
-    declared_automorphisms,
     family_automorphism,
     fibre_indexers,
     fibre_map,
@@ -25,11 +25,13 @@ from tricirc.families import (
     x_graph,
     y_graph,
 )
+from tricirc.graph6 import decode_graph6, encode_graph6
 from tricirc.symmetry import (
     _orbits,
     _searched,
     _stabiliser_chain,
     are_isomorphic,
+    canonical_form,
     girth,
     group_order,
     is_automorphism,
@@ -360,17 +362,17 @@ def test_phi_y_orbit_structure():
 
 
 def test_declared_automorphisms_generate_the_whole_group():
-    # The order of the group the seeds generate, read off their stabiliser
-    # chain on the unseeded search's base, against |Aut|. Four graphs have
-    # more automorphisms than their seeds generate: K_{3,3} and the three
+    # The order of the group the carried maps generate, read off their
+    # stabiliser chain on the search's base, against |Aut|. Four graphs have
+    # more automorphisms than their maps generate: K_{3,3} and the three
     # arc-transitive X(3) (girth 3), Y(3) (the Pappus graph) and Y(9).
     from tricirc.verify import _family_graphs
 
     short = {}
     for k in range(1, 50):
-        for name, (g, seeds) in _family_graphs(k).items():
+        for name, g in _family_graphs(k).items():
             generated = prod(map(len, _stabiliser_chain(
-                g.n, seeds, _searched(g).base)))
+                g.n, g.known_automorphisms, _searched(g).base)))
             if generated != group_order(g):
                 short[name] = (generated, group_order(g))
     assert short == {"moebius(3)": (12, 72), "X(3)": (36, 72),
@@ -380,21 +382,38 @@ def test_declared_automorphisms_generate_the_whole_group():
 def test_declared_automorphisms_are_the_named_maps():
     k = 9
     _, u, v, w = fibre_indexers(k)
-    rho, phi, tau = declared_automorphisms("X", k)
+    rho, phi, tau = x_graph(k).known_automorphisms
     assert (rho, phi) == (family_automorphism("rho", k),
                           family_automorphism("phi_x", k))
     assert tau == fibre_map(k, -1, fibres=(0, 2, 1))
-    rho, phi, tau = declared_automorphisms("Y", k)
+    rho, phi, tau = y_graph(k).known_automorphisms
     assert (rho, phi) == (family_automorphism("rho", k),
                           family_automorphism("phi_y", k))
     assert [tau[x(i)] for x in (u, v, w) for i in (0, 5)] == [
         u(0), u(-5), v(0), v(-5), w(2), w(-3)]
-    for family, graph, count in (("prism", prism, 3), ("moebius", moebius, 2)):
-        seeds = declared_automorphisms(family, 27)
-        assert len(seeds) == count
-        assert all(is_automorphism(graph(27).adjacency(), img) for img in seeds)
-    with pytest.raises(ValueError, match="unknown family"):
-        declared_automorphisms("petersen", 5)
+    assert [len(graph(27).known_automorphisms) for graph in (prism, moebius)] == [3, 2]
+
+
+def test_family_graphs_carry_automorphisms_at_every_size_the_search_takes():
+    # X(k) and Y(k) at every odd k up to order 594, the ladders up to order
+    # 600: the 600-vertex size guard of the IR search.
+    graphs = [f(k) for k in range(3, 100, 2) for f in (x_graph, y_graph)]
+    graphs += [f(m) for m in range(3, 301) for f in (prism, moebius)]
+    for g in graphs:
+        assert g.known_automorphisms, g
+        assert all(is_automorphism(g.adjacency(), img)
+                   for img in g.known_automorphisms), g
+    # A relabelled or decoded copy carries none, since the maps name the
+    # constructor's vertices, and is still searched to the same form.
+    g = x_graph(9)
+    perm = list(range(g.n))
+    random.Random(9).shuffle(perm)
+    relabelled = g.relabel(perm)
+    assert relabelled.known_automorphisms == ()
+    decoded = decode_graph6(encode_graph6(g))
+    assert decoded.known_automorphisms == ()
+    assert decoded == g and hash(decoded) == hash(g)
+    assert canonical_form(relabelled) == canonical_form(g)
 
 
 def test_family_automorphism_rejects_bad_maps():

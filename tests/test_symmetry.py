@@ -551,18 +551,21 @@ def _edge_orbits_of(g, gens):
 
 
 def test_a_seeded_search_gives_the_unseeded_answers():
-    # Seeding with the declared automorphisms only prunes: on every family
-    # graph at k <= 50 the certificate, base, |Aut| and orbits are those of
-    # the unseeded search, and |Aut| is the chain's order over the seeded
-    # entry's own generators. The two are separate cache entries.
+    # Seeding with the maps a family graph carries only prunes: on every
+    # family graph at k <= 50 the certificate, base, |Aut| and orbits are
+    # those of its unseeded twin, the same rows carrying no maps, and |Aut|
+    # is the chain's order over the seeded entry's own generators. The two
+    # are separate cache entries.
     from tricirc.verify import _family_graphs
 
     checked = 0
     for k in range(1, 51):
-        for name, (g, seeds) in _family_graphs(k).items():
+        for name, g in _family_graphs(k).items():
+            twin = SimpleGraph._from_rows(g.adjacency())
+            assert g.known_automorphisms and twin.known_automorphisms == ()
             symmetry._search_cached.cache_clear()
-            seeded = symmetry._searched(g, seeds)
-            plain = symmetry._searched(g)
+            seeded = symmetry._searched(g)
+            plain = symmetry._searched(twin)
             assert symmetry._search_cached.cache_info().misses == 2, name
             assert seeded is not plain
             assert (seeded.cert, seeded.base, seeded.order) == (
@@ -577,7 +580,8 @@ def test_a_seeded_search_gives_the_unseeded_answers():
 
 
 def test_a_seed_that_is_not_an_automorphism_raises_before_the_search(monkeypatch):
-    # A transposed pair of vertices, and a map of the wrong length.
+    # Copies of X(9) that carry a transposed pair of vertices, or a map of
+    # the wrong length.
     searches = []
     original = symmetry._search
 
@@ -586,14 +590,19 @@ def test_a_seed_that_is_not_an_automorphism_raises_before_the_search(monkeypatch
         return original(*args)
 
     monkeypatch.setattr(symmetry, "_search", recorded)
-    g = x_graph(9)
+
+    def carrying(*maps):
+        g = SimpleGraph._from_rows(x_graph(9).adjacency())
+        g.known_automorphisms = maps
+        return g
+
     rho = fibre_map(9, shift=1)
-    swapped = list(range(g.n))
+    swapped = list(range(len(rho)))
     swapped[0], swapped[1] = 1, 0
     symmetry._search_cached.cache_clear()
     for bad in (tuple(swapped), rho[:-1]):
         with pytest.raises(ValueError, match="seed 1 is not an automorphism"):
-            symmetry._searched(g, (rho, bad))
+            symmetry._searched(carrying(rho, bad))
     assert searches == []
-    assert symmetry._searched(g, (rho,)).order == 108
+    assert symmetry._searched(carrying(rho)).order == 108
     assert len(searches) == 1

@@ -223,7 +223,7 @@ def test_sweep_reports_an_expected_class_it_does_not_find(monkeypatch):
     from tricirc import verify
 
     def with_gp(k):
-        return {**_family_graphs(k), "GP(27,2)": (gp(27, 2), ())}
+        return {**_family_graphs(k), "GP(27,2)": gp(27, 2)}
 
     monkeypatch.setattr(verify, "_family_graphs", with_gp)
     rep = sweep_one_k(9)
@@ -344,10 +344,10 @@ def _reference_funnel(k, family):
             if not (_passes_vt_screen(adj, va.n) and _is_vt_cover(adj, va.n)):
                 continue
             counts["vt_instances"][t] += 1
-            name = next((name for name, (f, _) in family.items() if
+            name = next((name for name, f in family.items() if
                          _rooted_isomorphism(adj, 0, f.adjacency(), 0)[0]
                          is not None), None)
-            g = params.build() if name is None else family[name][0]
+            g = params.build() if name is None else family[name]
             slot = classes.setdefault(canonical_form(g).decode("ascii"),
                                       {"name": name, "types": set(), "params": []})
             slot["types"].add(t)
@@ -464,6 +464,20 @@ def test_spot_checks_pass():
     }
     for chk in out["checks"].values():
         assert chk["passed"] is True
+
+
+def test_spot_check_reuses_the_sweeps_search_of_y9():
+    # The spot checks count the triangles of y_graph(9), which carries the
+    # same maps as the Y(9) the sweep at k = 9 searched, so the count reads
+    # the sweep's cache entry instead of searching Y(9) again.
+    from tricirc import symmetry
+    from tricirc.symmetry import cycle_counts
+
+    symmetry._search_cached.cache_clear()
+    sweep_one_k(9)
+    misses = symmetry._search_cached.cache_info().misses
+    assert cycle_counts(y_graph(9), 3)[2] == 0
+    assert symmetry._search_cached.cache_info().misses == misses
 
 
 def test_a_failed_spot_check_fails_the_report_and_the_cli(monkeypatch, capsys):
