@@ -15,7 +15,7 @@ adjacency, whether it is vertex-transitive. It names each VT cover by
 extension onto the family graphs X(k), Y(k), prism(3k) and moebius(3k)
 and records the name at the match, the only place a class is named; it
 builds and searches for a canonical form only a VT cover that matches
-none.
+none. Its verdict on a unit orbit is one record, `Verdict`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import json
 from collections import Counter
 from dataclasses import asdict, dataclass
 from math import gcd
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .families import (
     FamilyParams,
@@ -258,32 +258,40 @@ def _is_vt_cover(adj: tuple[tuple[int, ...], ...], n: int) -> bool:
     )
 
 
-def _decide(params: FamilyParams, family: dict[str, SimpleGraph]) -> tuple:
-    """(passed, cls) for the cover at params: passed is how many of the
-    stages after "grid" in `_STAGES` it reaches, and cls is None or, for a
-    VT cover, (canonical form as ascii, name, graph).
+class Verdict(NamedTuple):
+    """`_decide`'s verdict on a unit orbit: the last stage in `_STAGES` its
+    covers reach and, for a VT cover only, its class's canonical form as
+    ascii, the name of the family graph it matches or None, and a graph."""
 
-    Every stage up to VT reads the voltage assignment or the adjacency
-    lifted from it once (`cover_is_simple`, `cover_connected`,
-    `_passes_vt_screen`, `_is_vt_cover`). A VT cover is named by extension
-    from its vertex 0 onto vertex 0 of each graph of `family` (name ->
-    graph, `_family_graphs(k)`): it is VT, so if any isomorphism exists one
-    sends 0 to 0. Its class is the canonical form of the graph matched, and
-    the name matched is recorded there; only a cover that matches none is
-    built and searched, and its name is None."""
+    stage: str
+    canon: Optional[str] = None
+    name: Optional[str] = None
+    graph: Optional[SimpleGraph] = None
+
+
+def _decide(params: FamilyParams, family: dict[str, SimpleGraph]) -> Verdict:
+    """The `Verdict` on the cover at params. Every stage up to VT reads the
+    voltage assignment or the adjacency lifted from it once
+    (`cover_is_simple`, `cover_connected`, `_passes_vt_screen`,
+    `_is_vt_cover`). A VT cover is named by extension from its vertex 0
+    onto vertex 0 of each graph of `family` (name -> graph,
+    `_family_graphs(k)`): it is VT, so if any isomorphism exists one sends
+    0 to 0. Its class is the canonical form of the graph matched, and the
+    name matched is recorded there; only a cover that matches none is built
+    and searched, and its name is None."""
     va = params.voltages()
     if not cover_is_simple(va):
-        return 0, None
+        return Verdict("grid")
     if not cover_connected(va):
-        return 1, None
+        return Verdict("constructed")
     adj = lifted_adjacency(va)
     if not (_passes_vt_screen(adj, va.n) and _is_vt_cover(adj, va.n)):
-        return 2, None
+        return Verdict("connected")
     name = next((name for name, f in family.items() if
                  _rooted_isomorphism(adj, 0, f.adjacency(), 0)[0] is not None),
                 None)
     g = params.build() if name is None else family[name]
-    return 3, (canonical_form(g).decode("ascii"), name, g)
+    return Verdict("vt_instances", canonical_form(g).decode("ascii"), name, g)
 
 
 def _funnel(k: int, family: dict[str, SimpleGraph]) -> tuple[dict, dict]:
@@ -293,31 +301,24 @@ def _funnel(k: int, family: dict[str, SimpleGraph]) -> tuple[dict, dict]:
     The stages are decided once per unit orbit (`parameter_orbits`), by
     `_decide` at its minimum, the first of its fine representatives met;
     each is an isomorphism invariant, so every fine representative of the
-    orbit shares the verdict. They are counted per fine representative.
-    Returns the per-type count of each stage in `_STAGES` ("constructed"
-    counts the simple covers), and the VT classes by canonical form
-    (ascii), each with its name, types, up to three example parameter
-    tuples and a graph of the class."""
+    orbit shares the `Verdict`. Each fine representative is counted in
+    every stage of `_STAGES` up to its verdict's stage ("constructed"
+    counts the simple covers). Returns those per-type counts, and the VT
+    classes by canonical form (ascii), each as the verdict first met and
+    the fine representatives (t, k, r, s) in the order met."""
     counts = {stage: dict.fromkeys((1, 2, 3, 4), 0) for stage in _STAGES}
-    classes: dict[str, dict] = {}
+    classes: dict[str, tuple[Verdict, list]] = {}
     for t in (1, 2, 3, 4):
-        orbits = parameter_orbits(t, k)
-        counts["grid"][t] = len(orbits)
         verdicts: dict = {}  # unit orbit minimum -> _decide there
-        for (r, s), unit in orbits:
+        for (r, s), unit in parameter_orbits(t, k):
             if unit not in verdicts:
                 verdicts[unit] = _decide(FamilyParams(t, k, r, s), family)
-            passed, cls = verdicts[unit]
-            for stage in _STAGES[1:1 + passed]:
+            verdict = verdicts[unit]
+            for stage in _STAGES[:_STAGES.index(verdict.stage) + 1]:
                 counts[stage][t] += 1
-            if cls is None:
-                continue
-            canon, name, g = cls
-            slot = classes.setdefault(
-                canon, {"name": name, "types": set(), "params": [], "graph": g})
-            slot["types"].add(t)
-            if len(slot["params"]) < 3:
-                slot["params"].append((t, k, r, s))
+            if verdict.canon is not None:
+                classes.setdefault(verdict.canon, (verdict, []))[1].append(
+                    (t, k, r, s))
     return counts, classes
 
 
@@ -372,14 +373,14 @@ def small_census(k_max: int) -> CensusTable:
     girth and name."""
     entries = []
     for k in _k_range(1, k_max):
-        for canon, slot in _funnel(k, _family_graphs(k))[1].items():
-            g = slot["graph"]
+        for canon, (verdict, reps) in _funnel(k, _family_graphs(k))[1].items():
+            g = verdict.graph
             at = arc_orbit_count(g) <= 1
             gi = girth(g, [orbit[0] for orbit in vertex_orbits(g)])
             entries.append(CensusEntry(
                 order=g.n,
                 canonical=canon,
-                types=tuple(sorted(slot["types"])),
+                types=tuple(sorted({p[0] for p in reps})),
                 girth=gi,
                 aut_order=group_order(g),
                 arc_transitive=at,
@@ -425,23 +426,16 @@ def sweep_one_k(k: int) -> SweepReport:
     counts, seen = _funnel(k, family)
     classes = []
     anomalies = []
-    for canon, slot in sorted(seen.items(), key=lambda kv: kv[0]):
-        classes.append(VTClass(
-            order=6 * k,
-            canonical=canon,
-            types=tuple(sorted(slot["types"])),
-            name=slot["name"],
-            example_params=tuple(slot["params"]),
-        ))
-        if slot["name"] is None:
-            anomalies.append(
-                f"unexpected vertex-transitive class {canon} "
-                f"from params {slot['params']}"
-            )
-        if 4 in slot["types"]:
-            anomalies.append(
-                f"type-4 instance is vertex-transitive: {slot['params']}"
-            )
+    for canon, (verdict, reps) in sorted(seen.items()):
+        types = tuple(sorted({p[0] for p in reps}))
+        params = reps[:3]
+        classes.append(VTClass(6 * k, canon, types, verdict.name,
+                               tuple(params)))
+        if verdict.name is None:
+            anomalies.append(f"unexpected vertex-transitive class {canon} "
+                             f"from params {params}")
+        if 4 in types:
+            anomalies.append(f"type-4 instance is vertex-transitive: {params}")
 
     observed = {c.name for c in classes}
     for name in sorted(family):

@@ -319,6 +319,19 @@ def test_verify_census_below_order_six_is_usage_error(capsys, order):
     assert out.out == "" and "--census-order" in out.err
 
 
+def test_verify_sweep_anomaly_sets_the_exit_code(capsys):
+    # At k = 5 the Tutte 8-cage, t4(5, 1, 3), is a vertex-transitive class
+    # that no family graph names, and a vertex-transitive type-4 instance:
+    # two anomalies, and no spot check runs.
+    code, out, _ = run(capsys, "verify", "--kmin", "5", "--kmax", "5")
+    assert code == 1
+    (report,) = json.loads(out)["reports"]
+    unexpected, type4 = report["anomalies"]
+    assert unexpected.startswith("unexpected vertex-transitive class ")
+    assert unexpected.endswith(" from params [(4, 5, 1, 3)]")
+    assert type4 == "type-4 instance is vertex-transitive: [(4, 5, 1, 3)]"
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_verify_workers_below_one_is_usage_error(capsys, workers):
     code, out, err = run(capsys, "verify", "--kmin", "9", "--kmax", "9",

@@ -29,6 +29,8 @@ from tricirc.symmetry import (
 )
 from tricirc.verify import (
     _STAGES,
+    Verdict,
+    _decide,
     _family_graphs,
     _funnel,
     _is_vt_cover,
@@ -277,7 +279,8 @@ def _full_grid_classes(k):
 def test_representatives_give_the_classes_of_the_full_grid():
     for k in range(1, 11):
         _, classes = _funnel(k, _family_graphs(k))
-        got = {canon: slot["types"] for canon, slot in classes.items()}
+        got = {canon: {p[0] for p in reps}
+               for canon, (_, reps) in classes.items()}
         assert got == _full_grid_classes(k), k
 
 
@@ -325,7 +328,8 @@ def test_statement_per_parameter_agrees_with_the_decider(t, by_statement, vt_cou
 
 def _reference_funnel(k, family):
     """Reference: the funnel deciding every fine representative on its own,
-    with no unit orbit shared."""
+    with no unit orbit shared. Its classes map canonical form -> (name,
+    types, up to three example parameter tuples)."""
     counts = {stage: dict.fromkeys((1, 2, 3, 4), 0) for stage in _STAGES}
     classes = {}
     for t in (1, 2, 3, 4):
@@ -348,11 +352,11 @@ def _reference_funnel(k, family):
                          _rooted_isomorphism(adj, 0, f.adjacency(), 0)[0]
                          is not None), None)
             g = params.build() if name is None else family[name]
-            slot = classes.setdefault(canonical_form(g).decode("ascii"),
-                                      {"name": name, "types": set(), "params": []})
-            slot["types"].add(t)
-            if len(slot["params"]) < 3:
-                slot["params"].append((t, k, r, s))
+            _, types, params = classes.setdefault(
+                canonical_form(g).decode("ascii"), (name, set(), []))
+            types.add(t)
+            if len(params) < 3:
+                params.append((t, k, r, s))
     return counts, classes
 
 
@@ -362,8 +366,35 @@ def test_funnel_per_unit_orbit_equals_the_reference(k):
     counts, classes = _funnel(k, family)
     want_counts, want_classes = _reference_funnel(k, family)
     assert counts == want_counts
-    assert {canon: {key: slot[key] for key in ("name", "types", "params")}
-            for canon, slot in classes.items()} == want_classes
+    assert {canon: (verdict.name, {p[0] for p in reps}, reps[:3])
+            for canon, (verdict, reps) in classes.items()} == want_classes
+
+
+def test_verdict_carries_the_graph_of_its_class():
+    # Over k <= 12: a verdict short of VT carries no class, and each VT
+    # class's verdict carries a graph of the canonical form it is filed
+    # under: the family graph itself when named, else the cover built at
+    # the class's first fine representative (t1(2, 0, 1) and t4(5, 1, 3)).
+    unnamed = []
+    for k in range(1, 13):
+        family = _family_graphs(k)
+        for t in (1, 2, 3, 4):
+            for unit in {unit for _, unit in parameter_orbits(t, k)}:
+                verdict = _decide(FamilyParams(t, k, *unit), family)
+                assert verdict.stage in _STAGES
+                if verdict.stage != "vt_instances":
+                    assert verdict == Verdict(verdict.stage)
+        for canon, (verdict, reps) in _funnel(k, family)[1].items():
+            assert verdict.stage == "vt_instances"
+            assert canonical_form(verdict.graph).decode("ascii") == canon
+            if verdict.name is not None:
+                assert verdict.graph is family[verdict.name]
+                continue
+            unnamed.append(reps[0])
+            assert verdict.graph.known_automorphisms == ()
+            assert verdict.graph.adjacency() == (
+                FamilyParams(*reps[0]).build().adjacency())
+    assert unnamed == [(1, 2, 0, 1), (4, 5, 1, 3)]
 
 
 def test_funnel_builds_only_the_screened_covers(monkeypatch):
@@ -413,8 +444,9 @@ def test_funnel_builds_the_vt_covers_no_family_graph_matches(monkeypatch):
         FamilyParams(t, 5, r, s).voltages().zeta
         for t, r, s in ((1, r_star(5), 1), (2, 2, 1), (4, 1, 3))
     ]
-    cage = classes[canonical_form(derived_cover(built[2])).decode("ascii")]
-    assert cage["params"] == [(4, 5, 1, 3)] and girth(cage["graph"]) == 8
+    cage, reps = classes[
+        canonical_form(derived_cover(built[2])).decode("ascii")]
+    assert reps == [(4, 5, 1, 3)] and girth(cage.graph) == 8
 
 
 def test_sweep_range_serial_vs_parallel():
