@@ -145,8 +145,11 @@ def parameter_symmetries(family_type: int, k: int) -> list[ParamSymmetry]:
     fibres that play the same part, permutes the pregraph. The scalings are
     fine (they define the reported orbits) only for type 1, and commute
     with every sign flip and swap, which `parameter_orbits` relies on.
-    Parameters are residues mod 2k; s is None for type 3."""
-    n = 2 * k
+    Parameters are residues mod 2k; s is None for type 3. ValueError
+    unless the type is 1..4 and k >= 1."""
+    if family_type not in (1, 2, 3, 4):
+        raise ValueError("family type must be 1..4")
+    n = fibre_indexers(k)[0]
 
     def neg_r(r, s):
         return (-r % n, s)
@@ -182,7 +185,7 @@ def parameter_orbits(family_type: int, k: int) -> list[tuple]:
     its least point. A non-fine map commutes with the fine ones, so it
     carries a fine orbit onto the fine orbit of its minimum's image: the
     unit orbits are orbits on fine-orbit numbers, and each one's minimum is
-    that of its least fine orbit."""
+    that of its least fine orbit. ValueError as `parameter_symmetries`."""
     n = 2 * k
     if family_type == 3:
         grid = [(r, None) for r in range(n)]
@@ -216,7 +219,7 @@ def x_graph(k: int) -> SimpleGraph:
     """The distinguished vertex-transitive member of the t1 family, carrying
     rho, phi_x and tau_X: u_i -> u_-i, v_i -> w_-i, w_i -> v_-i."""
     g = t1(k, r_star(k), 1)
-    g.known_automorphisms = (fibre_map(k, shift=1), _table_map(k, _phi_table("phi_x", k)[1]),
+    g.known_automorphisms = (fibre_map(k, shift=1), _table_map(k, _phi_x(k)),
                              fibre_map(k, -1, fibres=(0, 2, 1)))
     return g
 
@@ -230,7 +233,7 @@ def y_graph(k: int) -> SimpleGraph:
         raise ValueError("k must be at least 3")
     tau = ((0, 0), (1, 0), (2, 2))  # fibre -> (fibre, shift) of tau_Y, i -> -i
     g = t2(k, 2, 1)
-    g.known_automorphisms = (fibre_map(k, shift=1), _table_map(k, _phi_table("phi_y", k)[1]),
+    g.known_automorphisms = (fibre_map(k, shift=1), _table_map(k, _phi_y(k)),
                              _table_map(k, (tau, tau), scale=-1))
     return g
 
@@ -285,25 +288,17 @@ def moebius(m: int) -> SimpleGraph:
 
 # -- explicit automorphisms ---------------------------------------------------
 
-def _phi_table(which: str, k: int, r: Optional[int] = None,
-               s: Optional[int] = None) -> tuple:
-    """(the graph the phi map `which` is declared on, as a function of no
-    arguments, its table): for even and then odd i, the (fibre, shift) that
-    u_i, v_i and w_i go to, so u_i goes to vertex i + shift of that fibre."""
-    U, V, W = range(3)
-    if which == "phi_x":
-        t = r_star(k)
-        return lambda: x_graph(k), (((W, 2 - t), (U, 2 - t), (V, 2 - 2 * t)),
-                                    ((V, t - 2), (W, 2 * t - 2), (U, t - 2)))
-    if which == "phi_t1_bic":
-        r = r_star(k) if r is None else r
-        s = 1 if s is None else s
-        return lambda: t1(k, r, s), (((V, 0), (W, r), (U, 0)),
-                                     ((W, k + s), (U, k + s), (V, k + s - r)))
-    if which == "phi_y":
-        return lambda: y_graph(k), (((V, 1), (U, 1), (V, 0)),
-                                    ((W, k + 2), (W, 2), (U, k)))
-    raise ValueError(f"unknown automorphism name {which!r}")
+# The phi maps' (fibre, shift) tables, read by `_table_map`: for even and
+# then odd i, the (fibre, shift) that u_i, v_i and w_i go to, where fibres
+# 0, 1 and 2 are U, V and W.
+def _phi_x(k: int) -> tuple:
+    t = r_star(k)
+    return (((2, 2 - t), (0, 2 - t), (1, 2 - 2 * t)),
+            ((1, t - 2), (2, 2 * t - 2), (0, t - 2)))
+
+
+def _phi_y(k: int) -> tuple:
+    return ((1, 1), (0, 1), (1, 0)), ((2, k + 2), (2, 2), (0, k))
 
 
 def _table_map(k: int, table: tuple, scale: int = 1) -> tuple[int, ...]:
@@ -326,16 +321,26 @@ def family_automorphism(
       instances (defaults r = r_star(k), s = 1).
     phi_y: the fibre-mixing map of y_graph(k).
 
-    Each phi map is declared as a (fibre, shift) table (`_phi_table`) and
-    validated against its graph before being returned.
+    Each phi map is declared as a (fibre, shift) table and validated
+    against its graph, built first (which checks k), before being returned.
     """
     if which == "rho":
         return fibre_map(k, shift=1)
-    graph, table = _phi_table(which, k, r, s)
+    if which == "phi_x":
+        graph, table = x_graph(k), _phi_x(k)
+    elif which == "phi_y":
+        graph, table = y_graph(k), _phi_y(k)
+    elif which == "phi_t1_bic":
+        r = r_star(k) if r is None else r
+        s = 1 if s is None else s
+        graph, table = t1(k, r, s), (((1, 0), (2, r), (0, 0)),
+                                     ((2, k + s), (0, k + s), (1, k + s - r)))
+    else:
+        raise ValueError(f"unknown automorphism name {which!r}")
     img = _table_map(k, table)
     if sorted(img) != list(range(6 * k)):
         raise ValueError(f"{which} is not a permutation for k={k}")
-    if not is_automorphism(graph().adjacency(), img):
+    if not is_automorphism(graph.adjacency(), img):
         raise NotAutomorphism(f"{which} transcription is wrong for k={k}")
     return img
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
@@ -67,12 +66,11 @@ from .voltage import (
 
 # -- walk tables ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WalkTable:
+class WalkTable(NamedTuple):
     """Tally of symbolic net voltages over reduced closed walks at one root.
 
     Keys are sign-normalized voltage classes: a voltage and its negation
-    share a row."""
+    share a row. `count` reads one row, in place of `tuple.count`."""
 
     delta_index: int
     length: int
@@ -150,8 +148,7 @@ def _signature_of(edge_counts: dict) -> tuple[int, int, int]:
     return sig_u
 
 
-@dataclass(frozen=True)
-class T1Conditions:
+class T1Conditions(NamedTuple):
     k: int
     r: int
     s: int
@@ -333,8 +330,7 @@ _NAMED_AT = {
 }
 
 
-@dataclass(frozen=True)
-class CensusEntry:
+class CensusEntry(NamedTuple):
     order: int
     canonical: str
     types: tuple
@@ -344,8 +340,7 @@ class CensusEntry:
     name: Optional[str]
 
 
-@dataclass(frozen=True)
-class CensusTable:
+class CensusTable(NamedTuple):
     max_order: int
     entries: tuple
 
@@ -362,7 +357,7 @@ class CensusTable:
             # str keys sort as strings ("12" < "48" < "6"), and the output
             # is pinned in that order.
             "per_order": {str(o): c for o, c in self.per_order.items()},
-            "entries": [asdict(e) for e in self.entries],
+            "entries": [e._asdict() for e in self.entries],
         }
 
 
@@ -392,8 +387,7 @@ def small_census(k_max: int) -> CensusTable:
 
 # -- classification sweep --------------------------------------------------------
 
-@dataclass(frozen=True)
-class VTClass:
+class VTClass(NamedTuple):
     order: int
     canonical: str
     types: tuple
@@ -401,8 +395,7 @@ class VTClass:
     example_params: tuple
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     k: int
     order: int
     grid: dict
@@ -415,7 +408,8 @@ class SweepReport:
     def to_json_dict(self) -> dict:
         """The fields as JSON: the count dicts' int keys print as strings
         "1".."4", in the same order under `report_emit`'s sort_keys."""
-        return {"kind": "sweep", **asdict(self)}
+        return {"kind": "sweep", **self._asdict(),
+                "classes": [c._asdict() for c in self.classes]}
 
 
 def sweep_one_k(k: int) -> SweepReport:

@@ -324,6 +324,20 @@ def test_orbits_match_a_walk_over_all_units():
             assert parameter_orbits(t, k) == pairs, (t, k)
 
 
+@pytest.mark.parametrize("family_type, k, message", [
+    (5, 9, "family type must be 1..4"),
+    (0, 9, "family type must be 1..4"),
+    (1, 0, "k must be positive"),
+    (3, 0, "k must be positive"),
+    (2, -1, "k must be positive"),
+])
+@pytest.mark.parametrize("declared", [parameter_symmetries, parameter_orbits])
+def test_parameter_symmetries_and_orbits_reject_bad_input(
+        declared, family_type, k, message):
+    with pytest.raises(ValueError, match=message):
+        declared(family_type, k)
+
+
 def test_gcd_rule_matches_cover_connectivity():
     """The gcd rule and a search of the built cover decide one fact."""
     for k in range(1, 7):
@@ -431,6 +445,13 @@ def test_family_automorphism_rejects_a_map_that_is_not_a_bijection():
     with pytest.raises(ValueError, match="not a permutation") as caught:
         family_automorphism("phi_t1_bic", 9, r=2, s=0)
     assert not isinstance(caught.value, NotAutomorphism)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_phi_y_at_even_k_says_k_must_be_odd(k):
+    # y_graph(k) is built, and checks k, before phi_y's table is read.
+    with pytest.raises(ValueError, match="k must be odd"):
+        family_automorphism("phi_y", k)
 
 
 def test_fibre_map_rejects_a_map_that_is_not_a_bijection():

@@ -73,8 +73,7 @@ def test_t1_conditions_are_pinned_over_the_grid():
     # sha256 of the reprs of every result for k <= 12 and all (r, s) in
     # Z_2k^2, recorded before the congruences became one table.
     import hashlib
-    from dataclasses import asdict
-    rows = [repr(asdict(check_t1_conditions(k, r, s)))
+    rows = [repr(check_t1_conditions(k, r, s)._asdict())
             for k in range(1, 13) for r in range(2 * k) for s in range(2 * k)]
     assert len(rows) == 2600
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
