@@ -1,10 +1,11 @@
 """Automorphism groups, canonical forms, transitivity, cycles and signatures.
 
 The canonical-labeling engine is an individualization-refinement backtracker
-over equitable partitions, seeded with a degree/distance vertex invariant.
-It returns both a canonical labeling (for isomorphism testing) and a
-generating set of the automorphism group (for transitivity and orbit work).
-Deterministic for a fixed vertex ordering.
+over equitable partitions, seeded with one degree/distance key per vertex:
+the sizes of its balls of radius 1..4 (`_bfs_key`). It returns both a
+canonical labeling (for isomorphism testing) and a generating set of the
+automorphism group (for transitivity and orbit work). Deterministic for a
+fixed vertex ordering.
 
 The search keeps its work near what changes (McKay & Piperno, Practical
 graph isomorphism II, 2014). Refinement re-keys only the vertices next to
@@ -36,21 +37,21 @@ base, the first leaf's prefix, which only the identity fixes, and stops
 once its orbits multiply to |Aut|. The edge orbits are computed when first
 asked, once per entry.
 
-An isomorphism test reaches the search only when a vertex invariant and a
-budgeted rooted extension leave it open (`are_isomorphic`). The invariant
-grows both graphs' balls round by round in one routine (`_ball_rounds`,
-which the search's initial colours read too) and stops at the first round
+An isomorphism test reaches the search only when the same key and a budgeted
+rooted extension leave it open (`are_isomorphic`). The key is read off both
+graphs' balls, grown round by round in one routine (`_ball_rounds`, which
+the search's initial colours read too); the test stops at the first round
 whose ball sizes differ. The rooted extension is a loop over placement
-positions, with a plan of the positions cached per (adjacency, root), so
-the sweep's VT test and naming and every candidate image of
-`are_isomorphic` place from one plan; the plan's BFS is also the test's
-connectivity check. A semiregular element with cycles of length t maps each
-vertex orbit onto itself, semiregularly with the same t, so the semiregular
-search first asks the orbit sizes and the groups induced on the orbits, and
-walks Aut only if none of them refutes t. Cycle counts are taken at one
-edge per edge orbit, since an automorphism carries the cycles through an
-edge onto those through its image; `analyze` takes the girth at one root
-per vertex orbit for the same reason.
+positions, with a plan of the positions cached per (adjacency, root), so the
+sweep's VT test and naming and every candidate image of `are_isomorphic`
+place from one plan; the plan's BFS is also the test's connectivity check. A
+semiregular element with cycles of length t maps each vertex orbit onto
+itself, semiregularly with the same t, so the semiregular search first asks
+the orbit sizes and the groups induced on the orbits, and walks Aut only if
+none of them refutes t. Cycle counts are taken at one edge per edge orbit,
+since an automorphism carries the cycles through an edge onto those through
+its image; `analyze` takes the girth at one root per vertex orbit for the
+same reason.
 """
 
 from __future__ import annotations
@@ -78,68 +79,48 @@ class EnumerationCapExceeded(RuntimeError):
 
 # -- individualization-refinement search -------------------------------------
 
-def _bfs_key(adj: tuple[tuple[int, ...], ...], v: int) -> tuple:
-    """The degree/distance invariant of v: (degree, BFS layer sizes to depth 4).
-
-    `_ball_rounds` gives every vertex's key at once, in other terms (see
-    `_initial_colors`). This single-root form stays for
+def _bfs_key(adj: tuple[tuple[int, ...], ...], v: int) -> tuple[int, ...]:
+    """The degree/distance key of v: the sizes of the balls of radius 1..4
+    about v, column v of `_ball_rounds`, by one BFS from v. The size of
+    radius 1 is 1 + degree. This single-root form serves
     `verify._passes_vt_screen`, which needs the key at three roots only,
-    where building every vertex's ball would cost more than the three
-    searches."""
-    dist = [-1] * len(adj)
-    dist[v] = 0
-    layer_sizes = []
-    frontier = [v]
+    where growing every vertex's ball would cost more than the three BFS."""
+    seen = [False] * len(adj)
+    seen[v] = True
+    frontier, reached, sizes = [v], 1, []
     for _ in range(4):
         nxt = []
         for x in frontier:
             for y in adj[x]:
-                if dist[y] == -1:
-                    dist[y] = dist[x] + 1
+                if not seen[y]:
+                    seen[y] = True
                     nxt.append(y)
-        if not nxt:
-            break
-        layer_sizes.append(len(nxt))
+        reached += len(nxt)
+        sizes.append(reached)
         frontier = nxt
-    return len(adj[v]), tuple(layer_sizes)
+    return tuple(sizes)
 
 
 def _ball_rounds(adj: tuple[tuple[int, ...], ...]):
     """Yield, after each of rounds 1..4, the list of every vertex's ball
-    size: round d grows the ball of radius d about each vertex.
-
-    The ball of radius d about v, as an int bitset, is the union of the
-    balls of radius d-1 about v and its neighbours. A vertex whose ball did
-    not grow has reached its component, so its ball stays fixed and it drops
-    out of later rounds. Each round yields a new list."""
+    size: round d grows the ball of radius d about each vertex, as an int
+    bitset, the union of the balls of radius d-1 about it and its
+    neighbours. A ball that has reached its component yields the same size
+    again."""
     ball = [1 << v for v in range(len(adj))]
-    size = [1] * len(adj)
-    live = range(len(adj))
     for _ in range(4):
-        grown, size = ball[:], size[:]
-        still = []
-        for v in live:
-            b = ball[v]
-            for u in adj[v]:
+        grown = []
+        for b, nbrs in zip(ball, adj):
+            for u in nbrs:
                 b |= ball[u]
-            count = b.bit_count()
-            if count > size[v]:
-                size[v], grown[v] = count, b
-                still.append(v)
-        ball, live = grown, still
-        yield size
+            grown.append(b)
+        ball = grown
+        yield [b.bit_count() for b in ball]
 
 
 def _initial_colors(adj: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Degree/distance invariant coloring: `_bfs_key` ranked densely, as
-    the dense rank of each vertex's ball sizes after rounds 1..4 of
-    `_ball_rounds`, the tuples `are_isomorphic` keys by.
-
-    The two rank alike. v's size after round 1 is 1 + degree, and each later
-    size adds v's BFS layer at that depth. An empty layer ends the key and
-    leaves the size unchanged, which is the least the next size can be. So
-    size tuples compare as the keys do: by degree, then layer by layer,
-    with a key that has ended below one that goes on."""
+    """The degree/distance colouring: every vertex's `_bfs_key`, read off
+    `_ball_rounds` at once and ranked densely."""
     keys = list(zip(*_ball_rounds(adj)))
     code = {key: i for i, key in enumerate(sorted(set(keys)))}
     return [code[k] for k in keys]
@@ -508,10 +489,10 @@ def are_isomorphic(g: SimpleGraph, h: SimpleGraph) -> bool:
     1. `_ball_rounds` grows the balls of both graphs side by side. The
        sorted list of ball sizes after each round is an isomorphism
        invariant, so the answer is False at the first round where the two
-       differ. A vertex's sizes after rounds 1..4 are its `_bfs_key` in other
-       terms (see `_initial_colors`), so after round 4 the key multisets are
-       compared, and if they differ the answer is False. A pair told apart
-       at an early round pays for no later one.
+       differ. A vertex's sizes after rounds 1..4 are its `_bfs_key`, so
+       after round 4 the key multisets are compared, and if they differ the
+       answer is False. A pair told apart at an early round pays for no
+       later one.
     2. If g is not empty, a is the least vertex of its rarest key class.
        `_extension_plan(adj, a)`, which the extension below reads from its
        cache, raises ValueError when g is disconnected. Otherwise
@@ -881,7 +862,9 @@ def find_k_circulant(
     restricted generators first. Only then is the chain of Aut(g) built and
     walked for the least element, so a None can come without either. The cap
     is checked against the search's |Aut| first."""
-    if g.n == 0 or m < 1 or g.n % m:
+    if g.n == 0:
+        raise ValueError("empty graph")
+    if m < 1 or g.n % m:
         raise ValueError("orbit count must divide the vertex count")
     target = g.n // m
     if target == 1:
@@ -1051,7 +1034,8 @@ def is_c_vertex_regular(g: SimpleGraph, c: int) -> bool:
 
 
 def uniform_local_profile(g: SimpleGraph) -> bool:
-    """True when all vertices share the degree/BFS-layer invariant.
+    """True when all vertices share the degree/distance key `_bfs_key`:
+    the sizes of their balls of radius 1..4.
 
     Necessary for vertex-transitivity and much cheaper than the orbit
     computation. On a cover the sweep's screen needs the key only at the

@@ -9,7 +9,7 @@ symmetries. Each stage is an isomorphism invariant, so it is decided once
 per unit orbit (the covers joined by scaling the voltages by units of
 Z_2k) and counted per fine representative, the reported unit. At one k
 it reads off each voltage assignment whether its cover is simple and
-connected, whether it passes the degree/BFS-layer screen at the three
+connected, whether it passes the degree/distance screen at the three
 fibre roots u_0, v_0 and w_0, and, by rooted extension on the lifted
 adjacency, whether it is vertex-transitive. It names each VT cover by
 extension onto the family graphs X(k), Y(k), prism(3k) and moebius(3k)
@@ -218,8 +218,8 @@ def _k_range(k_min: int, k_max: int) -> range:
 def _passes_vt_screen(adj: tuple[tuple[int, ...], ...], n: int) -> bool:
     """Necessary condition for vertex-transitivity of a simple cover with
     adjacency adj (`lifted_adjacency`, fibres of n vertices): the fibre
-    roots x_0 share the degree/BFS-layer key of `uniform_local_profile`, so
-    no graph is built.
+    roots x_0 share `_bfs_key`, the degree/distance key (ball sizes to
+    radius 4) that `uniform_local_profile` compares, so no graph is built.
 
     The deck transformation i -> i+1 is an automorphism of the cover whose
     orbits are the fibres, so every vertex invariant is constant on a fibre,

@@ -466,6 +466,15 @@ def test_quotient_without_matching_symmetry(tmp_path, capsys):
     assert code == 1
 
 
+def test_quotient_of_the_empty_graph_is_usage_error(tmp_path, capsys):
+    # 1 divides 0, so the order is no reason: the graph has no vertex
+    p = tmp_path / "empty.g6"
+    p.write_bytes(b"?")
+    code, out, err = run(capsys, "quotient", "--order", "1", str(p))
+    assert code == 2 and out == ""
+    assert err == "error: empty graph\n"
+
+
 def test_quotient_group_past_the_cap_is_usage_error(tmp_path, capsys):
     from tricirc.families import prism
     p = tmp_path / "p9.g6"

@@ -150,31 +150,42 @@ def complete(n):
     return SimpleGraph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
 
 
-def ranked_per_vertex_keys(g):
+def check_bfs_keys_against_ball_rounds(g):
+    """`_bfs_key` at each root is that vertex's column of `_ball_rounds`,
+    and `_initial_colors` ranks these keys densely."""
     adj = g.adjacency()
     keys = [symmetry._bfs_key(adj, v) for v in range(g.n)]
+    rounds = list(symmetry._ball_rounds(adj))
+    assert len(rounds) == 4
+    for v, key in enumerate(keys):
+        assert key == tuple(sizes[v] for sizes in rounds), v
+        assert key[0] == 1 + len(adj[v])
     code = {key: i for i, key in enumerate(sorted(set(keys)))}
-    return [code[key] for key in keys]
+    assert symmetry._initial_colors(adj) == [code[key] for key in keys]
 
 
 @pytest.mark.parametrize("g", [
     SimpleGraph(0, []),
+    SimpleGraph(1, []),
     SimpleGraph(3, [(0, 1)]),                  # an isolated vertex
     SimpleGraph(4, []),
     path(3),                                   # layers stop before depth 4
+    path(12),                                  # layers stop at some roots only
     SimpleGraph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]),  # C_3 + C_4
     complete(30),
+    gp(5, 2),                                  # every ball is the graph by radius 2
+    x_graph(9),
     FamilyParams(2, 25, 1, 3).build(),         # 150 vertices: three words a ball
-], ids=["empty", "isolated", "edgeless", "P3", "C3+C4", "K30", "t2(25,1,3)"])
+], ids=["empty", "K1", "isolated", "edgeless", "P3", "P12", "C3+C4", "K30",
+        "Petersen", "X(9)", "t2(25,1,3)"])
 def test_bfs_keys_equal_the_per_vertex_keys(g):
-    # the all-vertex key, ranked from ball sizes, against `_bfs_key` per root
-    assert symmetry._initial_colors(g.adjacency()) == ranked_per_vertex_keys(g)
+    check_bfs_keys_against_ball_rounds(g)
 
 
 @given(small_graphs())
 @settings(max_examples=150, deadline=None)
 def test_bfs_keys_equal_the_per_vertex_keys_on_small_graphs(g):
-    assert symmetry._initial_colors(g.adjacency()) == ranked_per_vertex_keys(g)
+    check_bfs_keys_against_ball_rounds(g)
 
 
 # -- canonical forms ----------------------------------------------------------
