@@ -90,8 +90,17 @@ def walk_table(delta_index: int, length: int, start) -> WalkTable:
     `pregraph.reduced_closed_walks` lists them.
 
     `start` is a vertex name ("u", "v", "w") or id of the base pregraph.
-    The walks are counted, not listed: per first dart, one layer per step
-    maps (last dart, net voltage) to the number of walks that reach it."""
+    The walks are counted, not listed, as packed generating functions: per
+    first dart, each state (last dart d, eps) is one int, a slot of L + 1
+    bits per (a, b) that counts the walks reaching d with net voltage
+    (eps, a, b). A step to dart e adds the ints of the two darts that may
+    precede it, swaps the eps pair if e carries k, and shifts the sum left
+    by e's (a + m, b + m) in whole slots, m being the largest |a|, |b| of a
+    dart. Every walk of j steps carries the same offset (j*m, j*m), so a
+    closed walk lands in slot (a + A)*(2A + 1) + (b + A) with A = L*m, and
+    no shift crosses a row. A count is below 3*2^(L-1) < 2^(L+1), so no
+    slot overflows. The decode reads the slots by arithmetic, not through
+    bytes, so it does not depend on the host's byte order."""
     base = delta(delta_index)
     if isinstance(start, str):
         if start not in base.vertex_names:
@@ -103,27 +112,38 @@ def walk_table(delta_index: int, length: int, start) -> WalkTable:
         raise ValueError(f"unknown vertex {root}")
     if length < 1:
         raise ValueError("length must be positive")
-    inv = base.inv
-    step = {}  # dart -> (voltage as (eps, a, b), darts that may follow it)
-    for d, symbol in enumerate(_DART_SYMBOLS[delta_index]):
-        step[d] = (symbol,
-                   [e for e in base.darts_at(base.end(d)) if e != inv[d]])
-    tally: Counter = Counter()
+    inv, symbols, darts = base.inv, _DART_SYMBOLS[delta_index], range(base.n_darts)
+    most = max(abs(c) for _, a, b in symbols for c in (a, b))
+    reach, bits = length * most, length + 1
+    width = 2 * reach + 1
+    steps = []  # state 2e + eps -> (the two states that may precede it, e's shift)
+    for e, (eps_e, a_e, b_e) in enumerate(symbols):
+        # three darts end at beg(e) in a cubic pregraph; inv(e) may not precede e
+        d1, d2 = [d for d in darts if base.end(d) == base.beg[e] and inv[d] != e]
+        for eps in (0, 1):
+            prev = eps ^ eps_e
+            steps.append((2 * d1 + prev, 2 * d2 + prev,
+                          ((a_e + most) * width + b_e + most) * bits))
+    closed = [0, 0]  # eps -> packed counts of the closed walks
     for first in base.darts_at(root):
-        layer = Counter({(first, *step[first][0]): 1})
+        layer = [0] * 2 * base.n_darts
+        layer[2 * first + symbols[first][0]] = 1 << steps[2 * first][2]
         for _ in range(length - 1):
-            nxt: Counter = Counter()
-            for (d, eps, a, b), count in layer.items():
-                for e in step[d][1]:
-                    de, da, db = step[e][0]
-                    nxt[e, (eps + de) % 2, a + da, b + db] += count
-            layer = nxt
-        for (d, eps, a, b), count in layer.items():
+            layer = [(layer[i] + layer[j]) << shift for i, j, shift in steps]
+        for d in darts:
             if base.end(d) == root and inv[d] != first:
-                tally[SymbolicVoltage(eps, a, b).canonical()] += count
-    return WalkTable(
-        delta_index, length, base.vertex_names[root], dict(tally)
-    )
+                closed[0] += layer[2 * d]
+                closed[1] += layer[2 * d + 1]
+    tally: dict = {}
+    for eps, packed in enumerate(closed):
+        while packed:  # peel off the highest nonzero slot
+            slot = (packed.bit_length() - 1) // bits
+            count = packed >> slot * bits
+            packed -= count << slot * bits
+            a, b = divmod(slot, width)
+            key = SymbolicVoltage(eps, a - reach, b - reach).canonical()
+            tally[key] = tally.get(key, 0) + count
+    return WalkTable(delta_index, length, base.vertex_names[root], tally)
 
 
 # -- necessary conditions for the t1 family ------------------------------------

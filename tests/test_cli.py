@@ -241,13 +241,23 @@ def test_walks_length_past_the_bound_is_usage_error(capsys, time_limit, length):
     assert err.startswith("error:")
 
 
+WALKS_AT_THE_BOUND = {  # sha256 of `walks --delta d --length 18`
+    1: "3160c58731deb4b6e707aa14d9fc07c30c35845c2b7937ada7a108b416b2933d",
+    2: "362b2abd80e4c10a105acba187809c80d053e5f5802540be10ceb02872a67aea",
+    3: "11ad1a63681ed5c965b899c0a0ccb0e34f2abacacb9032e7928f8f53d3744a66",
+    4: "bd3551955789631cdd9dbbf2bef3e82f927ef8cb410299ae9338ea530aee7f98",
+}
+
+
 def test_walks_at_the_length_bound(capsys, time_limit):
     # The tables are counted, not listed: listing the walks of this
     # length took about 13 s.
-    with time_limit(3):
-        code, out, _ = run(capsys, "walks", "--delta", "1", "--length", "18")
-    assert code == 0
-    assert out.startswith("# delta 1, closed walks of length 18\n")
+    for d, digest in WALKS_AT_THE_BOUND.items():
+        with time_limit(3):
+            code, out, _ = run(capsys, "walks", "--delta", str(d), "--length", "18")
+        assert code == 0
+        assert out.startswith(f"# delta {d}, closed walks of length 18\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, d
 
 
 def test_walks_single_start(capsys):

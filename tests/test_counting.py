@@ -1,7 +1,9 @@
 """The walk tables and cycle counts are counted, not listed. Each counter is
 checked here against the tally of the listing it replaced: every reduced
 closed walk from `reduced_closed_walks`, every cycle from
-`cycles_of_length`."""
+`cycles_of_length`. The walk tables are also checked, to lengths the
+listing cannot reach, against the `Counter` loop over (dart, eps, a, b)
+states that the packed count replaced."""
 
 import random
 from collections import Counter
@@ -15,7 +17,12 @@ from tricirc.graphs import SimpleGraph
 from tricirc.pregraph import delta, reduced_closed_walks
 from tricirc.symmetry import cycle_counts, cycles_of_length, group_order
 from tricirc.verify import walk_table
-from tricirc.voltage import NonSimpleCover, symbolic_net_voltage
+from tricirc.voltage import (
+    _DART_SYMBOLS,
+    NonSimpleCover,
+    SymbolicVoltage,
+    symbolic_net_voltage,
+)
 
 
 def listed_walk_tally(delta_index, length, start):
@@ -25,6 +32,33 @@ def listed_walk_tally(delta_index, length, start):
         symbolic_net_voltage(base, walk).canonical()
         for walk in reduced_closed_walks(base, root, length)
     ))
+
+
+def reference_walk_tally(delta_index, length, start):
+    """The layer loop that `walk_table` replaced: per first dart, one
+    `Counter` per step maps (last dart, eps, a, b) to the number of walks
+    that reach it."""
+    base = delta(delta_index)
+    root = base.vertex_names.index(start)
+    inv = base.inv
+    step = {}  # dart -> (voltage as (eps, a, b), darts that may follow it)
+    for d, symbol in enumerate(_DART_SYMBOLS[delta_index]):
+        step[d] = (symbol,
+                   [e for e in base.darts_at(base.end(d)) if e != inv[d]])
+    tally: Counter = Counter()
+    for first in base.darts_at(root):
+        layer = Counter({(first, *step[first][0]): 1})
+        for _ in range(length - 1):
+            nxt: Counter = Counter()
+            for (d, eps, a, b), count in layer.items():
+                for e in step[d][1]:
+                    de, da, db = step[e][0]
+                    nxt[e, (eps + de) % 2, a + da, b + db] += count
+            layer = nxt
+        for (d, eps, a, b), count in layer.items():
+            if base.end(d) == root and inv[d] != first:
+                tally[SymbolicVoltage(eps, a, b).canonical()] += count
+    return dict(tally)
 
 
 def listed_cycle_tally(g, c):
@@ -45,6 +79,23 @@ def test_walk_table_counts_the_listed_walks(delta_index, start):
     for length in range(1, 11):
         assert (walk_table(delta_index, length, start).counts
                 == listed_walk_tally(delta_index, length, start))
+
+
+@pytest.mark.parametrize("delta_index", [1, 2, 3, 4])
+@pytest.mark.parametrize("start", ["u", "v", "w"])
+def test_walk_table_matches_the_counter_loop(delta_index, start):
+    for length in range(1, 19):
+        assert (walk_table(delta_index, length, start).counts
+                == reference_walk_tally(delta_index, length, start))
+
+
+@pytest.mark.parametrize("start", ["u", "v", "w"])
+def test_walk_table_rows_wider_than_32_bits(start):
+    # At L = 40 the largest row of delta 3 is 90 713 594 320 (37 bits), so
+    # a fixed 32-bit slot would overflow into its neighbour.
+    counts = walk_table(3, 40, start).counts
+    assert counts == reference_walk_tally(3, 40, start)
+    assert max(counts.values()) >= 2 ** 32
 
 
 def covers():
