@@ -18,12 +18,11 @@ them. They generate Aut at every k <= 49 but on moebius(3), X(3), Y(3), Y(9).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import gcd
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .graphs import SimpleGraph
-from .symmetry import _orbits, is_automorphism
+from .symmetry import is_automorphism
 from .voltage import (
     NotAutomorphism,
     VoltageAssignment,
@@ -42,6 +41,9 @@ class FamilyParams:
     s: Optional[int] = None
 
     def __post_init__(self):
+        for name, value in (("k", self.k), ("r", self.r), ("s", self.s)):
+            if not isinstance(value, int) and (name != "s" or value is not None):
+                raise TypeError(f"{name} must be an int, not {type(value).__name__}")
         if self.family_type not in (1, 2, 3, 4):
             raise ValueError("family type must be 1..4")
         if self.k < 1:
@@ -107,15 +109,22 @@ def fibre_map(
 
 
 class ParamSymmetry(NamedTuple):
-    """A map on (r, s) with the vertex map that proves it: the cover at
-    (r, s) relabelled by fibre_map(k, scale, fibres=fibres) is exactly the
-    cover at image(r, s). The fine maps define the reported orbits; the
-    others only join fine orbits into unit orbits."""
+    """A map on (r, s) over Z_n, n = 2k, declared as the matrix (a, b, c, d),
+    row by row, with the vertex map that proves it: the cover at (r, s)
+    relabelled by fibre_map(k, scale, fibres=fibres) is exactly the cover at
+    image(r, s). The fine maps define the reported orbits; the others only
+    join fine orbits into unit orbits."""
 
-    image: Callable[[int, Optional[int]], tuple]
+    matrix: tuple
+    n: int
     scale: int = 1
     fibres: tuple = (0, 1, 2)
     fine: bool = True
+
+    def image(self, r: int, s: Optional[int]) -> tuple:
+        """(a*r + b*s, c*r + d*s) mod n; s is None for type 3, read as 0."""
+        (a, b, c, d), n = self.matrix, self.n
+        return (a * r + b * (s or 0)) % n, None if s is None else (c * r + d * s) % n
 
 
 def unit_generators(n: int) -> list[int]:
@@ -150,28 +159,27 @@ def parameter_symmetries(family_type: int, k: int) -> list[ParamSymmetry]:
     if family_type not in (1, 2, 3, 4):
         raise ValueError("family type must be 1..4")
     n = fibre_indexers(k)[0]
-
-    def neg_r(r, s):
-        return (-r % n, s)
-
-    def neg_s(r, s):
-        return (r, -s % n)
-
-    def swap(r, s):
-        return (s, r)
-
-    def times(a):
-        return lambda r, s: (a * r % n, None if s is None else a * s % n)
-
-    units = [ParamSymmetry(times(a), scale=a, fine=family_type == 1)
+    neg_r, neg_s, swap = (n - 1, 0, 0, 1), (1, 0, 0, n - 1), (0, 1, 1, 0)
+    units = [ParamSymmetry((a, 0, 0, a), n, scale=a, fine=family_type == 1)
              for a in unit_generators(n)]
     return {
-        1: [ParamSymmetry(swap)],
-        2: [ParamSymmetry(neg_r, scale=-1), ParamSymmetry(neg_s)],
-        3: [ParamSymmetry(neg_r, scale=-1)],
-        4: [ParamSymmetry(neg_r), ParamSymmetry(neg_s),
-            ParamSymmetry(swap, fibres=(0, 2, 1))],
+        1: [ParamSymmetry(swap, n)],
+        2: [ParamSymmetry(neg_r, n, scale=-1), ParamSymmetry(neg_s, n)],
+        3: [ParamSymmetry(neg_r, n, scale=-1)],
+        4: [ParamSymmetry(neg_r, n), ParamSymmetry(neg_s, n),
+            ParamSymmetry(swap, n, fibres=(0, 2, 1))],
     }[family_type] + units
+
+
+def _closure(gens: list, n: int) -> list[tuple]:
+    """The group of matrices over Z_n that gens generate, identity first."""
+    group, seen = [(1, 0, 0, 1)], {(1, 0, 0, 1)}
+    for a, b, c, d in group:  # the products found are multiplied in turn
+        new = {((e * a + f * c) % n, (e * b + f * d) % n, (g * a + h * c) % n,
+                (g * b + h * d) % n) for e, f, g, h in gens} - seen
+        seen |= new
+        group += new
+    return group
 
 
 def parameter_orbits(family_type: int, k: int) -> list[tuple]:
@@ -181,26 +189,32 @@ def parameter_orbits(family_type: int, k: int) -> list[tuple]:
     union of fine orbits). Every grid point is isomorphic to some p, and
     the covers of one unit orbit to each other.
 
-    Grid points are numbered in tuple order, so an orbit's least number is
-    its least point. A non-fine map commutes with the fine ones, so it
-    carries a fine orbit onto the fine orbit of its minimum's image: the
-    unit orbits are orbits on fine-orbit numbers, and each one's minimum is
-    that of its least fine orbit. ValueError as `parameter_symmetries`."""
+    The fine matrices close into a group F, the others into a group C.
+    Walked by flat index x = r*2k + s (s = 0 for type 3), in tuple order,
+    an unmarked point is a fine minimum and marks its |F| images. C
+    commutes with F, so it carries a fine orbit onto the fine orbit of its
+    minimum's image: walked in order, an unmarked fine minimum is a unit
+    minimum and marks the fine minima of its |C| images. ValueError as
+    `parameter_symmetries`."""
+    syms = parameter_symmetries(family_type, k)
     n = 2 * k
+    fine = _closure([sym.matrix for sym in syms if sym.fine], n)
+    coarse = _closure([sym.matrix for sym in syms if not sym.fine], n)
+    fine_min, unit_min, minima = [None] * n * n, [None] * n * n, []
+    for x in range(0, n * n, n if family_type == 3 else 1):
+        if fine_min[x] is None:
+            minima.append(x)
+            r, s = divmod(x, n)
+            for a, b, c, d in fine:
+                fine_min[(a * r + b * s) % n * n + (c * r + d * s) % n] = x
+    for x in minima:
+        if unit_min[x] is None:
+            r, s = divmod(x, n)
+            for a, b, c, d in coarse:
+                unit_min[fine_min[(a * r + b * s) % n * n + (c * r + d * s) % n]] = x
     if family_type == 3:
-        grid = [(r, None) for r in range(n)]
-    else:
-        grid = list(product(range(n), repeat=2))
-    at = {p: i for i, p in enumerate(grid)}
-    fine, coarse = [], []
-    for sym in parameter_symmetries(family_type, k):
-        (fine if sym.fine else coarse).append(sym.image)
-    orbits = _orbits(len(grid), ([at[image(*p)] for p in grid] for image in fine))
-    number = {x: i for i, orbit in enumerate(orbits) for x in orbit}
-    least = [grid[orbit[0]] for orbit in orbits]
-    units = _orbits(len(orbits), ([number[at[image(*p)]] for p in least]
-                                  for image in coarse))
-    return sorted((least[i], least[unit[0]]) for unit in units for i in unit)
+        return [((x // n, None), (unit_min[x] // n, None)) for x in minima]
+    return [(divmod(x, n), divmod(unit_min[x], n)) for x in minima]
 
 
 def r_star(k: int) -> int:

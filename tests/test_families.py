@@ -253,10 +253,14 @@ def test_unit_generators_generate_every_unit():
 
 
 def test_unit_orbit_counts_are_pinned():
-    for k, want in ((15, 225), (50, 519)):
-        got = sum(len({m for _, m in parameter_orbits(t, k)})
-                  for t in (1, 2, 3, 4))
-        assert got == want, k
+    """Unit orbits and fine representatives over the four types, up to the
+    size guard's k = 100, counted at the grid walk that came before the
+    flat-index pass."""
+    for k, units, fine in ((15, 225, 487), (50, 519, 4173), (100, 1107, 15880)):
+        pairs = [parameter_orbits(t, k) for t in (1, 2, 3, 4)]
+        assert sum(len({m for _, m in p}) for p in pairs) == units, k
+        assert sum(map(len, pairs)) == fine, k
+    assert [len(parameter_orbits(t, 100)) for t in (1, 2, 3, 4)] == [427, 10201, 101, 5151]
 
 
 def test_unit_orbits_are_unions_of_fine_orbits():
@@ -336,6 +340,18 @@ def test_parameter_symmetries_and_orbits_reject_bad_input(
         declared, family_type, k, message):
     with pytest.raises(ValueError, match=message):
         declared(family_type, k)
+
+
+@pytest.mark.parametrize("args, field", [
+    ((1, 9, 2.5, 1), "r"),
+    ((1, 9.0, 2, 1), "k"),
+    ((2, 9, 2, "1"), "s"),
+    ((3, 9, 2.0), "r"),
+])
+def test_family_params_reject_fields_that_are_not_ints(args, field):
+    """Named at construction, not as a slice or range error in the build."""
+    with pytest.raises(TypeError, match=f"^{field} must be an int"):
+        FamilyParams(*args)
 
 
 def test_gcd_rule_matches_cover_connectivity():
