@@ -24,8 +24,13 @@ them on its numbering, so a relabelled copy carries none), each checked
 before it runs. They only prune, so the search stays exact: the first
 child of every node is still explored, so the first leaf and the base do
 not move; the first path's orbit product still counts |Aut|; and
-automorphic leaves share a certificate. Results are cached by (adjacency,
-`SimpleGraph.known_automorphisms`).
+automorphic leaves share a certificate. The same argument holds for the
+automorphisms the search finds on its way: at each node, a sibling not
+yet joined to an explored one is first tried as the image of the node's
+first child by the rooted extension, constrained to the node's equitable
+colouring, in which each prefix vertex is alone, so a map found fixes the
+prefix and prunes as a seed does, with no descent to a leaf. Results are
+cached by (adjacency, `SimpleGraph.known_automorphisms`).
 
 The cached search entry (`_Entry`) answers every question below. Every
 permutation, in and out, is an image tuple. |Aut| comes from the search
@@ -43,15 +48,15 @@ graphs' balls, grown round by round in one routine (`_ball_rounds`, which
 the search's initial colours read too); the test stops at the first round
 whose ball sizes differ. The rooted extension is a loop over placement
 positions, with a plan of the positions cached per (adjacency, root), so the
-sweep's VT test and naming and every candidate image of `are_isomorphic`
-place from one plan; the plan's BFS is also the test's connectivity check. A
-semiregular element with cycles of length t maps each vertex orbit onto
-itself, semiregularly with the same t, so the semiregular search first asks
-the orbit sizes and the groups induced on the orbits, and walks Aut only if
-none of them refutes t. Cycle counts are taken at one edge per edge orbit,
-since an automorphism carries the cycles through an edge onto those through
-its image; `analyze` takes the girth at one root per vertex orbit for the
-same reason.
+sweep's VT test and naming, every candidate image of `are_isomorphic` and
+the siblings of one search node each place from one plan; the plan's BFS is
+also the test's connectivity check. A semiregular element with cycles of
+length t maps each vertex orbit onto itself, semiregularly with the same t,
+so the semiregular search first asks the orbit sizes and the groups induced
+on the orbits, and walks Aut only if none of them refutes t. Cycle counts
+are taken at one edge per edge orbit, since an automorphism carries the
+cycles through an edge onto those through its image; `analyze` takes the
+girth at one root per vertex orbit for the same reason.
 """
 
 from __future__ import annotations
@@ -323,10 +328,30 @@ def _search(adj: tuple[tuple[int, ...], ...], seeds: tuple = ()):
     share a certificate, so the best certificate does not move either; the
     labeling may be that of another leaf with it, and the generators
     differ.
+
+    Automorphisms found during the search prune the same way, without a
+    descent to a leaf (Darga, Sakallah & Markov, Faster symmetry discovery
+    using sparsity of symmetries, 2008). At each node, a cell vertex v after
+    the first that the node's orbits do not join to an explored vertex is
+    first tried as the image of cell[0] by the rooted extension (`_extend`)
+    under the node's equitable colouring, within EXTENSION_BUDGET·n
+    placements, on the rows sorted once per search so that the maps found
+    do not depend on their order. Each prefix vertex is a singleton cell of
+    that colouring, so a map found is an automorphism that fixes the
+    prefix: v's subtree is the image of cell[0]'s, and v is skipped as a
+    seed would skip it. On the first path, v is then joined to cell[0] as
+    exploring it would have joined it, so the first leaf, the base, |Aut|
+    and the best certificate do not move. A None decides nothing, and v is
+    explored. A disconnected graph has no plan, so its search extends
+    nothing.
     """
     n = len(adj)
     gens: list[tuple[int, ...]] = list(seeds)
     order = 1
+    # The extension reads rows in sorted order, so the automorphisms it
+    # finds do not depend on the order of adj's rows.
+    rows = tuple(tuple(sorted(row)) for row in adj)
+    connected = True  # until a plan finds the graph is not
     # The first leaf and the best leaf, each as (path, certificate,
     # labeling, prefix).
     first = best = None
@@ -340,6 +365,21 @@ def _search(adj: tuple[tuple[int, ...], ...], seeds: tuple = ()):
         g = tuple(inv_b[lab_a[v]] for v in range(n))
         if g != tuple(range(n)) and g not in gens:
             gens.append(g)
+
+    def extension(colors: list[int], a: int, b: int):
+        # An automorphism that preserves colors and sends a to b, found by
+        # the rooted extension within its budget, or None.
+        nonlocal connected
+        if connected:
+            try:
+                plan = _extension_plan(rows, a)
+            except ValueError:
+                connected = False
+            else:
+                img, _ = _extend(plan, rows, b, EXTENSION_BUDGET * n, colors)
+                if img is not None:
+                    return tuple(img)
+        return None
 
     def explore(colors: list[int], path: tuple, prefix: tuple) -> int:
         # Below the root, colors individualizes prefix[-1] in an
@@ -396,6 +436,9 @@ def _search(adj: tuple[tuple[int, ...], ...], seeds: tuple = ()):
         # Orbit pruning under the generators that fix the prefix. The node's
         # union-find is made once the first cell vertex is explored, and
         # after each explored vertex it is fed the generators found since.
+        # A later vertex that it does not join to an explored one is first
+        # tried as the image of cell[0] by extension under colors; a map
+        # found fixes the prefix, joins the two, and the vertex is skipped.
         first_path = first is None
         uf = None
         fed = 0
@@ -404,6 +447,12 @@ def _search(adj: tuple[tuple[int, ...], ...], seeds: tuple = ()):
             if explored:
                 root_v = uf.find(v)
                 if any(uf.find(u) == root_v for u in explored):
+                    continue
+                g = extension(colors, cell[0], v)
+                if g is not None:
+                    gens.append(g)
+                    uf.union_perm(g)
+                    fed = len(gens)
                     continue
             back = explore(_individualize(colors, v), path, prefix + (v,))
             if back < depth:
@@ -570,24 +619,38 @@ def _extension_plan(adj, a: int) -> tuple:
 
 def _rooted_isomorphism(adj, a: int, adj_h, b: int, limit: Optional[int] = None):
     """(an isomorphism from the connected graph adj onto adj_h that sends a
-    to b, as an image list, or None; the vertices placed).
+    to b, as an image list, or None; the vertices placed): `_extend` from
+    the plan of (adj, a), which `_extension_plan` caches."""
+    return _extend(_extension_plan(adj, a), adj_h, b, limit)
+
+
+def _extend(plan: tuple, adj_h, b: int, limit: Optional[int] = None,
+            colors: Optional[Sequence[int]] = None):
+    """(an isomorphism from the connected graph of `plan`, from its root a,
+    onto adj_h that sends a to b, as an image list, or None; the vertices
+    placed).
 
     Individualise a and extend, with no refinement and no tree (McKay &
     Piperno 2014). Vertices are placed in BFS order from a, except that one
     reached by a second placed vertex goes next, so a cycle is checked as
     soon as it closes. Each goes on an unused neighbour, of its own degree,
     of the image of the vertex that first reached it, and its edges to placed
-    vertices must land on edges (forward checking). The order comes from
-    `_extension_plan`, cached per (adj, a), and the backtrack is a loop over
-    its positions with the next candidate index kept per position, so no
-    depth is too deep.
+    vertices must land on edges (forward checking). The order is the plan,
+    `_extension_plan(adj, a)`, and the backtrack is a loop over its
+    positions with the next candidate index kept per position, so no depth
+    is too deep.
+
+    With `colors`, a colouring of the vertices of both graphs (the search
+    passes one graph as both), each vertex's image, b included, must have
+    the vertex's colour: an isomorphism found preserves the colouring, and
+    one onto the plan's own graph fixes every vertex alone in its colour.
 
     None means there is no such isomorphism, or that the search stopped at
     `limit` placements without deciding: with a limit, a None whose count
     equals the limit decides nothing."""
-    plan = _extension_plan(adj, a)
-    n = len(adj)
-    if len(adj_h) != n or len(adj[a]) != len(adj_h[b]):
+    n = len(plan)
+    a, _, _, degree = plan[0]
+    if len(adj_h) != n or len(adj_h[b]) != degree or colors and colors[a] != colors[b]:
         return None, 0
     img = [-1] * n
     used = [False] * n
@@ -603,7 +666,7 @@ def _rooted_isomorphism(adj, a: int, adj_h, b: int, limit: Optional[int] = None)
         while j < len(targets):
             y = targets[j]
             j += 1
-            if used[y] or len(adj_h[y]) != degree:
+            if used[y] or len(adj_h[y]) != degree or colors and colors[y] != colors[v]:
                 continue
             for w in back:
                 if img[w] not in adj_h[y]:

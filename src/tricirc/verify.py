@@ -435,7 +435,9 @@ class SweepReport(NamedTuple):
 def sweep_one_k(k: int) -> SweepReport:
     """Exhaust one order 6k: run the funnel over the parameter orbits of
     all four types, and compare the names of the surviving isomorphism
-    classes against the family graphs expected at 6k."""
+    classes against the family graphs expected at 6k. ValueError unless
+    1 <= k and 6k is within the sweep guard (`_k_range`)."""
+    _k_range(k, k)
     family = _family_graphs(k)
     counts, seen = _funnel(k, family)
     classes = []

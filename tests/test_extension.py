@@ -5,7 +5,7 @@ one it replaced."""
 
 import random
 import sys
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -124,10 +124,11 @@ def test_node_counts_on_girth_eight_non_vt_covers(time_limit, k, r, s):
                 assert nodes <= 2500
 
 
-def reference_rooted_isomorphism(adj, a, adj_h, b, limit=None):
+def reference_rooted_isomorphism(adj, a, adj_h, b, limit=None, colors=None):
     """The recursive extension that `_rooted_isomorphism` replaced, with one
     Python frame per placed vertex: the same order, the same candidates in
-    the same order, the same count and the same stop at `limit`."""
+    the same order, the same count and the same stop at `limit`; with
+    `colors`, each vertex and its image share a colour."""
     n = len(adj)
     parent, rank = {a: a}, {}
     queue, forced = deque([a]), []
@@ -144,6 +145,8 @@ def reference_rooted_isomorphism(adj, a, adj_h, b, limit=None):
     if len(rank) != n:
         raise ValueError("the graph must be connected")
     if len(adj_h) != n or len(adj[a]) != len(adj_h[b]):
+        return None, 0
+    if colors is not None and colors[a] != colors[b]:
         return None, 0
     order = list(rank)
     back = {v: [w for w in adj[v] if rank[w] < rank[v] and w != parent[v]]
@@ -162,6 +165,8 @@ def reference_rooted_isomorphism(adj, a, adj_h, b, limit=None):
         for y in adj_h[img[parent[v]]]:
             if used[y] or len(adj_h[y]) != len(adj[v]) or any(
                     img[w] not in adj_h[y] for w in back[v]):
+                continue
+            if colors is not None and colors[y] != colors[v]:
                 continue
             if nodes == stop:
                 return False
@@ -194,6 +199,58 @@ def test_iterative_extension_matches_the_recursive_one(k):
                 found += got[0] is not None
                 refuted += got[0] is None and got[1] != limit
     assert found and refuted
+
+
+def first_path_colourings(adj):
+    """The equitable colouring of each node on the IR search's first path,
+    each with its target cell: the colourings its extension runs under."""
+    colors = symmetry._wl_refine(adj, symmetry._initial_colors(adj))
+    while len(set(colors)) < len(adj):
+        size = Counter(colors)
+        target = min(c for c in size if size[c] > 1)
+        cell = [v for v in range(len(adj)) if colors[v] == target]
+        yield colors, cell
+        colors = symmetry._wl_refine(
+            adj, symmetry._individualize(colors, cell[0]), cell[:1])
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_coloured_extension_matches_the_recursive_one(k):
+    # The loop as the search runs it on a screened cover's sorted rows: the
+    # first vertex of each first-path node's cell onto every vertex of the
+    # graph, under the node's colouring, unbounded and stopped at 1, 37 and
+    # the search's budget.
+    found = refuted = 0
+    for _, va in simple_connected_covers(k):
+        adj = lifted_adjacency(va)
+        if not _passes_vt_screen(adj, va.n):
+            continue
+        rows = tuple(tuple(sorted(row)) for row in adj)
+        for colors, cell in first_path_colourings(rows):
+            for b in range(len(rows)):
+                plan = symmetry._extension_plan(rows, cell[0])
+                for limit in (None, 1, 37, EXTENSION_BUDGET * len(rows)):
+                    got = symmetry._extend(plan, rows, b, limit, colors)
+                    assert got == reference_rooted_isomorphism(
+                        rows, cell[0], rows, b, limit, colors)
+                    if got[0] is not None:
+                        found += 1
+                        assert all(colors[got[0][v]] == colors[v] for v in range(len(rows)))
+                    refuted += got[0] is None and got[1] != limit
+    assert found and refuted
+
+
+def test_extension_refuses_a_map_that_breaks_the_colouring():
+    # On the path 0-1-2-3-4 the only automorphism sending 0 to 4 is the
+    # reversal, which swaps 1 and 3; the colouring tells them apart.
+    path5 = SimpleGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]).adjacency()
+    plan = symmetry._extension_plan(path5, 0)
+    assert symmetry._extend(plan, path5, 4)[0] == [4, 3, 2, 1, 0]
+    colors = [0, 1, 2, 3, 0]
+    for limit in (None, EXTENSION_BUDGET * 5):
+        assert symmetry._extend(plan, path5, 4, limit, colors)[0] is None
+        assert reference_rooted_isomorphism(path5, 0, path5, 4, limit, colors)[0] is None
+    assert symmetry._extend(plan, path5, 1, None, colors) == (None, 0)
 
 
 def test_are_isomorphic_still_spends_the_budget_on_the_outer_rim(monkeypatch):

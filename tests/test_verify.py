@@ -17,11 +17,13 @@ from tricirc.families import (
     x_graph,
     y_graph,
 )
+from tricirc.graph6 import decode_graph6
 from tricirc.graphs import SimpleGraph
 from tricirc.symmetry import (
     _rooted_isomorphism,
     are_isomorphic,
     canonical_form,
+    find_k_circulant,
     girth,
     group_order,
     is_vertex_transitive,
@@ -459,6 +461,46 @@ def test_sweep_guard():
         classification_sweep(9, 51)    # 6*51 > 300
     with pytest.raises(ValueError):
         small_census(51)    # 6*51 > 300
+
+
+def vt_generalized_petersen(max_order):
+    """Every vertex-transitive GP(n, m) with 2n <= max_order, m < n/2: those
+    with m^2 = +-1 mod n, and GP(10, 2) (Frucht, Graver & Watkins 1971)."""
+    for n in range(3, max_order // 2 + 1):
+        for m in range(1, (n + 1) // 2):
+            if m * m % n in (1, n - 1) or (n, m) == (10, 2):
+                yield f"GP({n},{m})", gp(n, m)
+
+
+def test_the_graph_side_answer_key(time_limit):
+    # From the graph side, independent of the reduction to the four
+    # pregraphs and the (r, s) grid: each VT generalized Petersen graph and
+    # prism of order at most 120 with a semiregular element of three orbits
+    # is isomorphic to a class the sweep lists at its order 6k, and no
+    # prism at even k has such an element. `gp` declares no automorphisms,
+    # so the IR search finds them all.
+    graphs = [(name, g) for name, g in vt_generalized_petersen(120) if g.n % 6 == 0]
+    graphs += [(f"prism({3 * k})", prism(3 * k)) for k in range(1, 21)]
+    classes = {}
+    tricirculants = 0
+    with time_limit(10):
+        for name, g in graphs:
+            if find_k_circulant(g, 3) is None:
+                continue
+            k = g.n // 6
+            assert not name.startswith("prism") or k % 2 == 1, name
+            if k not in classes:
+                classes[k] = [decode_graph6(c.canonical) for c in sweep_one_k(k).classes]
+            assert any(are_isomorphic(g, h) for h in classes[k]), name
+            tricirculants += 1
+    assert (len(graphs), tricirculants) == (60, 26)
+
+
+@pytest.mark.parametrize("k, message", [
+    (0, "need 1 <= k_min"), (-1, "need 1 <= k_min"), (51, "sweep guard")])
+def test_sweep_one_k_is_under_the_sweep_guard(k, message):
+    with pytest.raises(ValueError, match=message):
+        sweep_one_k(k)
 
 
 @pytest.mark.parametrize("workers", [0, -3])
