@@ -26,6 +26,7 @@ from .symmetry import is_automorphism
 from .voltage import (
     NotAutomorphism,
     VoltageAssignment,
+    _check_ints,
     derived_cover,
     zeta_for,
 )
@@ -41,9 +42,7 @@ class FamilyParams:
     s: Optional[int] = None
 
     def __post_init__(self):
-        for name, value in (("k", self.k), ("r", self.r), ("s", self.s)):
-            if not isinstance(value, int) and (name != "s" or value is not None):
-                raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+        _check_ints(self.k, self.r, 0 if self.s is None else self.s)
         if self.family_type not in (1, 2, 3, 4):
             raise ValueError("family type must be 1..4")
         if self.k < 1:
@@ -101,11 +100,11 @@ def fibre_map(
     of fibre fibres[f], as an image tuple. The deck transformation rho is
     fibre_map(k, shift=1) and index negation is fibre_map(k, -1). It is a
     bijection iff scale is a unit mod 2k and fibres permutes (0, 1, 2);
-    otherwise ValueError."""
-    n, *at = fibre_indexers(k)
-    if gcd(scale, n) != 1 or sorted(fibres) != [0, 1, 2]:
+    otherwise ValueError. It is `_table_map` with one row at both parities."""
+    if gcd(scale, fibre_indexers(k)[0]) != 1 or sorted(fibres) != [0, 1, 2]:
         raise ValueError("not a permutation")
-    return tuple(at[fibres[f]](scale * i + shift) for f in range(3) for i in range(n))
+    row = tuple((f, shift) for f in fibres)
+    return _table_map(k, (row, row), scale)
 
 
 class ParamSymmetry(NamedTuple):

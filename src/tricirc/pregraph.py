@@ -27,8 +27,7 @@ class Pregraph:
     """
 
     __slots__ = ("n_vertices", "n_darts", "beg", "inv", "dart_names",
-                 "vertex_names", "edge_tags", "_name_to_dart", "_edges",
-                 "_darts_at")
+                 "vertex_names", "edge_tags", "_edges", "_darts_at")
 
     def __init__(
         self,
@@ -67,9 +66,6 @@ class Pregraph:
         if len(dart_names) != n_darts:
             raise ValueError("dart_names length mismatch")
         self.dart_names = tuple(dart_names)
-        self._name_to_dart = {
-            nm: d for d, nm in enumerate(self.dart_names) if nm is not None
-        }
         tags: dict[int, str] = {}
         if edge_tags:
             for d, tag in edge_tags.items():
@@ -105,13 +101,6 @@ class Pregraph:
 
     def edge_tag(self, d: int) -> Optional[str]:
         return self.edge_tags.get(min(d, self.inv[d]))
-
-    def dart(self, name: str) -> int:
-        """Dart id for a named dart."""
-        try:
-            return self._name_to_dart[name]
-        except KeyError:
-            raise KeyError(f"no dart named {name!r}") from None
 
     def dart_label(self, d: int) -> str:
         nm = self.dart_names[d]

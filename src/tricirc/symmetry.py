@@ -294,7 +294,7 @@ def _orbits(m: int, maps: Iterable[Sequence[int]]) -> list[list[int]]:
 def is_automorphism(adj: tuple[tuple[int, ...], ...], img: Sequence[int]) -> bool:
     """Whether img (an image tuple) is a permutation of the vertices that
     maps each row of adj onto the row of the image vertex, as sets: the rows
-    may be in any order (`lifted_adjacency` keeps dart order)."""
+    may be in any order."""
     return sorted(img) == list(range(len(adj))) and all(
         sorted([img[b] for b in nbrs]) == sorted(adj[img[a]])
         for a, nbrs in enumerate(adj)
@@ -335,22 +335,19 @@ def _search(adj: tuple[tuple[int, ...], ...], seeds: tuple = ()):
     the first that the node's orbits do not join to an explored vertex is
     first tried as the image of cell[0] by the rooted extension (`_extend`)
     under the node's equitable colouring, within EXTENSION_BUDGET·n
-    placements, on the rows sorted once per search so that the maps found
-    do not depend on their order. Each prefix vertex is a singleton cell of
-    that colouring, so a map found is an automorphism that fixes the
-    prefix: v's subtree is the image of cell[0]'s, and v is skipped as a
-    seed would skip it. On the first path, v is then joined to cell[0] as
-    exploring it would have joined it, so the first leaf, the base, |Aut|
-    and the best certificate do not move. A None decides nothing, and v is
-    explored. A disconnected graph has no plan, so its search extends
-    nothing.
+    placements. It reads the rows of a `SimpleGraph`, which are sorted, so
+    the maps found do not depend on how the graph was built. Each prefix
+    vertex is a singleton cell of that colouring, so a map found is an
+    automorphism that fixes the prefix: v's subtree is the image of
+    cell[0]'s, and v is skipped as a seed would skip it. On the first path,
+    v is then joined to cell[0] as exploring it would have joined it, so the
+    first leaf, the base, |Aut| and the best certificate do not move. A None
+    decides nothing, and v is explored. A disconnected graph has no plan,
+    so its search extends nothing.
     """
     n = len(adj)
     gens: list[tuple[int, ...]] = list(seeds)
     order = 1
-    # The extension reads rows in sorted order, so the automorphisms it
-    # finds do not depend on the order of adj's rows.
-    rows = tuple(tuple(sorted(row)) for row in adj)
     connected = True  # until a plan finds the graph is not
     # The first leaf and the best leaf, each as (path, certificate,
     # labeling, prefix).
@@ -372,11 +369,11 @@ def _search(adj: tuple[tuple[int, ...], ...], seeds: tuple = ()):
         nonlocal connected
         if connected:
             try:
-                plan = _extension_plan(rows, a)
+                plan = _extension_plan(adj, a)
             except ValueError:
                 connected = False
             else:
-                img, _ = _extend(plan, rows, b, EXTENSION_BUDGET * n, colors)
+                img, _ = _extend(plan, adj, b, EXTENSION_BUDGET * n, colors)
                 if img is not None:
                     return tuple(img)
         return None
@@ -872,20 +869,9 @@ def vertex_orbits(g: SimpleGraph) -> list[list[int]]:
     return _orbits(g.n, _searched(g).gens)
 
 
-def _arc_orbits(
-    g: SimpleGraph, maps: Iterable[Sequence[int]]
-) -> list[list[tuple]]:
-    """The orbits of the arcs (a, b) of g under the vertex maps acting on
-    both ends: each sorted, ordered by least arc."""
-    arcs = [(a, b) for a in range(g.n) for b in g.neighbors(a)]
-    index = {arc: i for i, arc in enumerate(arcs)}
-    arc_maps = ([index[p[a], p[b]] for a, b in arcs] for p in maps)
-    return [[arcs[i] for i in orb] for orb in _orbits(len(arcs), arc_maps)]
-
-
 def edge_orbits(g: SimpleGraph) -> list[list[tuple]]:
     """The edge orbits as sorted (a, b) pairs, each orbit sorted, ordered by
-    least edge. Indexed by edge, not read off `_arc_orbits` with reversal,
+    least edge. Indexed by edge, not read off the arc orbits with reversal,
     which maps twice the points per generator. Computed once per cached
     search entry; each call returns new lists."""
     entry = _searched(g)
@@ -901,8 +887,11 @@ def edge_orbits(g: SimpleGraph) -> list[list[tuple]]:
 
 
 def arc_orbit_count(g: SimpleGraph) -> int:
-    """The number of arc orbits."""
-    return len(_arc_orbits(g, _searched(g).gens))
+    """The number of orbits of the arcs (a, b) under Aut acting on both ends."""
+    arcs = [(a, b) for a in range(g.n) for b in g.neighbors(a)]
+    index = {arc: i for i, arc in enumerate(arcs)}
+    maps = ([index[p[a], p[b]] for a, b in arcs] for p in _searched(g).gens)
+    return len(_orbits(len(arcs), maps))
 
 
 def is_vertex_transitive(g: SimpleGraph) -> bool:

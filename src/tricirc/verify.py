@@ -85,11 +85,11 @@ class WalkTable(NamedTuple):
         return sum(self.counts.values())
 
 
-def walk_table(delta_index: int, length: int, start) -> WalkTable:
+def walk_table(delta_index: int, length: int, start: str) -> WalkTable:
     """Voltage tally of all reduced closed walks of `length` at `start`, as
     `pregraph.reduced_closed_walks` lists them.
 
-    `start` is a vertex name ("u", "v", "w") or id of the base pregraph.
+    `start` is a vertex name ("u", "v", "w") of the base pregraph.
     The walks are counted, not listed, as packed generating functions: per
     first dart, each state (last dart d, eps) is one int, a slot of L + 1
     bits per (a, b) that counts the walks reaching d with net voltage
@@ -102,14 +102,9 @@ def walk_table(delta_index: int, length: int, start) -> WalkTable:
     slot overflows. The decode reads the slots by arithmetic, not through
     bytes, so it does not depend on the host's byte order."""
     base = delta(delta_index)
-    if isinstance(start, str):
-        if start not in base.vertex_names:
-            raise ValueError(f"unknown vertex name {start!r}")
-        root = base.vertex_names.index(start)
-    else:
-        root = start
-    if not 0 <= root < base.n_vertices:
-        raise ValueError(f"unknown vertex {root}")
+    if start not in base.vertex_names:
+        raise ValueError(f"unknown vertex name {start!r}")
+    root = base.vertex_names.index(start)
     if length < 1:
         raise ValueError("length must be positive")
     inv, symbols, darts = base.inv, _DART_SYMBOLS[delta_index], range(base.n_darts)
@@ -143,7 +138,7 @@ def walk_table(delta_index: int, length: int, start) -> WalkTable:
             a, b = divmod(slot, width)
             key = SymbolicVoltage(eps, a - reach, b - reach).canonical()
             tally[key] = tally.get(key, 0) + count
-    return WalkTable(delta_index, length, base.vertex_names[root], tally)
+    return WalkTable(delta_index, length, start, tally)
 
 
 # -- necessary conditions for the t1 family ------------------------------------

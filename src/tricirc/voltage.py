@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .graphs import SimpleGraph
 from .pregraph import Pregraph, Walk, delta
-from .symmetry import _arc_orbits, _orbits, is_automorphism
+from .symmetry import _orbits, is_automorphism
 
 
 class NonSimpleCover(ValueError):
@@ -77,13 +77,23 @@ class VoltageAssignment:
         return self.base._connected_by(d for d, z in self.zeta.items() if z == 0)
 
 
+def _check_ints(k, r, s) -> None:
+    """TypeError naming the first of k, r and s that is not an int, before
+    a float or str fails later as a slice or range error in the build."""
+    for name, value in (("k", k), ("r", r), ("s", s)):
+        if not isinstance(value, int):
+            raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+
+
 def zeta_for(delta_index: int, k: int, r: int = 0, s: int = 0) -> VoltageAssignment:
     """The standard voltage assignment on delta(delta_index) over Z_{2k}.
 
     Semi-edges carry k, tree links carry 0, and the remaining edges carry
     r and s as named in the dart labels: each dart's (eps, a, b) of
     `symbolic_dart_voltage` is read from a table made once per delta(i).
+    TypeError unless k, r and s are ints.
     """
+    _check_ints(k, r, s)
     if k < 1:
         raise ValueError("k must be positive")
     base = delta(delta_index)
@@ -347,22 +357,24 @@ def quotient_with_voltages(
             index_in_orbit[v] = i
             v = rho[v]
 
-    # Darts are the orbits of the arcs (a, b) under rho acting on both ends,
-    # numbered by least arc, which each dart takes as its representative.
-    darts = _arc_orbits(g, [rho])
-    dart_of = {arc: did for did, orb in enumerate(darts) for arc in orb}
-    dart_reps = [orb[0] for orb in darts]
+    # Darts are the orbits of the arcs (a, b) under rho acting on both ends.
+    # As in `lifted_adjacency`, an arc is keyed by its fibres and shift:
+    # (orbit of a, orbit of b, index of b - index of a), constant on one
+    # orbit and distinct between two. Walked in sorted order, each key first
+    # comes at its dart's least arc, so the darts are numbered by least arc.
+    darts: dict[tuple[int, int, int], int] = {}
+    for a in range(g.n):
+        for b in g.neighbors(a):
+            key = (orbit_of[a], orbit_of[b], (index_in_orbit[b] - index_in_orbit[a]) % n)
+            darts.setdefault(key, len(darts))
     names = [chr(ord("a") + i) if len(orbits) <= 26 else str(i)
              for i in range(len(orbits))]
     pg = Pregraph(
-        len(orbits), [orbit_of[a] for a, _ in dart_reps],
-        [dart_of[b, a] for a, b in dart_reps],
-        dart_names=[f"({names[orbit_of[a]]}{names[orbit_of[b]]})#{did}"
-                    for did, (a, b) in enumerate(dart_reps)],
+        len(orbits), [x for x, _, _ in darts],
+        [darts[y, x, -z % n] for x, y, z in darts],
+        dart_names=[f"({names[x]}{names[y]})#{did}"
+                    for did, (x, y, _) in enumerate(darts)],
         vertex_names=names,
     )
-    va = VoltageAssignment(pg, n, {
-        did: (index_in_orbit[b] - index_in_orbit[a]) % n
-        for did, (a, b) in enumerate(dart_reps)
-    })
+    va = VoltageAssignment(pg, n, {did: z for did, (_, _, z) in enumerate(darts)})
     return pg, va

@@ -272,7 +272,12 @@ def test_criterion_12_small_census():
     assert k33_ok and multi_ok
 
 
-def test_criterion_13_property_suites():
+def test_criterion_13_property_suites(time_limit):
+    with time_limit(60):  # it takes 3 to 5 s
+        _criterion_13_property_suites()
+
+
+def _criterion_13_property_suites():
     t0 = time.perf_counter()
     ok = True
     # cover size and valence

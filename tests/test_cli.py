@@ -383,6 +383,8 @@ ANALYZE_DIGESTS = [
 QUOTIENT_DIGESTS = [
     ("x_graph", (9,), "a5ee2e4ee935a2ed7297f8ef7a4afe66b37a37e558b2aded9ba315049b9195f6"),
     ("y_graph", (9,), "bfba3c36ec43245d1247ef506a0c97fdd6236a7e3155c77b879396b19364d619"),
+    ("t3", (9, 2), "3fb0c03b3d083ed83ce786cd6f4afe051b2862ab779a2a66871c26bef56b957c"),
+    ("t4", (9, 1, 2), "37e9285681b7b50c3321d0d59b0aaa6d9ca9c4027857e5a65dbe1f07b633e245"),
 ]
 
 

@@ -354,6 +354,20 @@ def test_family_params_reject_fields_that_are_not_ints(args, field):
         FamilyParams(*args)
 
 
+@pytest.mark.parametrize("make, args, field", [
+    (zeta_for, (1, 9, 2.5, 1), "r"),
+    (t1, (9, 2.5, 1), "r"),
+    (t1, (9.0, 2, 1), "k"),
+    (t2, (9, 2, "1"), "s"),
+    (t3, (9, 2.0), "r"),
+    (t4, (9, 1, 2.0), "s"),
+])
+def test_family_covers_reject_parameters_that_are_not_ints(make, args, field):
+    """The check of `FamilyParams`, made where the voltages are made."""
+    with pytest.raises(TypeError, match=f"^{field} must be an int"):
+        make(*args)
+
+
 def test_gcd_rule_matches_cover_connectivity():
     """The gcd rule and a search of the built cover decide one fact."""
     for k in range(1, 7):

@@ -95,13 +95,13 @@ def test_pregraph_connectivity_reads_the_links():
 def test_dart_name_round_trip():
     p = delta(1)
     for d in range(p.n_darts):
-        assert p.dart(p.dart_label(d)) == d
+        assert p.dart_names.index(p.dart_label(d)) == d
 
 
 def test_walk_validation_rejects_disconnected_steps():
     p = delta(1)
-    u_semi = p.dart("(uu)_k")
-    vw = p.dart("(vw)_r")
+    u_semi = p.dart_names.index("(uu)_k")
+    vw = p.dart_names.index("(vw)_r")
     with pytest.raises(ValueError):
         Walk(p, [u_semi, vw])
 

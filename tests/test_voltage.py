@@ -25,7 +25,7 @@ from tricirc.voltage import (
 def test_assignment_validates_inverse_voltages():
     base = delta(1)
     zeta = {d: 0 for d in range(base.n_darts)}
-    zeta[base.dart("(uu)_k")] = 3  # order > 2 on a semi-edge
+    zeta[base.dart_names.index("(uu)_k")] = 3  # order > 2 on a semi-edge
     with pytest.raises(ValueError):
         VoltageAssignment(base, 10, zeta)
 
@@ -40,9 +40,9 @@ def test_voltage_assignment_rejects_bad_input(changes, message):
     zeta = {d: 0 for d in range(base.n_darts)}
     for name, value in changes.items():
         if value is None:
-            del zeta[base.dart(name)]
+            del zeta[base.dart_names.index(name)]
         else:
-            zeta[base.dart(name)] = value
+            zeta[base.dart_names.index(name)] = value
     with pytest.raises(ValueError, match=message):
         VoltageAssignment(base, 10, zeta)
 
@@ -51,10 +51,10 @@ def test_zeta_for_standard_values():
     va = zeta_for(1, 9, r=6, s=1)
     base = va.base
     assert va.n == 18
-    assert va.voltage(base.dart("(uu)_k")) == 9
-    assert va.voltage(base.dart("(vw)_r")) == 6
-    assert va.voltage(base.dart("(wv)_-r")) == 12
-    assert va.voltage(base.dart("(uv)_0")) == 0
+    assert va.voltage(base.dart_names.index("(uu)_k")) == 9
+    assert va.voltage(base.dart_names.index("(vw)_r")) == 6
+    assert va.voltage(base.dart_names.index("(wv)_-r")) == 12
+    assert va.voltage(base.dart_names.index("(uv)_0")) == 0
     assert va.is_normalised()
 
 
@@ -170,7 +170,7 @@ def test_cover_connectivity_follows_gcd():
 def test_net_voltage_on_walks():
     va = zeta_for(1, 9, r=6, s=1)
     base = va.base
-    w = Walk(base, [base.dart(nm) for nm in ["(uv)_0", "(vw)_r", "(wu)_0"]])
+    w = Walk(base, [base.dart_names.index(nm) for nm in ["(uv)_0", "(vw)_r", "(wu)_0"]])
     assert net_voltage(va, w) == 6
     assert net_voltage(va, w.inverse()) == 12
 
@@ -193,8 +193,8 @@ def test_symbolic_voltage_evaluate_and_str():
 def test_symbolic_net_voltage_matches_numeric():
     va = zeta_for(1, 7, r=4, s=1)
     base = va.base
-    w = Walk(base, [base.dart(nm)
-                 for nm in ["(uu)_k", "(uv)_0", "(vw)_s", "(wu)_0"]])
+    w = Walk(base, [base.dart_names.index(nm)
+                    for nm in ["(uu)_k", "(uv)_0", "(vw)_s", "(wu)_0"]])
     sv = symbolic_net_voltage(base, w)
     assert sv == SymbolicVoltage(1, 0, 1)
     assert sv.evaluate(7, 4, 1) == net_voltage(va, w)
@@ -310,9 +310,8 @@ def test_connectivity_rule_holds_on_an_assignment_that_is_not_normalised():
     # Delta_1 over Z_4 with voltage 1 on both tree links: the voltages have
     # gcd 1, but the fundamental closed walks have net voltages 2, 2 and 0.
     base = delta(1)
-    zeta = {base.dart("(uu)_k"): 2, base.dart("(uv)_0"): 1,
-            base.dart("(uw)_0"): 1, base.dart("(vw)_r"): 2,
-            base.dart("(vw)_s"): 0}
+    zeta = {base.dart_names.index(nm): z for nm, z in [
+        ("(uu)_k", 2), ("(uv)_0", 1), ("(uw)_0", 1), ("(vw)_r", 2), ("(vw)_s", 0)]}
     for d in list(zeta):
         zeta[base.inv[d]] = -zeta[d]
     va = VoltageAssignment(base, 4, zeta)

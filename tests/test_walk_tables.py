@@ -125,14 +125,10 @@ def test_counts_are_even():
                 assert cnt % 2 == 0
 
 
-def test_start_accepts_vertex_index():
-    assert rows_of(1, 8, 0) == rows_of(1, 8, "u")
-
-
 @pytest.mark.parametrize("args, message", [
     ((1, 8, "z"), "unknown vertex name 'z'"),
-    ((1, 8, 3), "unknown vertex 3"),
-    ((1, 8, -1), "unknown vertex -1"),
+    ((1, 8, 3), "unknown vertex name 3"),
+    ((1, 8, 0), "unknown vertex name 0"),  # a name, not an index
     ((1, 0, "u"), "length must be positive"),
 ])
 def test_walk_table_rejects_unknown_start(args, message):
