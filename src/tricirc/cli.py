@@ -5,7 +5,8 @@ walks (symbolic voltage tables), verify (classification sweep + census),
 iso (isomorphism test), quotient (semiregular quotient pregraph). Each is a
 thin layer over the library: iso is `are_isomorphic`, quotient finds its
 automorphism with `find_k_circulant`, and analyze reads cycle signatures
-through the same routine as `is_c_cycle_regular`.
+through the same routine as `is_c_cycle_regular`, `cycle_signatures`, at
+one root per vertex orbit.
 
 Exit codes: 0 success, 1 anomaly (sweep anomalies, non-isomorphic pair,
 no suitable automorphism), 2 usage error or |Aut| larger than --cap
@@ -36,11 +37,11 @@ from .pregraph import delta
 from .symmetry import (
     DEFAULT_CAP,
     EnumerationCapExceeded,
-    _signatures,
     arc_orbit_count,
     are_isomorphic,
     canonical_form,
-    cycle_counts,
+    cycle_counts,  # noqa: F401 -- perfbench/tracer.py wraps cli.cycle_counts
+    cycle_signatures,
     edge_orbits,
     find_k_circulant,
     girth,
@@ -62,8 +63,8 @@ _MAX_WALK_LENGTH = 18  # well past the lengths 6..8 the paper reads; keeps each 
 # counted at one edge grow about threefold per length on a 4-regular graph.
 # On a random 4-regular graph on 600 vertices (1200 edge orbits, the worst
 # sparse graph tried within the search's size guard) N = 6 / 7 / 8 take
-# 1.5 / 2.9 / 9.4 s on a 2-core Xeon with Python 3.11; cubic graphs on 600
-# vertices take at most 0.2 s at N = 6.
+# 0.6-0.8 / 1.5 / 4.2-4.4 s with no step cap on a 2-core Xeon with Python
+# 3.11; cubic graphs on 600 vertices take at most 0.3 s at N = 6.
 _MAX_EXTRA_CYCLES = 6
 
 
@@ -171,20 +172,20 @@ def _analyze_one(g: SimpleGraph, extra_cycles: int, cap: int) -> dict:
     report["edge_transitive"] = report["edge_orbit_count"] <= 1
     report["arc_transitive"] = report["arc_orbit_count"] <= 1
 
-    gi = girth(g, [orbit[0] for orbit in orbits])
+    roots = [orbit[0] for orbit in orbits]
+    gi = girth(g, roots)
     report["girth"] = gi
     cycles = {}
     try:
         for c in range(gi, gi + extra_cycles + 1) if gi is not None else ():
-            per_vertex, per_edge, total = cycle_counts(g, c, cap)
-            vertex_regular = len(set(per_vertex)) <= 1
-            signatures = set(_signatures(g, per_edge))
-            cycle_regular = len(signatures) <= 1
+            signatures, total = cycle_signatures(g, c, roots, cap)
+            distinct = set(signatures)
             cycles[str(c)] = {
                 "total": total,
-                "vertex_regular": vertex_regular,
-                "cycle_regular": cycle_regular,
-                "signature": sorted(signatures.pop()) if cycle_regular and signatures else None,
+                # A vertex's count is half the sum of its signature.
+                "vertex_regular": len(set(map(sum, signatures))) <= 1,
+                "cycle_regular": len(distinct) <= 1,
+                "signature": list(distinct.pop()) if len(distinct) == 1 else None,
             }
     except EnumerationCapExceeded:
         cycles = "cap_exceeded"

@@ -42,7 +42,7 @@ class FamilyParams:
     s: Optional[int] = None
 
     def __post_init__(self):
-        _check_ints(self.k, self.r, 0 if self.s is None else self.s)
+        _check_ints(k=self.k, r=self.r, s=0 if self.s is None else self.s)
         if self.family_type not in (1, 2, 3, 4):
             raise ValueError("family type must be 1..4")
         if self.k < 1:
@@ -256,7 +256,8 @@ def y_graph(k: int) -> SimpleGraph:
 def gp(n: int, m: int) -> SimpleGraph:
     """Generalized Petersen graph: outer n-cycle u_i, inner star polygon v_i
     with step m, spokes u_i v_i. m is reduced modulo the GP(n,m) = GP(n,n-m)
-    identification."""
+    identification. TypeError unless n and m are ints."""
+    _check_ints(n=n, m=m)
     if n < 3:
         raise ValueError("outer cycle needs at least 3 vertices")
     m %= n
@@ -277,6 +278,7 @@ def prism(m: int) -> SimpleGraph:
     """Circular ladder: two m-cycles u_i = i and v_i = m + i (`gp`) joined
     by a perfect matching, carrying the rotation i -> i+1 of both rings, the
     reflection i -> -i and the ring swap u_i <-> v_i."""
+    _check_ints(m=m)
     if m < 3:
         raise ValueError("prism needs m >= 3")
     g, ring = gp(m, 1), range(m)
@@ -289,6 +291,7 @@ def prism(m: int) -> SimpleGraph:
 def moebius(m: int) -> SimpleGraph:
     """Moebius ladder: a 2m-cycle with antipodal chords, carrying the
     rotation i -> i+1 and the reflection i -> -i of the cycle."""
+    _check_ints(m=m)
     if m < 3:
         raise ValueError("Moebius ladder needs m >= 3")
     tags = {(i, (i + 1) % (2 * m)): "rim" for i in range(2 * m)}

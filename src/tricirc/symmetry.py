@@ -39,8 +39,8 @@ the order, the orbits and the cap need no chain. The chain is
 built only for a walk over the group (the elements, the semiregular search
 on Aut), when the first one reaches the entry; it tests elements on the
 base, the first leaf's prefix, which only the identity fixes, and stops
-once its orbits multiply to |Aut|. The edge orbits are computed when first
-asked, once per entry.
+once its orbits multiply to |Aut|. The arc orbits are computed when first
+asked, once per entry, and the edge orbits are read off them.
 
 An isomorphism test reaches the search only when the same key and a budgeted
 rooted extension leave it open (`are_isomorphic`). The key is read off both
@@ -55,14 +55,15 @@ length t maps each vertex orbit onto itself, semiregularly with the same t,
 so the semiregular search first asks the orbit sizes and the groups induced
 on the orbits, and walks Aut only if none of them refutes t. Cycle counts
 are taken at one edge per edge orbit, since an automorphism carries the
-cycles through an edge onto those through its image; `analyze` takes the
-girth at one root per vertex orbit for the same reason.
+cycles through an edge onto those through its image, and read at one root
+per vertex orbit; `analyze` takes the girth there for the same reason.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from functools import lru_cache
+from itertools import islice
 from math import inf, prod
 from typing import Iterable, Optional, Sequence
 
@@ -483,11 +484,12 @@ class _Entry:
     generator tuples `gens`, the canonical `labeling`, the canonical graph6
     `cert`, the `base` and `order` = |Aut| of `_search` seeded with `seeds`,
     each generator checked once to be an automorphism, the seeds before the
-    search; and the stabiliser `chain` and the `edge_orbits`, None until
-    `_chain` and `edge_orbits` first fill them."""
+    search; and the stabiliser `chain`, and the `edge_orbits`, the
+    `arc_orbit_count` and per vertex the edge orbit of each edge in its row
+    (`edge_ids`), None until `_chain` and `_arc_pass` first fill them."""
 
     __slots__ = ("gens", "labeling", "cert", "base", "order", "chain",
-                 "edge_orbits")
+                 "edge_orbits", "arc_orbit_count", "edge_ids")
 
     def __init__(self, adj: tuple[tuple[int, ...], ...], seeds: tuple = ()):
         for i, img in enumerate(seeds):
@@ -496,7 +498,7 @@ class _Entry:
         self.gens, self.labeling, self.cert, self.base, self.order = _search(adj, seeds)
         if not all(is_automorphism(adj, img) for img in self.gens[len(seeds):]):
             raise AssertionError("internal error: invalid generator")
-        self.chain = self.edge_orbits = None
+        self.chain = self.edge_orbits = self.arc_orbit_count = self.edge_ids = None
 
 
 _search_cached = lru_cache(maxsize=2048)(_Entry)
@@ -869,29 +871,44 @@ def vertex_orbits(g: SimpleGraph) -> list[list[int]]:
     return _orbits(g.n, _searched(g).gens)
 
 
-def edge_orbits(g: SimpleGraph) -> list[list[tuple]]:
-    """The edge orbits as sorted (a, b) pairs, each orbit sorted, ordered by
-    least edge. Indexed by edge, not read off the arc orbits with reversal,
-    which maps twice the points per generator. Computed once per cached
-    search entry; each call returns new lists."""
+def _arc_pass(g: SimpleGraph) -> _Entry:
+    """The search entry of g, with its one pass over the arcs, numbered row
+    by row and mapped through a table of positions keyed a*n + b. Reversal
+    pairs the arc orbits, so the edge {a, b} is keyed by the lesser orbit of
+    (a, b) and (b, a): orbits go by least arc, so the keys go by least edge."""
     entry = _searched(g)
     if entry.edge_orbits is None:
-        edges = g.edges()
-        index = {}
-        for i, (a, b) in enumerate(edges):
-            index[a, b] = index[b, a] = i
-        maps = ([index[p[a], p[b]] for a, b in edges] for p in entry.gens)
-        entry.edge_orbits = tuple(tuple(edges[i] for i in orb)
-                         for orb in _orbits(len(edges), maps))
-    return [list(orb) for orb in entry.edge_orbits]
+        n, adj = g.n, g.adjacency()
+        arcs = [(a, b) for a, row in enumerate(adj) for b in row]
+        at = {a * n + b: i for i, (a, b) in enumerate(arcs)}
+        orbits = _orbits(len(arcs), ([at[p[a] * n + p[b]] for a, b in arcs]
+                                     for p in entry.gens))
+        orbit_of = {x: i for i, orbit in enumerate(orbits) for x in orbit}
+        keys = [min(i, orbit_of[at[b * n + a]])
+                for i, (a, b) in enumerate(arcs[orbit[0]] for orbit in orbits)]
+        number = {key: j for j, key in enumerate(sorted(set(keys)))}
+        ids = [number[keys[orbit_of[x]]] for x in range(len(arcs))]
+        edges: list = [[] for _ in number]
+        for (a, b), i in zip(arcs, ids):
+            if a < b:
+                edges[i].append((a, b))
+        rest = iter(ids)
+        entry.edge_ids = tuple(tuple(islice(rest, len(row))) for row in adj)
+        entry.edge_orbits = tuple(map(tuple, edges))
+        entry.arc_orbit_count = len(orbits)
+    return entry
+
+
+def edge_orbits(g: SimpleGraph) -> list[list[tuple]]:
+    """The edge orbits as sorted (a, b) pairs, each orbit sorted, ordered by
+    least edge. Computed once per cached search entry (`_arc_pass`); each
+    call returns new lists."""
+    return [list(orb) for orb in _arc_pass(g).edge_orbits]
 
 
 def arc_orbit_count(g: SimpleGraph) -> int:
     """The number of orbits of the arcs (a, b) under Aut acting on both ends."""
-    arcs = [(a, b) for a in range(g.n) for b in g.neighbors(a)]
-    index = {arc: i for i, arc in enumerate(arcs)}
-    maps = ([index[p[a], p[b]] for a, b in arcs] for p in _searched(g).gens)
-    return len(_orbits(len(arcs), maps))
+    return _arc_pass(g).arc_orbit_count
 
 
 def is_vertex_transitive(g: SimpleGraph) -> bool:
@@ -1001,27 +1018,29 @@ def cycles_of_length(g: SimpleGraph, c: int) -> list[tuple[int, ...]]:
     return out
 
 
-def cycle_counts(g: SimpleGraph, c: int, budget: float = inf):
-    """(per-vertex counts, per-edge counts, total) for cycles of length c.
-
-    Only the first edge (a, b) of each edge orbit is counted: its c-cycles
-    are the simple paths of c vertices from b back to a. A cycle uses two
-    edges at each of its vertices and c edges in all. Raises
-    EnumerationCapExceeded once the paths' steps, the neighbours looked at,
-    exceed `budget`."""
+def _orbit_cycle_counts(g: SimpleGraph, c: int, budget: float = inf):
+    """(the c-cycles through the least edge (a, b) of each edge orbit, in
+    `edge_orbits` order, the entry of `_arc_pass`): the simple paths of c
+    vertices from b back to a. Raises EnumerationCapExceeded once the paths'
+    steps, the neighbours looked at, exceed `budget`, which each count hands
+    on to the next."""
     if c < 3:
         raise ValueError("cycle length must be at least 3")
-    adj = g.adjacency()
-    count_of = {}
-    for orbit in edge_orbits(g):
+    adj, counts, entry = g.adjacency(), [], _arc_pass(g)
+    for orbit in entry.edge_orbits:
         count, budget = _paths_back(adj, *orbit[0], c, budget)
-        for e in orbit:
-            count_of[e] = count
-    per_edge = {e: count_of[e] for e in g.edges()}
-    per_vertex = [
-        sum(per_edge[(v, w) if v < w else (w, v)] for w in adj[v]) // 2
-        for v in range(g.n)
-    ]
+        counts.append(count)
+    return counts, entry
+
+
+def cycle_counts(g: SimpleGraph, c: int, budget: float = inf):
+    """(per-vertex counts, per-edge counts, total) for cycles of length c,
+    read off `_orbit_cycle_counts` under its `budget`. A cycle uses two
+    edges at each of its vertices and c edges in all."""
+    counts, entry = _orbit_cycle_counts(g, c, budget)
+    per_edge = {(a, b): counts[i] for a, row in enumerate(g.adjacency())
+                for b, i in zip(row, entry.edge_ids[a]) if a < b}
+    per_vertex = [sum(counts[i] for i in ids) // 2 for ids in entry.edge_ids]
     return per_vertex, per_edge, sum(per_edge.values()) // c
 
 
@@ -1058,31 +1077,30 @@ def _paths_back(adj, a: int, b: int, c: int, budget: float = inf):
     return count, budget - steps
 
 
+def cycle_signatures(g: SimpleGraph, c: int, roots: Optional[Iterable[int]] = None,
+                     budget: float = inf) -> tuple[list[tuple[int, ...]], int]:
+    """(the c-signature at each root, the number of c-cycles), read off
+    `_orbit_cycle_counts`. A vertex's signature is the sorted counts of its
+    edges, and its count is half their sum; the total is the sum of
+    count * |orbit| over the edge orbits, over c. All three are constant on
+    an orbit, so the default roots, one per vertex orbit, give every signature."""
+    roots = [orbit[0] for orbit in vertex_orbits(g)] if roots is None else roots
+    counts, entry = _orbit_cycle_counts(g, c, budget)
+    total = sum(count * len(orbit) for count, orbit in zip(counts, entry.edge_orbits)) // c
+    return [tuple(sorted([counts[i] for i in entry.edge_ids[v]])) for v in roots], total
+
+
 def c_signature(g: SimpleGraph, v: int, c: int) -> tuple[int, ...]:
     """Sorted counts of c-cycles through the edges at v."""
-    _, per_edge, _ = cycle_counts(g, c)
-    return _signatures(g, per_edge)[v]
-
-
-def _signatures(g: SimpleGraph, per_edge: dict) -> list[tuple[int, ...]]:
-    """Per vertex, the sorted counts of cycles through its edges, read from
-    the per-edge table of `cycle_counts`."""
-    return [
-        tuple(sorted(
-            per_edge[(v, w) if v < w else (w, v)] for w in g.neighbors(v)
-        ))
-        for v in range(g.n)
-    ]
+    return cycle_signatures(g, c, [v])[0][0]
 
 
 def is_c_cycle_regular(g: SimpleGraph, c: int) -> bool:
-    _, per_edge, _ = cycle_counts(g, c)
-    return len(set(_signatures(g, per_edge))) <= 1
+    return len(set(cycle_signatures(g, c)[0])) <= 1
 
 
 def is_c_vertex_regular(g: SimpleGraph, c: int) -> bool:
-    per_vertex, _, _ = cycle_counts(g, c)
-    return len(set(per_vertex)) <= 1
+    return len(set(map(sum, cycle_signatures(g, c)[0]))) <= 1  # twice the counts
 
 
 def uniform_local_profile(g: SimpleGraph) -> bool:

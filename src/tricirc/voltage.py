@@ -77,10 +77,10 @@ class VoltageAssignment:
         return self.base._connected_by(d for d, z in self.zeta.items() if z == 0)
 
 
-def _check_ints(k, r, s) -> None:
-    """TypeError naming the first of k, r and s that is not an int, before
-    a float or str fails later as a slice or range error in the build."""
-    for name, value in (("k", k), ("r", r), ("s", s)):
+def _check_ints(**values) -> None:
+    """TypeError naming the first of the named values that is not an int,
+    before a float or str fails later as a slice, range or order error."""
+    for name, value in values.items():
         if not isinstance(value, int):
             raise TypeError(f"{name} must be an int, not {type(value).__name__}")
 
@@ -93,7 +93,7 @@ def zeta_for(delta_index: int, k: int, r: int = 0, s: int = 0) -> VoltageAssignm
     `symbolic_dart_voltage` is read from a table made once per delta(i).
     TypeError unless k, r and s are ints.
     """
-    _check_ints(k, r, s)
+    _check_ints(k=k, r=r, s=s)
     if k < 1:
         raise ValueError("k must be positive")
     base = delta(delta_index)

@@ -3,19 +3,36 @@ checked here against the tally of the listing it replaced: every reduced
 closed walk from `reduced_closed_walks`, every cycle from
 `cycles_of_length`. The walk tables are also checked, to lengths the
 listing cannot reach, against the `Counter` loop over (dart, eps, a, b)
-states that the packed count replaced."""
+states that the packed count replaced; and `analyze`'s orbit counts and
+cycle statistics, read once per orbit, against the per-edge and per-vertex
+passes they replaced."""
 
 import random
 from collections import Counter
 from itertools import combinations
-from math import comb, perm
+from math import comb, inf, perm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_group_reference import necklace
 
+from tricirc import symmetry
+from tricirc.cli import _analyze_one
 from tricirc.families import t1, t2, t3, t4
 from tricirc.graphs import SimpleGraph
 from tricirc.pregraph import delta, reduced_closed_walks
-from tricirc.symmetry import cycle_counts, cycles_of_length, group_order
+from tricirc.symmetry import (
+    EnumerationCapExceeded,
+    c_signature,
+    cycle_counts,
+    cycles_of_length,
+    edge_orbits,
+    girth,
+    group_order,
+    is_c_cycle_regular,
+    is_c_vertex_regular,
+)
 from tricirc.verify import walk_table
 from tricirc.voltage import (
     _DART_SYMBOLS,
@@ -98,6 +115,11 @@ def test_walk_table_rows_wider_than_32_bits(start):
     assert max(counts.values()) >= 2 ** 32
 
 
+def parameter_grid(build, k):
+    return ([(r,) for r in range(2 * k)] if build is t3 else
+            [(r, s) for r in range(2 * k) for s in range(2 * k)])
+
+
 def covers():
     """Up to three simple instances of each type for k = 1..6, drawn from
     the parameter grid with a fixed seed."""
@@ -105,8 +127,7 @@ def covers():
     out = []
     for build in (t1, t2, t3, t4):
         for k in range(1, 7):
-            grid = ([(r,) for r in range(2 * k)] if build is t3 else
-                    [(r, s) for r in range(2 * k) for s in range(2 * k)])
+            grid = parameter_grid(build, k)
             rng.shuffle(grid)
             found = []
             for params in grid:
@@ -162,3 +183,120 @@ def test_cycle_counts_of_complete_graphs(n):
         assert counted == total
         assert set(per_edge.values()) == {total * c // comb(n, 2)}
         assert per_vertex == [total * c // n] * n
+
+
+# -- analyze, read once per orbit ----------------------------------------------
+
+def reference_orbits(g, points, image):
+    """The orbits of the points under the search's generators, by a map of
+    each generator onto them: the per-edge and per-arc passes that the one
+    arc-orbit pass replaced."""
+    index = {x: i for i, x in enumerate(points)}
+    maps = ([index[image(p, x)] for x in points] for p in symmetry._searched(g).gens)
+    return [[points[i] for i in orbit] for orbit in symmetry._orbits(len(points), maps)]
+
+
+def reference_edge_orbits(g):
+    return reference_orbits(g, g.edges(), lambda p, e: tuple(sorted((p[e[0]], p[e[1]]))))
+
+
+def reference_arc_orbit_count(g):
+    arcs = [(a, b) for a in range(g.n) for b in g.neighbors(a)]
+    return len(reference_orbits(g, arcs, lambda p, e: (p[e[0]], p[e[1]])))
+
+
+def reference_cycle_tables(g, c, budget):
+    """The per-edge table, filled orbit by orbit from the first edge's
+    count, and the per-vertex counts and signatures read off it at every
+    vertex; the count steps through the same `_paths_back` calls in the
+    same order. Also returns the budget left."""
+    adj = g.adjacency()
+    count_of = {}
+    for orbit in reference_edge_orbits(g):
+        count, budget = symmetry._paths_back(adj, *orbit[0], c, budget)
+        count_of.update(dict.fromkeys(orbit, count))
+    at = [[count_of[min(v, w), max(v, w)] for w in adj[v]] for v in range(g.n)]
+    return ([sum(row) // 2 for row in at], [tuple(sorted(row)) for row in at],
+            sum(count_of.values()) // c, budget)
+
+
+def reference_cycles(g, extra_cycles, cap):
+    """`analyze`'s "cycles" entry from the per-vertex tables."""
+    gi, cycles = girth(g), {}
+    try:
+        for c in range(gi, gi + extra_cycles + 1) if gi is not None else ():
+            per_vertex, signatures, total, _ = reference_cycle_tables(g, c, cap)
+            distinct = set(signatures)
+            cycles[str(c)] = {
+                "total": total,
+                "vertex_regular": len(set(per_vertex)) <= 1,
+                "cycle_regular": len(distinct) <= 1,
+                "signature": sorted(distinct.pop()) if len(distinct) == 1 else None,
+            }
+    except EnumerationCapExceeded:
+        return "cap_exceeded"
+    return cycles
+
+
+def least_passing_cap(g, extra_cycles):
+    """The least cap under which the reference counts every length: the
+    most steps one length takes."""
+    gi, most, ample = girth(g), 0, 10 ** 18
+    for c in range(gi, gi + extra_cycles + 1) if gi is not None else ():
+        most = max(most, ample - reference_cycle_tables(g, c, ample)[3])
+    return most
+
+
+def check_analyze_against_the_reference(g):
+    symmetry._search_cached.cache_clear()
+    report = _analyze_one(g, 2, 10 ** 9)
+    assert edge_orbits(g) == reference_edge_orbits(g)
+    assert report["edge_orbit_count"] == len(reference_edge_orbits(g))
+    assert report["arc_orbit_count"] == reference_arc_orbit_count(g)
+    assert report["cycles"] == reference_cycles(g, 2, 10 ** 9)
+    for c in map(int, report["cycles"]):
+        per_vertex, signatures, _, _ = reference_cycle_tables(g, c, inf)
+        assert [c_signature(g, v, c) for v in range(g.n)] == signatures
+        assert is_c_cycle_regular(g, c) == (len(set(signatures)) <= 1)
+        assert is_c_vertex_regular(g, c) == (len(set(per_vertex)) <= 1)
+    cap = least_passing_cap(g, 2)
+    if cap:
+        # The cap trips where the reference's does: the same steps in the
+        # same order.
+        assert reference_cycles(g, 2, cap - 1) == "cap_exceeded" != reference_cycles(g, 2, cap)
+        for budget in (cap - 1, cap):
+            assert _analyze_one(g, 2, budget)["cycles"] == reference_cycles(g, 2, budget)
+
+
+@st.composite
+def graphs_on_at_most_ten_vertices(draw):
+    n = draw(st.integers(0, 10))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return SimpleGraph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@given(graphs_on_at_most_ten_vertices())
+@settings(max_examples=150, deadline=None)
+def test_analyze_matches_the_per_vertex_reference_on_small_graphs(g):
+    check_analyze_against_the_reference(g)
+
+
+def simple_covers():
+    """Every simple cover of the four types at k <= 4."""
+    out = []
+    for build in (t1, t2, t3, t4):
+        for k in range(1, 5):
+            for params in parameter_grid(build, k):
+                try:
+                    out.append(build(k, *params))
+                except NonSimpleCover:
+                    pass
+    return out
+
+
+def test_analyze_matches_the_per_vertex_reference_on_covers_and_the_necklace():
+    graphs = simple_covers() + [necklace(10)]
+    assert len(graphs) > 100
+    for g in graphs:
+        check_analyze_against_the_reference(g)

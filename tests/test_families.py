@@ -368,6 +368,25 @@ def test_family_covers_reject_parameters_that_are_not_ints(make, args, field):
         make(*args)
 
 
+@pytest.mark.parametrize("make, args, field", [
+    (gp, (5.0, 2), "n"),
+    (gp, ("5", 2), "n"),
+    (gp, (5, 2.0), "m"),
+    (prism, ("6",), "m"),
+    (prism, (6.0,), "m"),
+    (moebius, (4.5,), "m"),
+])
+def test_ladders_and_petersen_graphs_reject_parameters_that_are_not_ints(make, args, field):
+    """The same check as the covers', by the parameter's own name."""
+    with pytest.raises(TypeError, match=f"^{field} must be an int, not "):
+        make(*args)
+
+
+def test_a_bool_parameter_is_still_an_int():
+    assert gp(5, True).edges() == gp(5, 1).edges()
+    assert t1(9, 2, True).edges() == t1(9, 2, 1).edges()
+
+
 def test_gcd_rule_matches_cover_connectivity():
     """The gcd rule and a search of the built cover decide one fact."""
     for k in range(1, 7):
@@ -421,6 +440,22 @@ def test_declared_automorphisms_generate_the_whole_group():
                 short[name] = (generated, group_order(g))
     assert short == {"moebius(3)": (12, 72), "X(3)": (36, 72),
                      "Y(3)": (36, 216), "Y(9)": (108, 324)}
+
+
+def test_rho_and_phi_act_regularly_on_x_and_y(time_limit):
+    # <rho, phi>, the first two maps X(k) and Y(k) carry, has order 6k and
+    # one vertex orbit, so it acts regularly on the 6k vertices: X(k) and
+    # Y(k) are Cayley graphs of it. The order is read off its stabiliser
+    # chain on the search's base, a base of Aut and so of every subgroup.
+    # This holds at X(3), Y(3) and Y(9) too, whose |Aut| is larger.
+    with time_limit(20):
+        for k in range(3, 50, 2):
+            for build in (x_graph, y_graph):
+                g = build(k)
+                rho_phi = g.known_automorphisms[:2]
+                chain = _stabiliser_chain(g.n, rho_phi, _searched(g).base)
+                assert prod(map(len, chain)) == 6 * k, (build.__name__, k)
+                assert len(_orbits(g.n, rho_phi)) == 1, (build.__name__, k)
 
 
 def test_declared_automorphisms_are_the_named_maps():
